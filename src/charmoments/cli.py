@@ -130,8 +130,10 @@ def _cmd_theta(args, cal) -> tuple[dict, int]:
                             "odd_over_even": odd.value / even.value
                             if even.value > 0 else None})
         else:
-            vals = theta.theta_all(mod)
             idx = args.char if args.char is not None else list(range(min(8, q - 1)))
+            if any(not 0 <= a <= q - 2 for a in idx):
+                raise OutOfRange(f"--char indices must lie in [0, q - 2 = {q - 2}], got {idx}")
+            vals = theta.theta_all(mod)
             results.extend({"q": q, "a": a, "value": complex(vals[a].value),
                             "tail_bound": vals[a].tail_bound,
                             "truncation_point": vals[a].truncation_point}
@@ -277,10 +279,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CharmomentsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CharmomentsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = _document(args, payload["config"], payload["results"], started)

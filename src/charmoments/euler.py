@@ -108,25 +108,9 @@ def pair_factor_expectation(p: float, alpha: float, sigma1: float,
     return val / (2.0 * math.pi)
 
 
-def single_factor_expectation(p: float, alpha: float, sigma: float) -> float:
-    """E |1 - f(p)/p^{1/2+sigma}|^{-2 alpha} by quadrature."""
-    return pair_factor_expectation(p, alpha, sigma)
-
-
 def geometric_single_factor(p: float, sigma: float) -> float:
     """Closed form at alpha = 1: E |1 - f(p) p^{-1/2-sigma}|^{-2} = 1/(1 - p^{-1-2 sigma})."""
     return 1.0 / (1.0 - p ** (-1.0 - 2.0 * sigma))
-
-
-def product_expectation_quad(y: float, alpha: float, sigma: float,
-                             p_lo: float = 2.0) -> float:
-    """prod over p in [p_lo, y] of the single-factor quadrature expectations."""
-    total = 0.0
-    for p in primes.primes_up_to(y):
-        if p < p_lo:
-            continue
-        total += math.log(single_factor_expectation(float(p), alpha, sigma))
-    return math.exp(total)
 
 
 def pair_product_quad(spec: EulerProductSpec) -> float:
@@ -159,20 +143,14 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
     lp = np.log(ps.astype(np.float64))
     w1 = np.exp(-(0.5 + spec.sigma1) * lp - 1j * spec.t1 * lp)
     w2 = np.exp(-(0.5 + spec.sigma2) * lp - 1j * spec.t2 * lp)
-    seeds = rmf.derive_trial_seeds(seed, trials)
-    samples = np.empty(trials, dtype=np.float64)
-    for i in range(0, trials, batch):
-        chunk = seeds[i : i + batch]
-        keys = rmf._mix_array(chunk)
-        h = rmf._mix_array(keys[:, None] ^ ps.astype(np.uint64)[None, :])
-        f = np.exp(1j * (h >> np.uint64(11)).astype(np.float64) * (2.0 * np.pi / (1 << 53)))
-        m1 = np.abs(1.0 - f * w1[None, :]) ** 2
-        m2 = np.abs(1.0 - f * w2[None, :]) ** 2
-        logx = -(spec.alpha * np.log(m1).sum(axis=1) + spec.beta * np.log(m2).sum(axis=1))
-        samples[i : i + chunk.size] = np.exp(logx)
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(trials))
-    return mean, stderr
+
+    def products(chunk: np.ndarray) -> np.ndarray:
+        f = rmf.unit_values(chunk, ps)
+        m1 = np.abs(1.0 - f * w1) ** 2
+        m2 = np.abs(1.0 - f * w2) ** 2
+        return np.exp(-(spec.alpha * np.log(m1).sum(axis=1) + spec.beta * np.log(m2).sum(axis=1)))
+
+    return rmf.mc_estimate(seed, trials, batch, products)
 
 
 # ---------------------------------------------------------------------------

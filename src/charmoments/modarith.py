@@ -27,20 +27,9 @@ _BYTES_PER_RESIDUE = 24
 Q_CAP = 1 << 31
 
 
-@dataclass(frozen=True)
-class CharacterIndex:
-    """Character label a in [0, q-2]; a = 0 is the principal character."""
-
-    a: int
-
-    def is_even(self) -> bool:
-        return self.a % 2 == 0
-
-
-def parity(a: int | CharacterIndex) -> str:
+def parity(a: int) -> str:
     """Parity of chi_a: chi_a(-1) = (-1)^a, so even iff a is even."""
-    a = a.a if isinstance(a, CharacterIndex) else int(a)
-    return "even" if a % 2 == 0 else "odd"
+    return "even" if int(a) % 2 == 0 else "odd"
 
 
 @dataclass(eq=False)
@@ -66,10 +55,9 @@ class PrimeModulus:
         """roots[j] = exp(2*pi*i*j/(q-1))."""
         return np.exp(2j * np.pi * np.arange(self.q - 1) / (self.q - 1))
 
-    def char_values(self, a: int | CharacterIndex, ns: np.ndarray) -> np.ndarray:
+    def char_values(self, a: int, ns: np.ndarray) -> np.ndarray:
         """chi_a at an integer array (vectorized; zeros where q | n)."""
-        a = a.a if isinstance(a, CharacterIndex) else int(a)
-        a %= self.q - 1
+        a = int(a) % (self.q - 1)
         ns = np.asarray(ns, dtype=np.int64) % self.q
         out = np.zeros(ns.shape, dtype=np.complex128)
         ok = ns != 0
@@ -130,9 +118,9 @@ def build_modulus(q: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> PrimeModulus:
     return PrimeModulus(q=q, g=g, dlog=dlog)
 
 
-def char_value(mod: PrimeModulus, a: int | CharacterIndex, n: int) -> complex:
+def char_value(mod: PrimeModulus, a: int, n: int) -> complex:
     """chi_a(n) for a single integer n (0 when q | n)."""
-    a_int = a.a if isinstance(a, CharacterIndex) else int(a)
+    a_int = int(a)
     if not (0 <= a_int <= mod.q - 2):
         raise OutOfRange(f"character index {a_int} not in [0, {mod.q - 2}]")
     n = int(n) % mod.q

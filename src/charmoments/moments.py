@@ -48,6 +48,8 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
     """
     if divisor not in ("phi", "nontrivial"):
         raise DomainError(f"divisor must be 'phi' or 'nontrivial', got {divisor!r}")
+    if divisor == "nontrivial" and mod.q < 3:
+        raise DomainError(f"q = {mod.q} has no non-principal character to divide by")
     table = all_char_sums_fft(mod, x)
     powers = _abs_power_2k(table.values, k)
     total = float(powers[1:].sum()) if exclude_principal else float(powers.sum())
@@ -79,21 +81,16 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     Per-trial child seeds derive from (seed, trial index); identical inputs
     give bit-identical output regardless of batch size.
     """
-    if trials < 2:
-        raise DomainError("need at least 2 trials for a standard error")
+    if k < 0:
+        raise DomainError(f"k must be >= 0, got {k}")
     xf = int(math.floor(x))
     if batch is None:
         # keep the trial x value matrix around 64 MB
         batch = max(16, min(trials, (4 << 20) // max(1, xf)))
-    seeds = rmf.derive_trial_seeds(seed, trials)
-    powers = np.empty(trials, dtype=np.float64)
     ps = primes.primes_up_to(xf)
-    for i in range(0, trials, batch):
-        chunk = seeds[i : i + batch]
-        sums = rmf.partial_sums_batch(chunk, x, ps)
-        powers[i : i + chunk.size] = _abs_power_2k(sums, k)
-    mean = float(powers.mean())
-    stderr = float(powers.std(ddof=1) / math.sqrt(trials))
+    mean, stderr = rmf.mc_estimate(
+        seed, trials, batch,
+        lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x, ps), k))
     return MomentEstimate(value=mean, stderr=stderr, trials=trials, kind="mc-rmf")
 
 

@@ -37,7 +37,7 @@ from .charsum import WeightedIndicator, weighted_char_sums
 from .errors import ClassMismatch, InfeasibleParams, OutOfRange
 from .fpoly import FPoly
 from .modarith import PrimeModulus
-from .rmf import RmfSample, value_at
+from .rmf import RmfSample
 
 _LOG20 = math.log(20.0)
 LENGTH_FACTOR = 10**4  # paper-profile short-polynomial constraint factor
@@ -82,10 +82,6 @@ class ProxyParams:
     @property
     def y(self) -> float:
         return math.exp(self.log_y)
-
-    @property
-    def x(self) -> float:
-        return math.exp(self.log_x)  # may overflow to inf for paper-scale params
 
     def j_values(self) -> tuple[int, ...]:
         return tuple(lv.j for lv in self.levels)
@@ -226,65 +222,67 @@ class SampleSource:
 
     sample: RmfSample
 
-    def values_at(self, ns: np.ndarray) -> np.ndarray:
-        ns = np.asarray(ns, dtype=np.int64)
-        out = np.empty(ns.shape, dtype=np.complex128)
-        flat = ns.ravel()
-        res = out.ravel()
-        ps = self.sample.primes
-        in_table = np.isin(flat, ps)
-        if in_table.any():
-            idx = np.searchsorted(ps, flat[in_table])
-            res[in_table] = self.sample.fp[idx]
-        for i in np.flatnonzero(~in_table):
-            res[i] = value_at(self.sample, int(flat[i]))
-        return out
+    def values_at(self, ps: np.ndarray) -> np.ndarray:
+        """f at an array of primes; OutOfRange for a composite or a prime beyond the sample."""
+        table = self.sample.primes
+        idx = np.searchsorted(table, ps)
+        if idx.size and (idx.max() >= table.size or np.any(table[idx] != ps)):
+            raise OutOfRange("values_at takes primes covered by the sample")
+        return self.sample.fp[idx]
 
 
 # ---------------------------------------------------------------------------
 # window polynomials and level factors
 
-@dataclass(frozen=True)
-class LevelPolyValue:
-    """Value of D_{m,l} for one source."""
+def _window_coeffs(params: ProxyParams, m: int,
+                   shifts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Primes p of window m and the coefficient rows of s(p) and s(p)^2 in D_{m,l}.
 
-    m: int
-    shift: int
-    value: complex
-
-
-def _window_weights(params: ProxyParams, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primes of window m plus the two coefficient vectors (shift-free part)."""
+    Row i belongs to shift l = shifts[i]: p^{-1/2} e^{-i l log p/log y} and
+    p^{-1} e^{-2 i l log p/log y} / 2.
+    """
     lv = params.levels[m - 1]
     ps = primes.primes_in(lv.lo, lv.hi)
-    lp = np.log(ps.astype(np.float64)) if ps.size else np.empty(0)
-    return ps, lp, np.exp(-0.5 * lp) if ps.size else np.empty(0)
+    lp = np.log(ps.astype(np.float64))
+    phase = np.exp(-1j * np.multiply.outer(np.asarray(shifts) / params.log_y, lp))
+    return ps, np.exp(-0.5 * lp) * phase, 0.5 * np.exp(-lp) * phase * phase
 
 
-def level_poly(params: ProxyParams, source, m: int, shift: int) -> LevelPolyValue:
+def _window_polys(params: ProxyParams, source, m: int, shifts) -> np.ndarray:
+    """D_{m,l}(source) at each of the given shifts, from one values_at call."""
+    ps, first, second = _window_coeffs(params, m, shifts)
+    sv = source.values_at(ps)
+    return (first * sv + second * (sv * sv)).sum(axis=-1)
+
+
+def _window_polys_all_chars(mod: PrimeModulus, params: ProxyParams, m: int,
+                            shifts) -> np.ndarray:
+    """D_{m,l}(chi_a) for every character a, one weighted DFT per shift."""
+    ps, first, second = _window_coeffs(params, m, shifts)
+    ns = np.concatenate([ps, ps * ps])
+    ws = np.concatenate([first, second], axis=1)
+    return np.array([weighted_char_sums(mod, WeightedIndicator.from_weights(mod, ns, w))
+                     for w in ws])
+
+
+def level_poly(params: ProxyParams, source, m: int, shift: int) -> complex:
     """D_{m,l}(source) over window m (1-based) at integer shift l."""
     if not 1 <= m <= params.m_count:
         raise OutOfRange(f"window index {m} outside 1..{params.m_count}")
-    ps, lp, root = _window_weights(params, m)
-    if ps.size == 0:
-        return LevelPolyValue(m=m, shift=int(shift), value=0j)
-    phase = np.exp(-1j * (shift / params.log_y) * lp)
-    sv = source.values_at(ps)
-    first = sv * root * phase
-    second = 0.5 * sv * sv * np.exp(-lp) * phase * phase
-    return LevelPolyValue(m=m, shift=int(shift), value=complex(np.sum(first + second)))
+    return complex(_window_polys(params, source, m, [shift])[0])
 
 
 def level_poly_all_chars(mod: PrimeModulus, params: ProxyParams, m: int,
                          shift: int) -> np.ndarray:
     """D_{m,l}(chi_a) for all characters a at once, via one weighted DFT."""
-    ps, lp, root = _window_weights(params, m)
-    if ps.size == 0:
-        return np.zeros(mod.q - 1, dtype=np.complex128)
-    phase = np.exp(-1j * (shift / params.log_y) * lp)
-    ns = np.concatenate([ps, ps * ps])
-    ws = np.concatenate([root * phase, 0.5 * np.exp(-lp) * phase * phase])
-    return weighted_char_sums(mod, WeightedIndicator.from_weights(mod, ns, ws))
+    return _window_polys_all_chars(mod, params, m, [shift])[0]
+
+
+def poly_table(params: ProxyParams, source) -> np.ndarray:
+    """D_{m,l}(source) for every shift l (rows, as shift_values) and window m (columns)."""
+    shifts = params.shift_values()
+    return np.stack([_window_polys(params, source, m, shifts)
+                     for m in range(1, params.m_count + 1)], axis=1)
 
 
 def truncated_exp(d, depth: int, coef: float):
@@ -299,61 +297,36 @@ def truncated_exp(d, depth: int, coef: float):
     return acc
 
 
-def level_factor(params: ProxyParams, source, m: int, shift: int) -> float:
-    """R_{m,l}(source): squared truncated exponential of (k-1) Re D_{m,l}."""
-    d = level_poly(params, source, m, shift).value.real
-    t = truncated_exp(d, params.levels[m - 1].j, params.k - 1.0)
-    return t * t
+def level_factors(params: ProxyParams, table: np.ndarray) -> np.ndarray:
+    """R_{m,l}: squared truncated exponential of (k-1) Re D_{m,l}, over a D table."""
+    out = np.empty(table.shape)
+    for m, lv in enumerate(params.levels):
+        t = truncated_exp(table[:, m].real, lv.j, params.k - 1.0)
+        out[:, m] = t * t
+    return out
+
+
+def _weight(params: ProxyParams, table: np.ndarray):
+    """R = sum over shifts of the product over windows of the level factors."""
+    return level_factors(params, table).prod(axis=1).sum(axis=0)
 
 
 def proxy_weight(params: ProxyParams, source) -> float:
-    """R(source) = sum over shifts of the product of level factors.
-
-    Per-shift products run in log space so deep chains cannot overflow.
-    """
-    total = []
-    for l in params.shift_values():
-        logs = []
-        zero = False
-        for m in range(1, params.m_count + 1):
-            r = level_factor(params, source, m, int(l))
-            if r == 0.0:
-                zero = True
-                break
-            logs.append(math.log(r))
-        total.append(0.0 if zero else math.exp(math.fsum(logs)))
-    return float(math.fsum(total))
+    """R(source) = sum over shifts of the product of level factors."""
+    return float(_weight(params, poly_table(params, source)))
 
 
 def proxy_weight_all_chars(mod: PrimeModulus, params: ProxyParams) -> np.ndarray:
     """R(chi_a) for every character, sharing one DFT per (window, shift)."""
-    out = np.zeros(mod.q - 1, dtype=np.float64)
-    for l in params.shift_values():
-        prod = np.ones(mod.q - 1, dtype=np.float64)
-        for m in range(1, params.m_count + 1):
-            d = level_poly_all_chars(mod, params, m, int(l)).real
-            t = truncated_exp(d, params.levels[m - 1].j, params.k - 1.0)
-            prod *= t * t
-        out += prod
-    return out
-
-
-def exp_weight_log(params: ProxyParams, source, shift: int) -> float:
-    """Exponent 2(k-1) Re sum_{p <= y} [...] at one shift (log of the factor)."""
-    total = 0.0
-    for m in range(1, params.m_count + 1):
-        total += level_poly(params, source, m, int(shift)).value.real
-    return 2.0 * (params.k - 1.0) * total
-
-
-def exp_weight(params: ProxyParams, source, shift: int) -> float:
-    """exp(2(k-1) Re sum_{p <= y} [...]) at one shift."""
-    return math.exp(exp_weight_log(params, source, shift))
+    shifts = params.shift_values()
+    table = np.stack([_window_polys_all_chars(mod, params, m, shifts)
+                      for m in range(1, params.m_count + 1)], axis=1)
+    return _weight(params, table)
 
 
 def exp_weight_total(params: ProxyParams, source) -> float:
-    """Untruncated analogue of the proxy weight: sum over shifts of exp_weight."""
-    logs = np.array([exp_weight_log(params, source, int(l)) for l in params.shift_values()])
+    """Untruncated analogue of the proxy weight: sum_l exp(2(k-1) Re sum_m D_{m,l})."""
+    logs = 2.0 * (params.k - 1.0) * poly_table(params, source).real.sum(axis=1)
     peak = logs.max()
     return float(math.exp(peak) * np.exp(logs - peak).sum())
 
@@ -379,16 +352,6 @@ def truncation_error_series(d: float, k: float, depth: int, extra: int = 60) -> 
              for j2 in range(cap + 1)
              if max(j1, j2) > depth]
     return float(math.fsum(terms))
-
-
-def truncation_error(params: ProxyParams, source, m: int, shift: int,
-                     series: bool = False) -> float:
-    """Err_{m,l}(source), by direct difference or by the double-tail series."""
-    d = level_poly(params, source, m, shift).value.real
-    depth = params.levels[m - 1].j
-    if series:
-        return truncation_error_series(d, params.k, depth)
-    return truncation_error_direct(d, params.k, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +383,7 @@ def classify(params: ProxyParams, source, shift: int) -> DyadicClass:
     for m in range(1, params.m_count + 1):
         j = params.levels[m - 1].j
         t0 = j / (100.0 * params.k)
-        r = abs(level_poly(params, source, m, shift).value.real)
+        r = abs(level_poly(params, source, m, shift).real)
         n = _bin_of(r, t0)
         bins.append(n)
         floors.append(0.0 if n == 0 else t0 * 2.0 ** (n - 1))
@@ -458,7 +421,7 @@ def surrogate_factor_log(params: ProxyParams, source, m: int, shift: int,
     j = params.levels[m - 1].j
     k = params.k
     t0 = j / (100.0 * k)
-    dval = level_poly(params, source, m, shift).value
+    dval = level_poly(params, source, m, shift)
     n = _bin_of(abs(dval.real), t0)
     if cls is not None:
         labelled = cls.bins[m - 1]
@@ -472,21 +435,12 @@ def surrogate_factor_log(params: ProxyParams, source, m: int, shift: int,
     return surrogate_log_at(dval, k, j, params.penalty_exp(m))
 
 
-def surrogate_factor(params: ProxyParams, source, m: int, shift: int,
-                     cls: DyadicClass | None = None) -> float:
-    """U_{m,l} itself (may overflow to inf; use the log form for comparisons)."""
-    return math.exp(surrogate_factor_log(params, source, m, shift, cls))
-
-
 def subadditivity_split(params: ProxyParams, source) -> tuple[float, float]:
     """(R^{k/(k-1)}, sum_{l1,l2} prod_m R_{m,l1} R_{m,l2}^{1/(k-1)}).
 
     The left side never exceeds the right for k >= 2.
     """
-    shifts = params.shift_values()
-    table = np.array([[level_factor(params, source, m, int(l))
-                       for m in range(1, params.m_count + 1)]
-                      for l in shifts])
+    table = level_factors(params, poly_table(params, source))
     prod_full = table.prod(axis=1)
     prod_frac = (table ** (1.0 / (params.k - 1.0))).prod(axis=1)
     lhs = float(prod_full.sum() ** (params.k / (params.k - 1.0)))
@@ -499,12 +453,11 @@ def subadditivity_split(params: ProxyParams, source) -> tuple[float, float]:
 
 def level_poly_fpoly(params: ProxyParams, m: int, shift: int) -> FPoly:
     """D_{m,l} as an exact polynomial in f."""
-    ps, lp, root = _window_weights(params, m)
+    ps, first, second = _window_coeffs(params, m, [shift])
     out = FPoly()
-    for i, p in enumerate(ps):
-        phase = np.exp(-1j * (shift / params.log_y) * lp[i])
-        out = out + FPoly.var(int(p), root[i] * phase)
-        out = out + FPoly.var(int(p) * int(p), 0.5 * math.exp(-lp[i]) * phase * phase)
+    for p, a, b in zip(ps.tolist(), first[0], second[0]):
+        out = out + FPoly.var(p, a)
+        out = out + FPoly.var(p * p, b)
     return out
 
 

@@ -31,16 +31,6 @@ _TRIAL_SALT = 0xA5A5A5A55A5A5A5A
 EXACT_MOMENT_CAP = 10**8
 
 
-def _mix_int(z: int) -> int:
-    """splitmix64 step on a Python int (wrapping at 64 bits)."""
-    z = (z + _PHI) & _M64
-    z ^= z >> 30
-    z = z * _C1 & _M64
-    z ^= z >> 27
-    z = z * _C2 & _M64
-    return z ^ (z >> 31)
-
-
 def _mix_array(z: np.ndarray) -> np.ndarray:
     """splitmix64 step vectorized over a uint64 array."""
     z = (z + np.uint64(_PHI)).astype(np.uint64)
@@ -51,17 +41,39 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _angles(seed: int, ps: np.ndarray) -> np.ndarray:
-    """Uniform angles in [0, 2*pi) keyed on (seed, p)."""
-    key = np.uint64(_mix_int(int(seed) & _M64))
-    h = _mix_array(key ^ ps.astype(np.uint64))
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0 * np.pi / (1 << 53))
+def unit_values(seeds, ps: np.ndarray) -> np.ndarray:
+    """f_t(p) = exp(2*pi*i*U) for each seed t and prime p, shape seeds.shape + ps.shape.
+
+    U is the top 53 bits of a splitmix64 hash of (seed, p), so a value
+    depends on nothing but its seed and its prime.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    ps = np.asarray(ps).astype(np.uint64)
+    keys = _mix_array(seeds.reshape(seeds.shape + (1,) * ps.ndim))
+    h = _mix_array(keys ^ ps)
+    return np.exp(1j * ((h >> np.uint64(11)).astype(np.float64) * (2.0 * np.pi / (1 << 53))))
 
 
 def derive_trial_seeds(seed: int, trials: int) -> np.ndarray:
     """Independent child seeds for Monte Carlo trials, as a uint64 array."""
-    key = _mix_int((int(seed) ^ _TRIAL_SALT) & _M64)
-    return _mix_array(np.uint64(key) ^ np.arange(trials, dtype=np.uint64))
+    key = _mix_array(np.array([(int(seed) ^ _TRIAL_SALT) & _M64], dtype=np.uint64))
+    return _mix_array(key ^ np.arange(trials, dtype=np.uint64))
+
+
+def mc_estimate(seed: int, trials: int, batch: int, per_batch) -> tuple[float, float]:
+    """(mean, stderr) over trials of per_batch(trial seeds), one value per trial.
+
+    Trial t always gets the same child seed of seed, so the result does not
+    depend on the batch size.
+    """
+    if trials < 2:
+        raise DomainError("need at least 2 trials for a standard error")
+    seeds = derive_trial_seeds(seed, trials)
+    samples = np.empty(trials, dtype=np.float64)
+    for i in range(0, trials, batch):
+        chunk = seeds[i : i + batch]
+        samples[i : i + chunk.size] = per_batch(chunk)
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(trials))
 
 
 @dataclass(eq=False)
@@ -78,13 +90,6 @@ class RmfSample:
         """Prime -> f(p) as a plain dict."""
         return {int(p): complex(v) for p, v in zip(self.primes, self.fp)}
 
-    def prime_values(self, ps: np.ndarray) -> np.ndarray:
-        """f at an array of primes (must all be <= limit)."""
-        idx = np.searchsorted(self.primes, ps)
-        if idx.size and (idx.max() >= self.primes.size or np.any(self.primes[idx] != ps)):
-            raise OutOfRange("a requested prime is not covered by this sample")
-        return self.fp[idx]
-
 
 def sample(seed: int, limit: int) -> RmfSample:
     """Draw a sample covering all primes up to limit."""
@@ -92,7 +97,7 @@ def sample(seed: int, limit: int) -> RmfSample:
     if limit < 2:
         raise OutOfRange("limit must be at least 2")
     ps = primes.primes_up_to(limit)
-    fp = np.exp(1j * _angles(seed, ps))
+    fp = unit_values(int(seed) & _M64, ps)
     return RmfSample(seed=int(seed), limit=limit, primes=ps, fp=fp)
 
 
@@ -224,17 +229,14 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float,
                        ps: np.ndarray | None = None) -> np.ndarray:
     """Partial sums sum_{n<=x} f_t(n) for a batch of trial seeds at once.
 
-    Equivalent to sample(seed_t, x) + partial_sum per trial: the per-prime
-    angles use the identical (seed, p) hash, so batching is a pure layout
-    optimization.
+    Equivalent to sample(seed_t, x) + partial_sum per trial: both draw f(p)
+    from unit_values, so batching is a pure layout optimization.
     """
     xf = int(math.floor(x))
     if ps is None:
         ps = primes.primes_up_to(xf)
-    keys = _mix_array(np.asarray(trial_seeds, dtype=np.uint64))
-    h = _mix_array(keys[:, None] ^ ps.astype(np.uint64)[None, :])
-    fp = np.exp(1j * (h >> np.uint64(11)).astype(np.float64) * (2.0 * np.pi / (1 << 53)))
-    v = np.ones((keys.size, xf + 1), dtype=np.complex128)
+    fp = unit_values(trial_seeds, ps)
+    v = np.ones((fp.shape[0], xf + 1), dtype=np.complex128)
     v[:, 0] = 0.0
     for j, p in enumerate(ps):
         p = int(p)

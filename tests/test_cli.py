@@ -69,6 +69,17 @@ def test_not_prime_exit_2(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("theta", "--q", "101", "--char", "500"),
+    ("char-moment", "--q", "2", "--x", "1", "--divisor", "nontrivial"),
+    ("rmf-mc", "--x", "10", "--k", "-1"),
+])
+def test_invalid_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_too_large_exit_3(capsys):
     code, _, err = run(capsys, "rmf-mc", "--x", "1e6", "--k", "2",
                        "--trials", "10", "--exact")

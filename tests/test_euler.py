@@ -54,7 +54,7 @@ def test_error_bracket_shape():
 def test_single_factor_quadrature_vs_geometric():
     # alpha = 1 has the exact closed form 1/(1 - p^{-1-2 sigma})
     for p, sigma in ((2.0, 0.3), (5.0, 0.1), (101.0, 0.0)):
-        quad = euler.single_factor_expectation(p, 1.0, sigma)
+        quad = euler.pair_factor_expectation(p, 1.0, sigma)
         assert quad == pytest.approx(euler.geometric_single_factor(p, sigma), rel=1e-9)
 
 
@@ -78,6 +78,17 @@ def test_mc_determinism():
     assert a == b
     c = euler.mc_product_estimate(spec, 500, seed=3, batch=77)
     assert a == c  # batch size cannot matter
+
+
+def test_mc_pinned_bits():
+    # the first criterion 5 parameter set; exact output of the shared generator
+    # and seeded batch loop
+    spec = euler.EulerProductSpec(
+        alpha=0.7653681121103336, beta=1.3356028052237159,
+        sigma1=0.036039903179908434, sigma2=0.23716236178431097,
+        t1=0.0, t2=-3.0106967678322327, z=556.7669706642919, y=1670.3009119928756)
+    mean, stderr = euler.mc_product_estimate(spec, trials=2000, seed=100)
+    assert (mean.hex(), stderr.hex()) == ("0x1.12b19547386a8p+0", "0x1.22954b2a8a2ebp-7")
 
 
 def test_mc_hits_closed_form():

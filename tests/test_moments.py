@@ -91,6 +91,14 @@ def test_rmf_mc_determinism():
     assert (a.value, a.stderr) == (c.value, c.stderr)
 
 
+def test_rmf_mc_pinned_bits():
+    # exact output: a change to the trial seeds, the generator or the
+    # averaging order shows here even when batch invariance still holds
+    est = moments.rmf_moment_mc(1e3, 2, trials=300, seed=5)
+    assert (est.value.hex(), est.stderr.hex()) == ("0x1.ce45df1cf56dep+22",
+                                                   "0x1.3bd163db522e1p+21")
+
+
 def test_rmf_mc_second_moment():
     est = moments.rmf_moment_mc(100.0, 1.0, trials=3000, seed=1)
     assert abs(est.value - 100.0) < 3 * est.stderr

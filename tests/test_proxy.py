@@ -60,13 +60,13 @@ def test_shift_range():
 
 def test_level_poly_ones_source():
     d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1])
-    v = proxy.level_poly(d, proxy.OnesSource(), 1, 0).value
+    v = proxy.level_poly(d, proxy.OnesSource(), 1, 0)
     assert v == pytest.approx(1 / math.sqrt(2) + 0.25, abs=1e-12)
 
 
 def test_level_poly_shift_phase():
     d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1])
-    v = proxy.level_poly(d, proxy.OnesSource(), 1, 1).value
+    v = proxy.level_poly(d, proxy.OnesSource(), 1, 1)
     ph = math.log(2.0) / math.log(2.0)  # log p / log y = 1 at p = y = 2
     want = math.e ** 0j
     want = (2 ** -0.5) * complex(math.cos(ph), -math.sin(ph)) \
@@ -78,6 +78,11 @@ def test_level_poly_window_bounds():
     d = proxy.desk_params(x=4.0, y=20.0, k=2.0, levels_m=1, j_values=[2])
     with pytest.raises(OutOfRange):
         proxy.level_poly(d, proxy.OnesSource(), 2, 0)
+    # a sample source answers only at primes it covers
+    src = proxy.SampleSource(rmf.sample(7, 25))
+    for bad in ([2, 4], [23, 29]):  # a composite; a prime above the limit
+        with pytest.raises(OutOfRange):
+            src.values_at(np.array(bad))
 
 
 def test_level_poly_all_chars_matches_scalar():
@@ -86,7 +91,7 @@ def test_level_poly_all_chars_matches_scalar():
     for shift in (-1, 0, 1):
         table = proxy.level_poly_all_chars(mod, d, 1, shift)
         for a in (0, 1, 50, 99):
-            direct = proxy.level_poly(d, proxy.CharSource(mod, a), 1, shift).value
+            direct = proxy.level_poly(d, proxy.CharSource(mod, a), 1, shift)
             assert table[a] == pytest.approx(direct, abs=1e-10)
 
 
@@ -158,9 +163,20 @@ def test_classify_labels_every_window():
     assert len(cls.bins) == 2
     assert cls.penalty_exps == (d.penalty_exp(1), d.penalty_exp(2))
     for m, n in enumerate(cls.bins, start=1):
-        r = abs(proxy.level_poly(d, src, m, 0).value.real)
+        r = abs(proxy.level_poly(d, src, m, 0).real)
         t0 = d.levels[m - 1].j / (100.0 * d.k)
         assert proxy._bin_of(r, t0) == n
+
+
+def test_poly_table_matches_level_poly():
+    # the table and the single-cell route share one evaluator: equal bits
+    d = proxy.desk_params(x=4.0, y=40.0, k=2.0, levels_m=2, j_values=[2, 1])
+    src = proxy.SampleSource(rmf.sample(7, 45))
+    table = proxy.poly_table(d, src)
+    assert table.shape == (d.shift_values().size, 2)
+    for i, l in enumerate(d.shift_values()):
+        for m in (1, 2):
+            assert table[i, m - 1] == proxy.level_poly(d, src, m, int(l))
 
 
 def test_class_mismatch_raises():

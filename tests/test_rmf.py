@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from charmoments import rmf
-from charmoments.errors import OutOfRange, TooLarge
+from charmoments.errors import DomainError, OutOfRange, TooLarge
 
 
 def test_unit_modulus():
@@ -20,6 +20,42 @@ def test_order_and_limit_stability():
     common = a.primes
     idx = np.searchsorted(b.primes, common)
     assert np.array_equal(b.fp[idx], a.fp)
+
+
+# f(p) for seed 3 at the 25 primes up to 100, as (real, imag) float.hex pairs
+SAMPLE3_HEX = [
+    ("0x1.4a2ce73d9c85dp-1", "0x1.8750e4a171b36p-1"),
+    ("-0x1.51558b7361531p-4", "-0x1.fe42bc0cf1107p-1"),
+    ("0x1.61f0894d62718p-2", "-0x1.e0717714198cap-1"),
+    ("0x1.ad30500af07a1p-1", "-0x1.172de1e651eecp-1"),
+    ("0x1.c09eacf12a232p-1", "0x1.ed7ea3c4600bfp-2"),
+    ("0x1.7bde88d96216dp-1", "0x1.57487db24a677p-1"),
+    ("-0x1.0265968923a87p-3", "-0x1.fbe88ce157ab4p-1"),
+    ("-0x1.d1355e8895e86p-1", "0x1.abab1f99bf668p-2"),
+    ("0x1.379f4ccf89c45p-1", "-0x1.963ee5c4759bcp-1"),
+    ("0x1.f368dec91e17ap-1", "0x1.c36150ff919e4p-3"),
+    ("-0x1.18a33fb4c7b47p-1", "0x1.ac3c8a3c311cep-1"),
+    ("0x1.f4fa1d67be404p-1", "-0x1.a6ad86483d091p-3"),
+    ("-0x1.cfb59ed707f40p-1", "0x1.b221aa749dc05p-2"),
+    ("0x1.f018fc0a59873p-1", "-0x1.fa75054f22c77p-3"),
+    ("0x1.8d385806c98cfp-5", "0x1.ff65d2d60d788p-1"),
+    ("0x1.5ebb5b481f1a8p-10", "0x1.ffffe1f7b1b31p-1"),
+    ("0x1.e4d66eb052b81p-1", "0x1.49193f5f335abp-2"),
+    ("0x1.18d8e436210bfp-3", "0x1.fb29b9f1b56a7p-1"),
+    ("-0x1.fb2f5cf8f6faap-1", "-0x1.1835d6193a30dp-3"),
+    ("-0x1.c2cdbf815dc1ap-1", "-0x1.e5780bef3f94ap-2"),
+    ("0x1.eb41ab03c317dp-1", "0x1.208546c4ab8ffp-2"),
+    ("-0x1.ed4d5606c793bp-1", "0x1.123462541712dp-2"),
+    ("-0x1.42555290ceb32p-1", "0x1.8dccee8704730p-1"),
+    ("0x1.62c5f2fea25afp-1", "-0x1.7129409c24cf7p-1"),
+    ("-0x1.22c9967765d60p-1", "-0x1.a5690ab844a25p-1"),
+]
+
+
+def test_sample_values_pinned():
+    # exact bits: any change to the (seed, p) hash or the angle map shows here
+    fp = rmf.sample(3, 100).fp
+    assert [(v.real.hex(), v.imag.hex()) for v in fp] == SAMPLE3_HEX
 
 
 def test_seed_separation():
@@ -125,6 +161,12 @@ def test_trial_seed_derivation_disjoint():
     base = rmf.sample(7, 100)
     child = rmf.sample(int(trials[0]), 100)
     assert not np.allclose(base.fp, child.fp)
+
+
+def test_mc_estimate_needs_two_trials():
+    # a standard error needs two trials, for every caller of the shared MC loop
+    with pytest.raises(DomainError):
+        rmf.mc_estimate(1, 1, 16, lambda chunk: np.ones(chunk.size))
 
 
 def test_batch_matches_scalar_path():

@@ -70,6 +70,14 @@ def test_parseval_random_coeffs():
     assert r.passed
 
 
+def test_parseval_oscillatory_support_seed_106():
+    # the random-coefficient Parseval check of the q = 499 identities suite at
+    # seed 106, whose transform side has a strongly oscillating integrand
+    r = [c for c in verify.run_suite("identities", 499, 106) if c.name == "parseval-transfer"]
+    assert all(c.passed for c in r)
+    assert r[-1].lhs == pytest.approx(r[-1].rhs, rel=1e-12)
+
+
 def test_parseval_rejects_bad_support():
     with pytest.raises(DomainError):
         verify.check_parseval({0: 1.0}, 0.5, CAL)
