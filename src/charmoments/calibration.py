@@ -48,13 +48,19 @@ class Calibration:
 
 
 def load(path: str | None = None) -> Calibration:
-    """Calibration from a JSON file, the environment override, or defaults."""
+    """Calibration from a JSON file, the environment override, or defaults.
+
+    An unreadable file, malformed JSON or an unknown key raises ValueError.
+    """
     if path is None:
         path = os.environ.get(ENV_VAR)
     if path is None:
         return Calibration()
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read calibration file: {exc}") from exc
     known = {f.name for f in dataclasses.fields(Calibration)}
     unknown = set(data) - known
     if unknown:

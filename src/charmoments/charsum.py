@@ -3,9 +3,10 @@
 S_chi(x) = sum_{n <= x} chi(n).  Writing n = g^j, the vector of prefix sums
 over all characters is the length-(q-1) discrete Fourier transform (with the
 e^{+2*pi*i*a*j/(q-1)} sign convention) of the indicator b_j = [g^j mod q <= x].
-One FFT therefore replaces q-1 separate summations.  The same transform with
-arbitrary folded coefficients evaluates any weighted character polynomial for
-all characters simultaneously.
+One FFT therefore replaces q-1 separate summations; as b is real, a real FFT
+gives a = 0 .. (q-1)//2 and S_{chi_{-a}} = conj(S_{chi_a}) gives the rest.
+The same transform with arbitrary folded coefficients evaluates any weighted
+character polynomial for all characters simultaneously.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import OutOfRange
 from .modarith import PrimeModulus
@@ -20,11 +22,21 @@ from .modarith import PrimeModulus
 
 @dataclass(eq=False)
 class PrefixSumTable:
-    """values[a] = S_{chi_a}(x) for a = 0 .. q-2."""
+    """half[a] = S_{chi_a}(x) for a = 0 .. (q-1)//2; the rest are conjugates."""
 
     q: int
     x: float
-    values: np.ndarray
+    half: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        """values[a] = S_{chi_a}(x) for a = 0 .. q-2, mirrored from the half spectrum."""
+        return np.concatenate([self.half, np.conj(self.half[1 : self.mirrored + 1][::-1])])
+
+    @property
+    def mirrored(self) -> int:
+        """Count of entries a >= 1 in half whose conjugate chi_{-a} is not stored."""
+        return self.q - 1 - self.half.size
 
 
 @dataclass(eq=False)
@@ -52,12 +64,12 @@ def _check_x(mod: PrimeModulus, x: float) -> int:
 
 
 def all_char_sums_fft(mod: PrimeModulus, x: float) -> PrefixSumTable:
-    """Prefix sums for all characters via one group DFT.  O(q log q)."""
+    """Prefix sums for all characters via one real group DFT.  O(q log q)."""
     xf = _check_x(mod, x)
     b = (mod.exp_table <= xf).astype(np.float64)
     # conj(FFT(real b)) carries the e^{+2 pi i a j / (q-1)} convention
-    values = np.conj(np.fft.fft(b))
-    return PrefixSumTable(q=mod.q, x=float(x), values=values)
+    half = np.conj(scipy.fft.rfft(b))
+    return PrefixSumTable(q=mod.q, x=float(x), half=half)
 
 
 def all_char_sums_naive(mod: PrimeModulus, x: float) -> PrefixSumTable:
@@ -66,10 +78,10 @@ def all_char_sums_naive(mod: PrimeModulus, x: float) -> PrefixSumTable:
     d = mod.dlog[1 : xf + 1]
     order = mod.q - 1
     roots = mod.roots
-    values = np.empty(order, dtype=np.complex128)
-    for a in range(order):
-        values[a] = roots[(a * d) % order].sum()
-    return PrefixSumTable(q=mod.q, x=float(x), values=values)
+    half = np.empty(order // 2 + 1, dtype=np.complex128)
+    for a in range(half.size):
+        half[a] = roots[(a * d) % order].sum()
+    return PrefixSumTable(q=mod.q, x=float(x), half=half)
 
 
 def weighted_char_sums(mod: PrimeModulus, w: WeightedIndicator | np.ndarray) -> np.ndarray:

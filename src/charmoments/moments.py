@@ -16,8 +16,8 @@ import numpy as np
 
 from . import primes, proxy, rmf
 from .charsum import all_char_sums_fft
-from .errors import Degenerate, DomainError, LengthViolation
-from .modarith import PrimeModulus
+from .errors import Degenerate, DomainError, LengthViolation, TooLarge
+from .modarith import DEFAULT_MEMORY_CAP, PrimeModulus
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,13 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
         raise DomainError(f"divisor must be 'phi' or 'nontrivial', got {divisor!r}")
     if divisor == "nontrivial" and mod.q < 3:
         raise DomainError(f"q = {mod.q} has no non-principal character to divide by")
+    if k < 0:
+        raise DomainError(f"k must be >= 0, got {k}")
     table = all_char_sums_fft(mod, x)
-    powers = _abs_power_2k(table.values, k)
-    total = float(powers[1:].sum()) if exclude_principal else float(powers.sum())
+    powers = _abs_power_2k(table.half, k)
+    # |S_{chi_{-a}}| = |S_{chi_a}|: each mirrored entry stands for two characters
+    first = 1 if exclude_principal else 0
+    total = float(powers[first:].sum() + powers[1 : table.mirrored + 1].sum())
     den = (mod.q - 1) if divisor == "phi" else (mod.q - 2)
     n_terms = (mod.q - 2) if exclude_principal else (mod.q - 1)
     return MomentEstimate(value=total / den, stderr=0.0, trials=n_terms,
@@ -68,9 +72,14 @@ def second_moment_closed_form(q: int, x: float) -> float:
 def congruence_energy(q: int, x: float) -> int:
     """Exact count of quadruples n_i <= x with n_1 n_2 = n_3 n_4 (mod q)."""
     xf = int(math.floor(x))
+    table_bytes = xf * xf * np.dtype(np.int64).itemsize
+    if table_bytes > DEFAULT_MEMORY_CAP:
+        raise TooLarge(f"the x^2 product table needs {table_bytes} bytes, "
+                       f"cap is {DEFAULT_MEMORY_CAP}")
     ns = np.arange(1, xf + 1, dtype=np.int64)
-    residues = np.multiply.outer(ns, ns).ravel() % q
-    counts = np.bincount(residues, minlength=q)
+    residues = np.multiply.outer(ns, ns)
+    residues %= q
+    counts = np.bincount(residues.ravel(), minlength=q)
     return int(np.sum(counts.astype(np.int64) ** 2))
 
 

@@ -4,7 +4,8 @@ theta(chi) = sum_{n >= 1} chi(n) n^kappa exp(-pi n^2/q), with kappa = 0 for
 even characters and 1 for odd ones.  The Gaussian weight localizes the sum
 near sqrt(q); truncating at sqrt(q) (log q)^2 leaves a tail below the recorded
 majorant q^{1+kappa} exp(-pi * truncation^2 / q).  Folding n into residue
-classes turns the whole family into two weighted group DFTs, one per parity.
+classes turns the whole family into two weighted group DFTs, one per parity;
+a moment over one parity class needs only that class's DFT.
 """
 from __future__ import annotations
 
@@ -33,6 +34,21 @@ class ThetaValue:
     tail_bound: float
 
 
+@dataclass(eq=False)
+class ThetaTable:
+    """values[a] = theta(chi_a) for a = 0 .. q-2; table[a] builds one ThetaValue."""
+
+    values: np.ndarray
+    truncation_point: float
+    tail_bounds: tuple[float, float]  # for kappa = 0 and kappa = 1
+
+    def __getitem__(self, a: int) -> ThetaValue:
+        a = range(self.values.size)[a]  # IndexError out of range; negatives wrap
+        return ThetaValue(a=a, kappa=a % 2, value=complex(self.values[a]),
+                          truncation_point=self.truncation_point,
+                          tail_bound=self.tail_bounds[a % 2])
+
+
 def truncation_point(q: int) -> float:
     """sqrt(q) * (log q)^2."""
     return math.sqrt(q) * math.log(q) ** 2
@@ -44,23 +60,22 @@ def _folded_weights(mod: PrimeModulus, trunc: float) -> tuple[np.ndarray, np.nda
     return ns, w
 
 
-def theta_all(mod: PrimeModulus, trunc: float | None = None) -> list[ThetaValue]:
-    """Theta values for every character via two weighted DFTs."""
+def _parity_dft(mod: PrimeModulus, trunc: float, kappa: int) -> np.ndarray:
+    """sum_{n <= trunc} chi_a(n) n^kappa e^{-pi n^2/q} for all a; theta(chi_a) if a % 2 == kappa."""
     if mod.q < 3:
         raise DomainError("need an odd prime modulus")
-    trunc = truncation_point(mod.q) if trunc is None else float(trunc)
     ns, w = _folded_weights(mod, trunc)
-    even = weighted_char_sums(mod, WeightedIndicator.from_weights(mod, ns, w))
-    odd = weighted_char_sums(mod, WeightedIndicator.from_weights(mod, ns, ns * w))
-    tails = [mod.q * math.exp(-math.pi * trunc * trunc / mod.q),
-             mod.q**2 * math.exp(-math.pi * trunc * trunc / mod.q)]
-    out = []
-    for a in range(mod.q - 1):
-        kappa = a % 2
-        val = even[a] if kappa == 0 else odd[a]
-        out.append(ThetaValue(a=a, kappa=kappa, value=complex(val),
-                              truncation_point=trunc, tail_bound=tails[kappa]))
-    return out
+    return weighted_char_sums(mod, WeightedIndicator.from_weights(mod, ns, w * ns**kappa))
+
+
+def theta_all(mod: PrimeModulus, trunc: float | None = None) -> ThetaTable:
+    """Theta values for every character via two weighted DFTs."""
+    trunc = truncation_point(mod.q) if trunc is None else float(trunc)
+    values = _parity_dft(mod, trunc, 0)
+    values[1::2] = _parity_dft(mod, trunc, 1)[1::2]
+    tail = math.exp(-math.pi * trunc * trunc / mod.q)
+    return ThetaTable(values=values, truncation_point=trunc,
+                      tail_bounds=(mod.q * tail, mod.q**2 * tail))
 
 
 def theta_naive(mod: PrimeModulus, a: int, trunc: float | None = None) -> complex:
@@ -82,12 +97,11 @@ def theta_moment(mod: PrimeModulus, k: float, parity: str) -> MomentEstimate:
     """
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    values = theta_all(mod)
-    if parity == "even":
-        sel = [t.value for t in values if t.kappa == 0 and t.a != 0]
-    else:
-        sel = [t.value for t in values if t.kappa == 1]
-    arr = np.array(sel, dtype=np.complex128)
+    if k < 0:
+        raise DomainError(f"k must be >= 0, got {k}")
+    kappa = 0 if parity == "even" else 1
+    # characters a = kappa (mod 2); the even class starts at 2, past the principal
+    arr = _parity_dft(mod, truncation_point(mod.q), kappa)[2 - kappa :: 2]
     total = float(_abs_power_2k(arr, k).sum())
     return MomentEstimate(value=total / (mod.q - 1), stderr=0.0,
                           trials=arr.size, kind="exact-characters")

@@ -93,3 +93,24 @@ def test_weighted_indicator_wraps_residues(mod101):
 def test_weighted_length_validation(mod101):
     with pytest.raises(OutOfRange):
         weighted_char_sums(mod101, WeightedIndicator(q=101, coeffs=np.zeros(55)))
+
+
+def _direct_sums(mod, x):
+    """S_chi(x) for every character, summed one character at a time."""
+    ns = np.arange(1, min(int(x), mod.q - 1) + 1)
+    return np.array([mod.char_values(a, ns).sum() for a in range(mod.q - 1)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 101, 103])
+def test_half_spectrum_values_mirror(q):
+    # (q-1)/2 is even for 5, 13, 101 and odd for 3, 7, 11, 103
+    mod = build_modulus(q)
+    for x in sorted({1, max(1, q // 3), max(1, q // 2), q}):
+        table = all_char_sums_fft(mod, x)
+        assert table.half.shape == ((q - 1) // 2 + 1,)
+        assert table.values.shape == (q - 1,)
+        naive = all_char_sums_naive(mod, x)
+        assert naive.half.shape == table.half.shape
+        direct = _direct_sums(mod, x)
+        np.testing.assert_allclose(table.values, naive.values, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(table.values, direct, rtol=0, atol=1e-9)

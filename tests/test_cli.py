@@ -73,9 +73,19 @@ def test_not_prime_exit_2(capsys):
     ("theta", "--q", "101", "--char", "500"),
     ("char-moment", "--q", "2", "--x", "1", "--divisor", "nontrivial"),
     ("rmf-mc", "--x", "10", "--k", "-1"),
+    ("char-moment", "--q", "101", "--x", "30", "--k", "-1"),
+    ("theta", "--q", "101", "--moment", "-1"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_missing_calibration_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "char-moment", "--q", "101", "--x", "30",
+                         "--calibration", missing)
     assert code == 2
     assert out == "" and err.startswith("error: ")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from charmoments import moments, proxy, rmf
-from charmoments.errors import Degenerate, LengthViolation
+from charmoments.errors import Degenerate, LengthViolation, TooLarge
 from charmoments.modarith import build_modulus
 
 
@@ -162,3 +162,24 @@ def test_shape_fit_degenerate():
         moments.shape_fit([(10.0, 1.0), (10.0, 2.0), (20.0, 1.0), (20.0, 2.0)], 1.0)
     with pytest.raises(Degenerate):
         moments.shape_fit([(10.0, 1.0), (20.0, 2.0), (30.0, 1.5)], 1.0)  # < 4 points
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 101])
+def test_half_spectrum_moment_matches_full_sum(q):
+    mod = build_modulus(q)
+    for x in range(1, q + 1):
+        ns = np.arange(1, min(x, q - 1) + 1)
+        sums = np.array([mod.char_values(a, ns).sum() for a in range(q - 1)])
+        for k in (0.0, 1.0, 2.0):
+            powers = np.abs(sums) ** (2 * k)
+            for exclude in (True, False):
+                want = powers[1:].sum() if exclude else powers.sum()
+                got = moments.char_moment(mod, x, k, exclude_principal=exclude)
+                assert got.value == pytest.approx(want / (q - 1), rel=1e-12,
+                                                  abs=1e-12 * x ** k)
+                assert got.trials == (q - 2 if exclude else q - 1)
+
+
+def test_congruence_energy_refuses_huge_table():
+    with pytest.raises(TooLarge):
+        moments.congruence_energy(1_000_003, 1e5)

@@ -140,3 +140,35 @@ def test_mellin_smooth_product():
     s = rmf.sample(9, 10)
     numeric, closed = theta.mellin_transform_check(2.0, 1.5, s, smooth_cap=10**7)
     assert abs(numeric - closed) < 1e-6 * abs(closed)
+
+
+@pytest.mark.parametrize("q", [3, 13, 101])
+def test_parity_moment_matches_full_table(q):
+    mod = build_modulus(q)
+    table = theta.theta_all(mod)
+    entries = [table[a] for a in range(1, q - 1)]  # principal a = 0 left out
+    for parity, kappa in (("even", 0), ("odd", 1)):
+        sel = np.array([t.value for t in entries if t.kappa == kappa])
+        for k in (0.0, 1.0, 2.0):
+            got = theta.theta_moment(mod, k, parity)
+            want = float((np.abs(sel) ** (2 * k)).sum()) / (q - 1)
+            assert got.value == pytest.approx(want, rel=1e-12)
+            assert got.trials == sel.size
+    assert theta.theta_moment(mod, 1.0, "odd").trials == (q - 1) // 2
+
+
+def test_table_entries_carry_certificates(mod13):
+    trunc = 9.0
+    table = theta.theta_all(mod13, trunc=trunc)
+    tail = math.exp(-math.pi * trunc**2 / 13)
+    for a in range(12):
+        entry = table[a]
+        assert entry.a == a
+        assert entry.kappa == a % 2
+        assert entry.value == pytest.approx(theta.theta_naive(mod13, a, trunc=trunc),
+                                            abs=1e-12)
+        assert entry.truncation_point == trunc
+        assert entry.tail_bound == pytest.approx(13 ** (1 + a % 2) * tail, rel=1e-15)
+    assert table[-1].a == 11
+    with pytest.raises(IndexError):
+        table[12]
