@@ -100,7 +100,7 @@ def _cmd_rmf_mc(args, cal) -> tuple[dict, int]:
         row = {"x": x, "k": args.k, "trials": est.trials,
                "estimate": est.value, "stderr": est.stderr}
         if args.exact:
-            row["exact"] = rmf.exact_moment_2k(x, int(args.k))
+            row["exact"] = rmf.exact_moment_2k(x, args.k)
         rows.append(row)
     config = {"x": args.x, "k": args.k, "trials": args.trials,
               "exact": args.exact}

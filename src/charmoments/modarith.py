@@ -10,7 +10,6 @@ where dlog(n) is the discrete logarithm of n base g.  Everything downstream
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 

@@ -50,7 +50,7 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
         raise DomainError(f"divisor must be 'phi' or 'nontrivial', got {divisor!r}")
     if divisor == "nontrivial" and mod.q < 3:
         raise DomainError(f"q = {mod.q} has no non-principal character to divide by")
-    if k < 0:
+    if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
     table = all_char_sums_fft(mod, x)
     powers = _abs_power_2k(table.half, k)
@@ -90,12 +90,13 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     Per-trial child seeds derive from (seed, trial index); identical inputs
     give bit-identical output regardless of batch size.
     """
-    if k < 0:
+    if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
     xf = int(math.floor(x))
     if batch is None:
-        # keep the trial x value matrix around 64 MB
+        # keep the trials x (x+1) complex128 value matrix around 64 MB, never above the cap
         batch = max(16, min(trials, (4 << 20) // max(1, xf)))
+        batch = max(1, min(batch, DEFAULT_MEMORY_CAP // (16 * (xf + 1))))
     ps = primes.primes_up_to(xf)
     mean, stderr = rmf.mc_estimate(
         seed, trials, batch,
@@ -110,7 +111,7 @@ def cross_moment(mod: PrimeModulus, x: float, params: proxy.ProxyParams) -> floa
     polynomial wraps around the character group and the diagonal identity
     backing this average no longer holds.
     """
-    if params.poly_length_log() + math.log(x) >= math.log(mod.q):
+    if not params.fits_modulus(math.log(x), mod.q):
         raise LengthViolation(
             f"x * prod y_m^(4 J_m) >= q = {mod.q}: cross moment undefined at this length"
         )

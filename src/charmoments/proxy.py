@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -99,16 +98,15 @@ class ProxyParams:
         """log of the largest index reachable by any level factor: sum 4*J_m*log(y_m)."""
         return sum(4.0 * lv.j * lv.log_hi for lv in self.levels)
 
+    def fits_modulus(self, log_x: float, q: int) -> bool:
+        """x * prod_m y_m^{4 J_m} < q: every index of |S(x)|^2 R stays below q."""
+        return self.poly_length_log() + log_x < math.log(q)
+
 
 def _window_chain(log_y: float, m_count: int) -> list[tuple[float, float]]:
     """(log_lo, log_hi] pairs with log y_m = log_y / 20^(M-m); lowest lo is 1."""
     bounds = [log_y / 20.0 ** (m_count - m) for m in range(1, m_count + 1)]
-    out = []
-    lo = 0.0
-    for b in bounds:
-        out.append((lo, b))
-        lo = b
-    return out
+    return list(zip([0.0] + bounds[:-1], bounds))
 
 
 def build_params(x: float | None = None, *, log_x: float | None = None, k: float,
@@ -178,7 +176,7 @@ def build_params(x: float | None = None, *, log_x: float | None = None, k: float
     params = ProxyParams(k=float(k), c0=float(c0), log_x=float(log_x),
                          profile=profile, levels=levels)
     if q is not None and profile == "desk":
-        if params.poly_length_log() + log_x >= math.log(q):
+        if not params.fits_modulus(log_x, q):
             raise InfeasibleParams(
                 f"x * prod y_m^(4 J_m) >= q = {q}: weights too long for this modulus"
             )
@@ -286,14 +284,12 @@ def poly_table(params: ProxyParams, source) -> np.ndarray:
 
 
 def truncated_exp(d, depth: int, coef: float):
-    """sum_{j <= depth} (coef * d)^j / j!, scalar or ndarray in d."""
-    acc = np.ones_like(np.asarray(d, dtype=np.float64))
-    term = np.ones_like(acc)
+    """sum_{j <= depth} (coef * d)^j / j!, elementwise over a scalar or array d."""
+    d = np.asarray(d, dtype=np.float64)
+    acc = term = np.ones_like(d)
     for j in range(1, depth + 1):
-        term = term * (coef * np.asarray(d)) / j
+        term = term * (coef * d) / j
         acc = acc + term
-    if np.isscalar(d) or np.asarray(d).shape == ():
-        return float(acc)
     return acc
 
 
@@ -336,7 +332,7 @@ def exp_weight_total(params: ProxyParams, source) -> float:
 
 def truncation_error_direct(d: float, k: float, depth: int) -> float:
     """exp(2(k-1)d) - (truncated exponential)^2."""
-    t = truncated_exp(d, depth, k - 1.0)
+    t = float(truncated_exp(d, depth, k - 1.0))
     return math.exp(2.0 * (k - 1.0) * d) - t * t
 
 
@@ -347,11 +343,9 @@ def truncation_error_series(d: float, k: float, depth: int, extra: int = 60) -> 
     c[0] = 1.0
     for j in range(1, cap + 1):
         c[j] = c[j - 1] * ((k - 1.0) * d) / j
-    terms = [c[j1] * c[j2]
-             for j1 in range(cap + 1)
-             for j2 in range(cap + 1)
-             if max(j1, j2) > depth]
-    return float(math.fsum(terms))
+    idx = np.arange(cap + 1)
+    # fsum is correctly rounded, so the order of the terms does not matter
+    return math.fsum(np.multiply.outer(c, c)[np.maximum.outer(idx, idx) > depth].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +365,11 @@ class DyadicClass:
     penalty_exps: tuple[int, ...]
 
 
-def _bin_of(r: float, t0: float) -> int:
-    if r <= t0:
-        return 0
-    return max(1, math.ceil(math.log2(r / t0)))
+def _bin_of(r, t0: float):
+    """Dyadic bin of r = |Re D| >= 0, elementwise: 0 on [0, t0], n on (t0 2^{n-1}, t0 2^n]."""
+    # r/t0 = m 2^e with m in [1/2, 1), so ceil(log2(r/t0)) = e, or e - 1 when m = 1/2
+    m, e = np.frexp(np.asarray(r, dtype=np.float64) / t0)
+    return np.maximum(e - (m == 0.5), 0)[()]
 
 
 def classify(params: ProxyParams, source, shift: int) -> DyadicClass:
@@ -384,7 +379,7 @@ def classify(params: ProxyParams, source, shift: int) -> DyadicClass:
         j = params.levels[m - 1].j
         t0 = j / (100.0 * params.k)
         r = abs(level_poly(params, source, m, shift).real)
-        n = _bin_of(r, t0)
+        n = int(_bin_of(r, t0))
         bins.append(n)
         floors.append(0.0 if n == 0 else t0 * 2.0 ** (n - 1))
         pens.append(params.penalty_exp(m))
@@ -392,27 +387,24 @@ def classify(params: ProxyParams, source, shift: int) -> DyadicClass:
                        penalty_exps=tuple(pens))
 
 
-def surrogate_log_at(d: complex, k: float, j: int, a: int) -> float:
-    """log U for a bare polynomial value d with depth j and penalty exponent a.
+def surrogate_log_at(d, k: float, j: int, a: int):
+    """log U, elementwise over polynomial values d, with depth j and penalty exponent a.
 
     Three branches on the class floor W of |Re d|: the truncated exponential
-    with unit coefficient when the bin is 0; e^{4W} |d/W|^a while
-    W <= 100 k j; and (2 (k-1)^j (2W)^j / j!)^{2/(k-1)} |d/W|^a beyond.
+    with unit coefficient when the bin is 0 (-inf where it vanishes); e^{4W}
+    |d/W|^a while W <= 100 k j; and (2 (k-1)^j (2W)^j / j!)^{2/(k-1)} |d/W|^a beyond.
     """
+    d = np.asarray(d, dtype=np.complex128)
     t0 = j / (100.0 * k)
-    n = _bin_of(abs(d.real), t0)
-    if n == 0:
-        t = truncated_exp(d.real, j, 1.0)
-        if t == 0.0:
-            return -math.inf
-        return 2.0 * math.log(abs(t))
+    n = _bin_of(np.abs(d.real), t0)
     w = t0 * 2.0 ** (n - 1)
-    penalty = a * (math.log(abs(d)) - math.log(w))
-    if w <= 100.0 * k * j:
-        return 4.0 * w + penalty
+    with np.errstate(divide="ignore"):
+        bin0 = 2.0 * np.log(np.abs(truncated_exp(d.real, j, 1.0)))
+        penalty = a * (np.log(np.abs(d)) - np.log(w))
     lead = (2.0 / (k - 1.0)) * (math.log(2.0) + j * math.log(k - 1.0)
-                                + j * math.log(2.0 * w) - math.lgamma(j + 1.0))
-    return lead + penalty
+                                + j * np.log(2.0 * w) - math.lgamma(j + 1.0))
+    return np.where(n == 0, bin0,
+                    np.where(w <= 100.0 * k * j, 4.0 * w, lead) + penalty)[()]
 
 
 def surrogate_factor_log(params: ProxyParams, source, m: int, shift: int,

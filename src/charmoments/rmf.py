@@ -19,6 +19,7 @@ import numpy as np
 
 from . import primes
 from .errors import DomainError, OutOfRange, TooLarge
+from .modarith import DEFAULT_MEMORY_CAP
 
 _M64 = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -207,6 +208,7 @@ def exact_moment_2k(x: float, k: int) -> int:
     """E |sum_{n<=x} f(n)|^{2k} exactly: the count of 2k-tuples with equal k-fold products."""
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2, or 3")
+    k = int(k)
     xf = int(math.floor(x))
     if xf < 1:
         raise DomainError("x must be >= 1")
@@ -230,9 +232,13 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float,
     """Partial sums sum_{n<=x} f_t(n) for a batch of trial seeds at once.
 
     Equivalent to sample(seed_t, x) + partial_sum per trial: both draw f(p)
-    from unit_values, so batching is a pure layout optimization.
+    from unit_values, so batching is a pure layout optimization.  Refuses a
+    trials x (x+1) value matrix above DEFAULT_MEMORY_CAP.
     """
     xf = int(math.floor(x))
+    nbytes = len(trial_seeds) * (xf + 1) * np.dtype(np.complex128).itemsize
+    if nbytes > DEFAULT_MEMORY_CAP:
+        raise TooLarge(f"value matrix needs {nbytes} bytes, cap is {DEFAULT_MEMORY_CAP}")
     if ps is None:
         ps = primes.primes_up_to(xf)
     fp = unit_values(trial_seeds, ps)

@@ -17,7 +17,7 @@ from scipy import integrate, special
 
 from . import primes
 from .charsum import WeightedIndicator, weighted_char_sums
-from .errors import DomainError, OutOfRange, QuadratureFailure, TooLarge
+from .errors import DomainError, QuadratureFailure, TooLarge
 from .modarith import PrimeModulus
 from .moments import MomentEstimate, _abs_power_2k
 from .rmf import RmfSample, values_upto
@@ -97,7 +97,7 @@ def theta_moment(mod: PrimeModulus, k: float, parity: str) -> MomentEstimate:
     """
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    if k < 0:
+    if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
     kappa = 0 if parity == "even" else 1
     # characters a = kappa (mod 2); the even class starts at 2, past the principal

@@ -272,6 +272,19 @@ def check_series_consistency(instances, cal: Calibration) -> CheckReport:
                    context={"instances": len(list(instances)), "worst_at": worst_inst})
 
 
+def _domination_constant(d: np.ndarray, k: float, j: int, a: int) -> float:
+    """max over polynomial values d of (R^{1/(k-1)}/U - 1) e^{j}, floored at 0.
+
+    R is the squared truncated exponential of (k-1) Re d.  A value whose
+    surrogate vanishes (log U = -inf) needs an infinite constant.
+    """
+    log_u = proxy.surrogate_log_at(d, k, j, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lhs = np.log(np.abs(proxy.truncated_exp(d.real, j, k - 1.0))) * 2.0 / (k - 1.0)
+        excess = np.where(log_u > -np.inf, np.exp(log_lhs - log_u) - 1.0, np.inf)
+    return max(0.0, float(np.max(excess * math.exp(j))))
+
+
 def check_surrogate_domination(params: proxy.ProxyParams, sources,
                                cal: Calibration) -> CheckReport:
     """R_{m,l}^{1/(k-1)} <= (1 + c e^{-J_m}) U_{m,l} with the calibrated c.
@@ -279,21 +292,14 @@ def check_surrogate_domination(params: proxy.ProxyParams, sources,
     Reports the smallest c that would have sufficed across all sources,
     windows, and shifts, and passes when it is below the ceiling.
     """
-    k = params.k
     needed = 0.0
     count = 0
     for source in sources:
         table = proxy.poly_table(params, source)
-        factors = proxy.level_factors(params, table)
-        for (i, m0), d in np.ndenumerate(table):
-            count += 1
-            j = params.levels[m0].j
-            r = factors[i, m0]
-            log_u = proxy.surrogate_log_at(complex(d), k, j, params.penalty_exp(m0 + 1))
-            log_lhs = math.log(r) / (k - 1.0) if r > 0 else -math.inf
-            # excess factor on top of U, scaled back by e^{J_m}
-            excess = math.exp(log_lhs - log_u) - 1.0 if log_u > -math.inf else math.inf
-            needed = max(needed, excess * math.exp(j))
+        count += table.size
+        for m, lv in enumerate(params.levels, start=1):
+            needed = max(needed, _domination_constant(table[:, m - 1], params.k, lv.j,
+                                                      params.penalty_exp(m)))
     return _report("surrogate-domination", needed, cal.surrogate_slack, "le",
                    0.0, scale=1.0, context={"comparisons": count})
 
@@ -316,17 +322,11 @@ def check_surrogate_grid(cal: Calibration, ks=(2.0, 2.5, 3.0),
                 np.linspace(1e-4 * t0, t0, 25),
                 np.geomspace(t0 * 1.001, 220.0 * k * j, 60),
             ])
-            for mag in mags:
-                for sign in (1.0, -1.0):
-                    for im in (0.0, 0.3 * mag):
-                        d = complex(sign * mag, im)
-                        count += 1
-                        t = proxy.truncated_exp(d.real, j, k - 1.0)
-                        log_lhs = (math.log(abs(t)) * 2.0 / (k - 1.0)
-                                   if t != 0.0 else -math.inf)
-                        log_u = proxy.surrogate_log_at(d, k, j, a)
-                        excess = math.exp(log_lhs - log_u) - 1.0
-                        needed = max(needed, excess * math.exp(j))
+            # magnitude x sign x (zero, nonzero) imaginary part
+            d = (np.multiply.outer(mags, [1.0, -1.0])[:, :, None]
+                 + 1j * np.multiply.outer(mags, [0.0, 0.3])[:, None, :])
+            count += d.size
+            needed = max(needed, _domination_constant(d, k, j, a))
     return _report("surrogate-grid", needed, cal.surrogate_slack, "le", 0.0,
                    scale=1.0, context={"points": count, "ks": list(ks),
                                        "js": list(js)})
@@ -364,7 +364,7 @@ def check_weighted_correspondence(mod: PrimeModulus, x: float,
     Valid when x * prod_m y_m^{4 J_m} < q, so every index pair met by the
     expansion is resolved exactly by the character group.
     """
-    if params.poly_length_log() + math.log(x) >= math.log(mod.q):
+    if not params.fits_modulus(math.log(x), mod.q):
         raise LengthViolation("weights too long for this modulus")
     s = all_char_sums_fft(mod, x).values
     w = proxy.proxy_weight_all_chars(mod, params)

@@ -75,6 +75,10 @@ def test_not_prime_exit_2(capsys):
     ("rmf-mc", "--x", "10", "--k", "-1"),
     ("char-moment", "--q", "101", "--x", "30", "--k", "-1"),
     ("theta", "--q", "101", "--moment", "-1"),
+    ("rmf-mc", "--x", "100", "--k", "2.5", "--exact"),
+    ("char-moment", "--q", "101", "--x", "30", "--k", "nan"),
+    ("theta", "--q", "101", "--moment", "nan"),
+    ("rmf-mc", "--x", "10", "--k", "nan"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -5,7 +5,7 @@ import pytest
 
 from charmoments import moments, proxy, rmf
 from charmoments.errors import Degenerate, LengthViolation, TooLarge
-from charmoments.modarith import build_modulus
+from charmoments.modarith import DEFAULT_MEMORY_CAP, build_modulus
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +183,20 @@ def test_half_spectrum_moment_matches_full_sum(q):
 def test_congruence_energy_refuses_huge_table():
     with pytest.raises(TooLarge):
         moments.congruence_energy(1_000_003, 1e5)
+
+
+@pytest.mark.parametrize("x, trials, rows", [
+    (1e5, 150, 41), (1e3, 3000, 3000), (100.0, 20_000, 20_000),  # benchmark sizes
+    (1e7, 40, 13),  # the 16-row floor would need 2.4 GiB here
+])
+def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, rows):
+    seen = []
+
+    def fake_batch(chunk, x, ps):
+        seen.append(len(chunk))
+        return np.zeros(len(chunk), dtype=np.complex128)
+
+    monkeypatch.setattr(rmf, "partial_sums_batch", fake_batch)
+    moments.rmf_moment_mc(x, 2.0, trials=trials, seed=1)
+    assert seen[0] == rows and sum(seen) == trials
+    assert max(seen) * (int(x) + 1) * 16 <= DEFAULT_MEMORY_CAP

@@ -183,3 +183,10 @@ def test_kahan_partial_sum_scale():
     total = rmf.partial_sum(s, 20000.0)
     # sqrt-size cancellation: |sum| should be far below x
     assert abs(total) < 20000 ** 0.75
+
+
+def test_batch_refuses_matrix_over_cap():
+    # 200 rows x (10^7 + 1) complex entries is 32 GB: refused before allocating
+    seeds = rmf.derive_trial_seeds(0, 200)
+    with pytest.raises(TooLarge):
+        rmf.partial_sums_batch(seeds, 1e7, ps=np.array([2]))

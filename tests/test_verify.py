@@ -121,6 +121,20 @@ def test_surrogate_grid_check():
     assert r.lhs < CAL.surrogate_slack
 
 
+@pytest.mark.parametrize("seed, pins", [
+    (1, {"truncation-series-consistency": ["0x1.1c4918844cd27p-44"],
+         "surrogate-grid": ["0x1.294c2605217a3p-19"],
+         "surrogate-domination": ["0x0.0p+0", "0x0.0p+0"]}),
+    # a seed whose second domination check needs a nonzero constant
+    (29, {"surrogate-domination": ["0x0.0p+0", "0x1.1d0ed8c9494e9p-19"]}),
+])
+def test_proxy_suite_pinned_bits(seed, pins):
+    # recorded from the per-cell scalar implementation that the array code replaced
+    reports = verify.run_suite("proxy", 101, seed)
+    for name, want in pins.items():
+        assert [r.lhs.hex() for r in reports if r.name == name] == want
+
+
 def test_holder_chain_equality_case(mod101):
     # equality needs |S|^{2(k-1)} proportional to R: x = 1 makes |S| constant
     # and an empty prime window makes R constant
