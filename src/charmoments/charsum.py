@@ -5,7 +5,7 @@ over all characters is the length-(q-1) discrete Fourier transform (with the
 e^{+2*pi*i*a*j/(q-1)} sign convention) of the indicator b_j = [g^j mod q <= x].
 One FFT therefore replaces q-1 separate summations; as b is real, a real FFT
 gives a = 0 .. (q-1)//2 and S_{chi_{-a}} = conj(S_{chi_a}) gives the rest.
-The same transform with arbitrary folded coefficients evaluates any weighted
+The same fold with arbitrary weights, sum_n w_n chi(n), evaluates any weighted
 character polynomial for all characters simultaneously.
 """
 from __future__ import annotations
@@ -39,24 +39,6 @@ class PrefixSumTable:
         return self.q - 1 - self.half.size
 
 
-@dataclass(eq=False)
-class WeightedIndicator:
-    """Coefficients folded onto the cyclic group: coeffs[j] = sum of weights of n = g^j (mod q)."""
-
-    q: int
-    coeffs: np.ndarray
-
-    @classmethod
-    def from_weights(cls, mod: PrimeModulus, ns: np.ndarray, ws: np.ndarray) -> "WeightedIndicator":
-        """Fold weights ws at integers ns into discrete-log bins (q | n dropped)."""
-        ns = np.asarray(ns, dtype=np.int64) % mod.q
-        ws = np.asarray(ws, dtype=np.complex128)
-        keep = ns != 0
-        coeffs = np.zeros(mod.q - 1, dtype=np.complex128)
-        np.add.at(coeffs, mod.dlog[ns[keep]], ws[keep])
-        return cls(q=mod.q, coeffs=coeffs)
-
-
 def _check_x(mod: PrimeModulus, x: float) -> int:
     if not (1 <= x <= mod.q):
         raise OutOfRange(f"x = {x} outside [1, q = {mod.q}]")
@@ -66,7 +48,8 @@ def _check_x(mod: PrimeModulus, x: float) -> int:
 def all_char_sums_fft(mod: PrimeModulus, x: float) -> PrefixSumTable:
     """Prefix sums for all characters via one real group DFT.  O(q log q)."""
     xf = _check_x(mod, x)
-    b = (mod.exp_table <= xf).astype(np.float64)
+    b = np.zeros(mod.q - 1)
+    b[mod.dlog[1 : xf + 1]] = 1.0
     # conj(FFT(real b)) carries the e^{+2 pi i a j / (q-1)} convention
     half = np.conj(scipy.fft.rfft(b))
     return PrefixSumTable(q=mod.q, x=float(x), half=half)
@@ -84,9 +67,18 @@ def all_char_sums_naive(mod: PrimeModulus, x: float) -> PrefixSumTable:
     return PrefixSumTable(q=mod.q, x=float(x), half=half)
 
 
-def weighted_char_sums(mod: PrimeModulus, w: WeightedIndicator | np.ndarray) -> np.ndarray:
-    """values[a] = sum_j coeffs[j] exp(2 pi i a j/(q-1)) for all a, via one DFT."""
-    coeffs = w.coeffs if isinstance(w, WeightedIndicator) else np.asarray(w, dtype=np.complex128)
-    if coeffs.shape != (mod.q - 1,):
-        raise OutOfRange(f"coefficient vector must have length q-1 = {mod.q - 1}")
+def weighted_char_sums(mod: PrimeModulus, ns: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """sum_i ws[..., i] chi_a(ns[i]) for every character a, one DFT per row of ws.
+
+    The weights are folded onto discrete logs, coeffs[..., dlog(n)] += w (terms
+    with q | n dropped), and values[..., a] = sum_j coeffs[..., j] e^{2 pi i a j/(q-1)}.
+    Leading axes of ws are kept; its last axis runs along ns.
+    """
+    ns = np.asarray(ns, dtype=np.int64) % mod.q
+    ws = np.asarray(ws, dtype=np.complex128)
+    if ws.shape[-1:] != ns.shape:
+        raise OutOfRange(f"weights of shape {ws.shape} do not run along {ns.size} integers")
+    keep = ns != 0
+    coeffs = np.zeros(ws.shape[:-1] + (mod.q - 1,), dtype=np.complex128)
+    np.add.at(coeffs, (..., mod.dlog[ns[keep]]), ws[..., keep])
     return np.fft.ifft(coeffs) * (mod.q - 1)

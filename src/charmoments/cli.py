@@ -144,6 +144,8 @@ def _cmd_theta(args, cal) -> tuple[dict, int]:
 
 def _cmd_proxy(args, cal) -> tuple[dict, int]:
     if args.profile == "paper":
+        if args.c0 is None:
+            raise OutOfRange("paper profile needs --c0")
         params = proxy.build_params(log_x=args.log_x, k=args.k, c0=args.c0,
                                     profile="paper")
     elif args.log_x is not None:
@@ -156,6 +158,8 @@ def _cmd_proxy(args, cal) -> tuple[dict, int]:
                                     profile="desk", levels_m=m,
                                     j_values=args.j, q=args.q)
     else:
+        if args.x is None or args.y is None:
+            raise OutOfRange("desk profile needs --y and one of --x, --log-x")
         params = proxy.desk_params(x=args.x, y=args.y, k=args.k,
                                    levels_m=len(args.j) if args.j else 1,
                                    j_values=args.j, q=args.q)

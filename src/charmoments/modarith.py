@@ -18,8 +18,8 @@ import numpy as np
 from . import primes
 from .errors import NotPrime, OutOfRange, TooLarge
 
-# Building a modulus allocates roughly 24 bytes per residue (discrete-log
-# table, its inverse permutation, and the lazily built root-of-unity table).
+# A modulus holds 24 bytes per residue: the int64 discrete-log table (8 B)
+# and the lazily built complex128 root-of-unity table (16 B).
 DEFAULT_MEMORY_CAP = 2 << 30
 _BYTES_PER_RESIDUE = 24
 
@@ -41,13 +41,6 @@ class PrimeModulus:
     q: int
     g: int
     dlog: np.ndarray
-
-    @cached_property
-    def exp_table(self) -> np.ndarray:
-        """Inverse permutation: exp_table[j] = g^j mod q."""
-        t = np.empty(self.q - 1, dtype=np.int64)
-        t[self.dlog[1:]] = np.arange(1, self.q, dtype=np.int64)
-        return t
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -77,19 +70,18 @@ def _primitive_root(q: int) -> int:
         g += 1
 
 
-def build_modulus(q: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> PrimeModulus:
+def build_modulus(q: int) -> PrimeModulus:
     """Construct the discrete-log table for prime q.
 
     Raises NotPrime for composite q, TooLarge when q exceeds 2^31 or the
-    table would exceed memory_cap bytes.
+    tables would exceed DEFAULT_MEMORY_CAP bytes.
     """
     q = int(q)
     if q >= Q_CAP:
         raise TooLarge(f"q = {q} exceeds the 2^31 cap")
-    if q * _BYTES_PER_RESIDUE > memory_cap:
-        raise TooLarge(
-            f"tables for q = {q} need ~{q * _BYTES_PER_RESIDUE} bytes, cap is {memory_cap}"
-        )
+    if q * _BYTES_PER_RESIDUE > DEFAULT_MEMORY_CAP:
+        raise TooLarge(f"tables for q = {q} need ~{q * _BYTES_PER_RESIDUE} bytes, "
+                       f"cap is {DEFAULT_MEMORY_CAP}")
     if not primes.is_prime(q):
         raise NotPrime(f"q = {q} is not prime")
     g = _primitive_root(q)
@@ -122,7 +114,4 @@ def char_value(mod: PrimeModulus, a: int, n: int) -> complex:
     a_int = int(a)
     if not (0 <= a_int <= mod.q - 2):
         raise OutOfRange(f"character index {a_int} not in [0, {mod.q - 2}]")
-    n = int(n) % mod.q
-    if n == 0:
-        return 0j
-    return complex(mod.roots[(a_int * int(mod.dlog[n])) % (mod.q - 1)])
+    return complex(mod.char_values(a_int, int(n)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import primes, proxy, rmf
 from .charsum import all_char_sums_fft
-from .errors import Degenerate, DomainError, LengthViolation, TooLarge
+from .errors import Degenerate, DomainError, LengthViolation, OutOfRange, TooLarge
 from .modarith import DEFAULT_MEMORY_CAP, PrimeModulus
 
 
@@ -92,6 +92,8 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     """
     if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
+    if not math.isfinite(x):
+        raise OutOfRange(f"x must be finite, got {x}")
     xf = int(math.floor(x))
     if batch is None:
         # keep the trials x (x+1) complex128 value matrix around 64 MB, never above the cap

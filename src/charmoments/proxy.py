@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primes
-from .charsum import WeightedIndicator, weighted_char_sums
+from .charsum import weighted_char_sums
 from .errors import ClassMismatch, InfeasibleParams, OutOfRange
 from .fpoly import FPoly
 from .modarith import PrimeModulus
@@ -255,12 +255,14 @@ def _window_polys(params: ProxyParams, source, m: int, shifts) -> np.ndarray:
 
 def _window_polys_all_chars(mod: PrimeModulus, params: ProxyParams, m: int,
                             shifts) -> np.ndarray:
-    """D_{m,l}(chi_a) for every character a, one weighted DFT per shift."""
+    """D_{m,l}(chi_a) for every shift (rows) and character a (columns), one fold per window.
+
+    Each shift's coefficients on p and p^2 form one row of weights; the
+    weighted transform takes one DFT per row.
+    """
     ps, first, second = _window_coeffs(params, m, shifts)
-    ns = np.concatenate([ps, ps * ps])
-    ws = np.concatenate([first, second], axis=1)
-    return np.array([weighted_char_sums(mod, WeightedIndicator.from_weights(mod, ns, w))
-                     for w in ws])
+    return weighted_char_sums(mod, np.concatenate([ps, ps * ps]),
+                              np.concatenate([first, second], axis=1))
 
 
 def level_poly(params: ProxyParams, source, m: int, shift: int) -> complex:

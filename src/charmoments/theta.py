@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate, special
 
 from . import primes
-from .charsum import WeightedIndicator, weighted_char_sums
+from .charsum import weighted_char_sums
 from .errors import DomainError, QuadratureFailure, TooLarge
 from .modarith import PrimeModulus
 from .moments import MomentEstimate, _abs_power_2k
@@ -65,7 +65,7 @@ def _parity_dft(mod: PrimeModulus, trunc: float, kappa: int) -> np.ndarray:
     if mod.q < 3:
         raise DomainError("need an odd prime modulus")
     ns, w = _folded_weights(mod, trunc)
-    return weighted_char_sums(mod, WeightedIndicator.from_weights(mod, ns, w * ns**kappa))
+    return weighted_char_sums(mod, ns, w * ns**kappa)
 
 
 def theta_all(mod: PrimeModulus, trunc: float | None = None) -> ThetaTable:

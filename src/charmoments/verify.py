@@ -18,7 +18,7 @@ from scipy import integrate
 
 from . import euler, moments, primes, proxy, rmf, theta
 from .calibration import Calibration
-from .charsum import WeightedIndicator, all_char_sums_fft, all_char_sums_naive, weighted_char_sums
+from .charsum import all_char_sums_fft, all_char_sums_naive, weighted_char_sums
 from .errors import DomainError, LengthViolation
 from .fpoly import FPoly
 from .modarith import PrimeModulus, build_modulus
@@ -70,7 +70,7 @@ def check_orthogonality_correspondence(mod: PrimeModulus, coeffs: np.ndarray,
     if coeffs.size >= mod.q:
         raise LengthViolation(f"polynomial length {coeffs.size} >= q = {mod.q}")
     ns = np.arange(1, coeffs.size + 1, dtype=np.int64)
-    sums = weighted_char_sums(mod, WeightedIndicator.from_weights(mod, ns, coeffs))
+    sums = weighted_char_sums(mod, ns, coeffs)
     lhs = float((np.abs(sums) ** 2).sum() / (mod.q - 1))
     rhs = float((np.abs(coeffs) ** 2).sum())
     return _report("orthogonality-correspondence", lhs, rhs, "eq",
@@ -80,8 +80,7 @@ def check_orthogonality_correspondence(mod: PrimeModulus, coeffs: np.ndarray,
 
 def check_fourth_moment_count(mod: PrimeModulus, x: float, cal: Calibration) -> CheckReport:
     """(1/(q-1)) sum over all chi of |S_chi(x)|^4 against the congruence count."""
-    table = all_char_sums_fft(mod, x)
-    lhs = float((np.abs(table.values) ** 4).sum() / (mod.q - 1))
+    lhs = moments.char_moment(mod, x, 2.0, exclude_principal=False).value
     rhs = float(moments.congruence_energy(mod.q, x))
     return _report("fourth-moment-count", lhs, rhs, "eq", cal.orthogonality_tol,
                    scale=rhs, context={"q": mod.q, "x": x})

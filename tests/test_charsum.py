@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charmoments.charsum import (
-    WeightedIndicator,
     all_char_sums_fft,
     all_char_sums_naive,
     weighted_char_sums,
 )
 from charmoments.errors import OutOfRange
 from charmoments.modarith import build_modulus
+from charmoments.primes import primes_up_to
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +70,7 @@ def test_weighted_sums_match_direct(mod101):
     rng = np.random.default_rng(3)
     ns = np.arange(1, 61)
     ws = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-    ind = WeightedIndicator.from_weights(mod101, ns, ws)
-    got = weighted_char_sums(mod101, ind)
+    got = weighted_char_sums(mod101, ns, ws)
     for a in (0, 1, 17, 99):
         want = np.sum(ws * mod101.char_values(a, ns))
         assert got[a] == pytest.approx(want, abs=1e-9)
@@ -76,23 +79,33 @@ def test_weighted_sums_match_direct(mod101):
 def test_weighted_indicator_drops_multiples(mod101):
     ns = np.array([1, 101, 202])
     ws = np.array([1.0, 5.0, 7.0])
-    ind = WeightedIndicator.from_weights(mod101, ns, ws)
-    got = weighted_char_sums(mod101, ind)
+    got = weighted_char_sums(mod101, ns, ws)
     assert got[0] == pytest.approx(1.0)  # chi(101k) = 0
 
 
 def test_weighted_indicator_wraps_residues(mod101):
     # weight on n and on n+q land on the same character value
-    one = weighted_char_sums(
-        mod101, WeightedIndicator.from_weights(mod101, np.array([3]), np.array([2.0])))
-    two = weighted_char_sums(
-        mod101, WeightedIndicator.from_weights(mod101, np.array([104]), np.array([2.0])))
+    one = weighted_char_sums(mod101, np.array([3]), np.array([2.0]))
+    two = weighted_char_sums(mod101, np.array([104]), np.array([2.0]))
     assert np.max(np.abs(one - two)) < 1e-12
 
 
-def test_weighted_length_validation(mod101):
+def test_weighted_rows_match_per_row_calls(mod101):
+    rng = np.random.default_rng(5)
+    ns = np.arange(1, 80) ** 2
+    ws = rng.standard_normal((2, 3, ns.size)) + 1j * rng.standard_normal((2, 3, ns.size))
+    got = weighted_char_sums(mod101, ns, ws)
+    assert got.shape == (2, 3, 100)
+    for i in range(2):
+        for j in range(3):
+            assert got[i, j].tobytes() == weighted_char_sums(mod101, ns, ws[i, j]).tobytes()
+
+
+def test_weighted_length_mismatch(mod101):
     with pytest.raises(OutOfRange):
-        weighted_char_sums(mod101, WeightedIndicator(q=101, coeffs=np.zeros(55)))
+        weighted_char_sums(mod101, np.arange(1, 11), np.ones(9))
+    with pytest.raises(OutOfRange):
+        weighted_char_sums(mod101, np.arange(1, 11), np.ones((10, 3)))
 
 
 def _direct_sums(mod, x):
@@ -114,3 +127,24 @@ def test_half_spectrum_values_mirror(q):
         direct = _direct_sums(mod, x)
         np.testing.assert_allclose(table.values, naive.values, rtol=0, atol=1e-9)
         np.testing.assert_allclose(table.values, direct, rtol=0, atol=1e-9)
+
+
+_PRIMES_TO_1000 = [int(p) for p in primes_up_to(1000)]
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(q=st.sampled_from(_PRIMES_TO_1000), frac=st.floats(0.0, 1.0),
+       a=st.integers(0, 10**6))
+def test_fft_matches_naive_random_primes(q, frac, a):
+    mod = build_modulus(q)
+    x = 1.0 + frac * (q - 1)  # x in [1, q]
+    a %= q - 1
+    fast = all_char_sums_fft(mod, x).values
+    slow = all_char_sums_naive(mod, x).values
+    atol = 1e-9 * max(1.0, math.sqrt(x))
+    np.testing.assert_allclose(fast, slow, rtol=0, atol=atol)
+    # conj(chi_a) = chi_{-a}, summed directly: its sum is conj(S_{chi_a}), same modulus
+    ns = np.arange(1, min(int(x), q - 1) + 1)
+    s_bar = np.conj(mod.char_values(a, ns)).sum()
+    assert abs(fast[-a % (q - 1)] - s_bar) <= atol
+    assert abs(abs(s_bar) - abs(fast[a])) <= atol

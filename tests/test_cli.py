@@ -79,6 +79,10 @@ def test_not_prime_exit_2(capsys):
     ("char-moment", "--q", "101", "--x", "30", "--k", "nan"),
     ("theta", "--q", "101", "--moment", "nan"),
     ("rmf-mc", "--x", "10", "--k", "nan"),
+    ("proxy", "--profile", "desk", "--x", "6"),
+    ("proxy", "--profile", "desk", "--y", "2"),
+    ("proxy", "--profile", "paper", "--log-x", "100"),
+    ("rmf-mc", "--x", "inf"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
