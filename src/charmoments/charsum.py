@@ -5,6 +5,9 @@ over all characters is the length-(q-1) discrete Fourier transform (with the
 e^{+2*pi*i*a*j/(q-1)} sign convention) of the indicator b_j = [g^j mod q <= x].
 One FFT therefore replaces q-1 separate summations; as b is real, a real FFT
 gives a = 0 .. (q-1)//2 and S_{chi_{-a}} = conj(S_{chi_a}) gives the rest.
+Callers that need only |S_chi(x)| read abs_char_sums, which keeps the
+magnitudes of one floor(x) on the modulus, so several moments at the same
+(q, x) share one DFT.
 The same fold with arbitrary weights, sum_n w_n chi(n), evaluates any weighted
 character polynomial for all characters simultaneously.
 """
@@ -31,12 +34,12 @@ class PrefixSumTable:
     @property
     def values(self) -> np.ndarray:
         """values[a] = S_{chi_a}(x) for a = 0 .. q-2, mirrored from the half spectrum."""
-        return np.concatenate([self.half, np.conj(self.half[1 : self.mirrored + 1][::-1])])
+        return mirror(self.half, self.q)
 
-    @property
-    def mirrored(self) -> int:
-        """Count of entries a >= 1 in half whose conjugate chi_{-a} is not stored."""
-        return self.q - 1 - self.half.size
+
+def mirror(half: np.ndarray, q: int) -> np.ndarray:
+    """Entries a = 0 .. q-2 from the half spectrum a = 0 .. (q-1)//2: entry q-1-a is conj(half[a])."""
+    return np.concatenate([half, np.conj(half[1 : q - half.size][::-1])])
 
 
 def _check_x(mod: PrimeModulus, x: float) -> int:
@@ -53,6 +56,24 @@ def all_char_sums_fft(mod: PrimeModulus, x: float) -> PrefixSumTable:
     # conj(FFT(real b)) carries the e^{+2 pi i a j / (q-1)} convention
     half = np.conj(scipy.fft.rfft(b))
     return PrefixSumTable(q=mod.q, x=float(x), half=half)
+
+
+def abs_char_sums(mod: PrimeModulus, x: float) -> np.ndarray:
+    """|S_{chi_a}(x)| for a = 0 .. (q-1)//2, read-only, memoised for one floor(x).
+
+    The slot mod.abs_sums holds the last floor(x) asked; a miss empties it
+    before the DFT runs, so no stored table is alive during a transform.
+    """
+    xf = _check_x(mod, x)
+    memo = mod.abs_sums  # one read: a thread that swaps the slot cannot split (floor(x), table)
+    if memo is not None and memo[0] == xf:
+        return memo[1]
+    # drop the local reference too, or the old table outlives the slot during the DFT
+    memo = mod.abs_sums = None
+    mags = np.abs(all_char_sums_fft(mod, x).half)
+    mags.flags.writeable = False
+    mod.abs_sums = (xf, mags)
+    return mags
 
 
 def all_char_sums_naive(mod: PrimeModulus, x: float) -> PrefixSumTable:

@@ -5,7 +5,7 @@ CSV on request) carrying the resolved configuration, the seed, the package
 version, and wall time, so runs can be replayed and diffed.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
-3 resource limit refused.
+3 resource limit refused, 4 internal error.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -146,14 +147,14 @@ def _cmd_proxy(args, cal) -> tuple[dict, int]:
     if args.profile == "paper":
         if args.c0 is None:
             raise OutOfRange("paper profile needs --c0")
-        params = proxy.build_params(log_x=args.log_x, k=args.k, c0=args.c0,
+        params = proxy.build_params(args.x, log_x=args.log_x, k=args.k, c0=args.c0,
                                     profile="paper")
     elif args.log_x is not None:
         # desk chain at a scale whose x itself would overflow a float
         if args.y is None or args.y <= 1:
             raise OutOfRange("desk profile with --log-x needs --y > 1")
         m = len(args.j) if args.j else 1
-        params = proxy.build_params(log_x=args.log_x, k=args.k,
+        params = proxy.build_params(args.x, log_x=args.log_x, k=args.k,
                                     c0=args.log_x / math.log(args.y),
                                     profile="desk", levels_m=m,
                                     j_values=args.j, q=args.q)
@@ -280,14 +281,18 @@ def main(argv=None) -> int:
     try:
         cal = calibration.load(args.calibration)
         payload, code = args.fn(args, cal)
+        doc = _document(args, payload["config"], payload["results"], started)
+        _emit(doc, args.format, sys.stdout)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CharmomentsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = _document(args, payload["config"], payload["results"], started)
-    _emit(doc, args.format, sys.stdout)
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
     return code
 
 

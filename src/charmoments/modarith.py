@@ -10,7 +10,7 @@ where dlog(n) is the discrete logarithm of n base g.  Everything downstream
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -18,10 +18,11 @@ import numpy as np
 from . import primes
 from .errors import NotPrime, OutOfRange, TooLarge
 
-# A modulus holds 24 bytes per residue: the int64 discrete-log table (8 B)
-# and the lazily built complex128 root-of-unity table (16 B).
+# A modulus holds 28 bytes per residue: the int64 discrete-log table (8 B),
+# the lazily built complex128 root-of-unity table (16 B) and the memoised
+# prefix-sum magnitudes, (q-1)//2 + 1 float64 values (4 B).
 DEFAULT_MEMORY_CAP = 2 << 30
-_BYTES_PER_RESIDUE = 24
+_BYTES_PER_RESIDUE = 28
 
 Q_CAP = 1 << 31
 
@@ -36,11 +37,14 @@ class PrimeModulus:
     """Prime q with generator g and the full discrete-log table.
 
     dlog[n] = j such that g^j = n (mod q) for 1 <= n < q; dlog[0] = -1.
+    abs_sums is the memo slot of charsum.abs_char_sums: (floor(x), read-only
+    |S_chi_a(x)| for a = 0 .. (q-1)//2) for the last floor(x) asked, or None.
     """
 
     q: int
     g: int
     dlog: np.ndarray
+    abs_sums: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def roots(self) -> np.ndarray:

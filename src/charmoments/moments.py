@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primes, proxy, rmf
-from .charsum import all_char_sums_fft
+from .charsum import abs_char_sums, mirror
 from .errors import Degenerate, DomainError, LengthViolation, OutOfRange, TooLarge
 from .modarith import DEFAULT_MEMORY_CAP, PrimeModulus
 
@@ -44,7 +44,8 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
 
     divisor "phi" uses q - 1; "nontrivial" uses q - 2 (the count of
     non-principal characters).  The summation range is controlled separately
-    by exclude_principal.
+    by exclude_principal.  The magnitudes come from charsum.abs_char_sums, so
+    calls for several k at the same (q, floor(x)) take one DFT between them.
     """
     if divisor not in ("phi", "nontrivial"):
         raise DomainError(f"divisor must be 'phi' or 'nontrivial', got {divisor!r}")
@@ -52,11 +53,12 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
         raise DomainError(f"q = {mod.q} has no non-principal character to divide by")
     if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    table = all_char_sums_fft(mod, x)
-    powers = _abs_power_2k(table.half, k)
+    half = abs_char_sums(mod, x)
+    powers = _abs_power_2k(half, k)
     # |S_{chi_{-a}}| = |S_{chi_a}|: each mirrored entry stands for two characters
     first = 1 if exclude_principal else 0
-    total = float(powers[first:].sum() + powers[1 : table.mirrored + 1].sum())
+    mirrored = mod.q - 1 - half.size
+    total = float(powers[first:].sum() + powers[1 : mirrored + 1].sum())
     den = (mod.q - 1) if divisor == "phi" else (mod.q - 2)
     n_terms = (mod.q - 2) if exclude_principal else (mod.q - 1)
     return MomentEstimate(value=total / den, stderr=0.0, trials=n_terms,
@@ -117,9 +119,9 @@ def cross_moment(mod: PrimeModulus, x: float, params: proxy.ProxyParams) -> floa
         raise LengthViolation(
             f"x * prod y_m^(4 J_m) >= q = {mod.q}: cross moment undefined at this length"
         )
-    s = all_char_sums_fft(mod, x).values
+    s = mirror(abs_char_sums(mod, x), mod.q)
     w = proxy.proxy_weight_all_chars(mod, params)
-    contrib = (np.abs(s) ** 2) * w
+    contrib = (s ** 2) * w
     return float(contrib[1:].sum() / (mod.q - 1))
 
 

@@ -18,7 +18,8 @@ from scipy import integrate
 
 from . import euler, moments, primes, proxy, rmf, theta
 from .calibration import Calibration
-from .charsum import all_char_sums_fft, all_char_sums_naive, weighted_char_sums
+from .charsum import (abs_char_sums, all_char_sums_fft, all_char_sums_naive, mirror,
+                      weighted_char_sums)
 from .errors import DomainError, LengthViolation
 from .fpoly import FPoly
 from .modarith import PrimeModulus, build_modulus
@@ -88,13 +89,14 @@ def check_fourth_moment_count(mod: PrimeModulus, x: float, cal: Calibration) -> 
 
 def check_reflection(mod: PrimeModulus, x: float, cal: Calibration) -> CheckReport:
     """|S_chi(x)| = |S_chi(q-1-floor(x))| for every non-principal chi."""
-    left = np.abs(all_char_sums_fft(mod, x).values[1:])
-    mirror = mod.q - 1 - math.floor(x)
-    right = np.abs(all_char_sums_fft(mod, mirror).values[1:])
+    # the half spectrum holds every |S_chi| once: chi_{-a} has the modulus of chi_a
+    left = abs_char_sums(mod, x)[1:]
+    x_mirror = mod.q - 1 - math.floor(x)
+    right = abs_char_sums(mod, x_mirror)[1:]
     dev = float(np.max(np.abs(left - right)))
     scale = float(max(1.0, np.max(left)))
     return _report("reflection-symmetry", dev, 0.0, "eq", cal.reflection_tol,
-                   scale=scale, context={"q": mod.q, "x": x, "mirror": mirror})
+                   scale=scale, context={"q": mod.q, "x": x, "mirror": x_mirror})
 
 
 def check_fft_vs_naive(mod: PrimeModulus, x: float, cal: Calibration) -> CheckReport:
@@ -365,9 +367,9 @@ def check_weighted_correspondence(mod: PrimeModulus, x: float,
     """
     if not params.fits_modulus(math.log(x), mod.q):
         raise LengthViolation("weights too long for this modulus")
-    s = all_char_sums_fft(mod, x).values
+    s = mirror(abs_char_sums(mod, x), mod.q)
     w = proxy.proxy_weight_all_chars(mod, params)
-    lhs = float(((np.abs(s) ** 2) * w).sum() / (mod.q - 1))
+    lhs = float(((s ** 2) * w).sum() / (mod.q - 1))
     rhs = moments.cross_moment_exact_rmf(x, params)
     return _report("weighted-correspondence", lhs, rhs, "eq",
                    cal.orthogonality_tol, scale=max(abs(rhs), 1e-300),

@@ -1,11 +1,14 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charmoments import charsum
 from charmoments.charsum import (
+    abs_char_sums,
     all_char_sums_fft,
     all_char_sums_naive,
     weighted_char_sums,
@@ -148,3 +151,61 @@ def test_fft_matches_naive_random_primes(q, frac, a):
     s_bar = np.conj(mod.char_values(a, ns)).sum()
     assert abs(fast[-a % (q - 1)] - s_bar) <= atol
     assert abs(abs(s_bar) - abs(fast[a])) <= atol
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 101, 103, 499])
+def test_abs_char_sums_bits_match_transform(q):
+    mod = build_modulus(q)
+    for x in sorted({1, max(1, q // 3) + 0.5, max(1, q // 2), q}):
+        mags = abs_char_sums(mod, x)
+        assert mags.dtype == np.float64
+        assert mags.tobytes() == np.abs(all_char_sums_fft(mod, x).half).tobytes()
+
+
+def test_abs_char_sums_read_only(mod101):
+    mags = abs_char_sums(mod101, 30)
+    assert not mags.flags.writeable
+    with pytest.raises(ValueError):
+        mags[0] = 0.0
+
+
+def test_abs_char_sums_miss_frees_stored_table(monkeypatch):
+    mod = build_modulus(101)
+    stored = weakref.ref(abs_char_sums(mod, 30))
+    fft = charsum.all_char_sums_fft
+
+    def checking(mod, x):
+        assert stored() is None  # no stored table is alive while a transform runs
+        return fft(mod, x)
+
+    monkeypatch.setattr(charsum, "all_char_sums_fft", checking)
+    abs_char_sums(mod, 31)
+    assert mod.abs_sums[0] == 31
+
+
+def _count_transforms(monkeypatch):
+    calls = []
+    fft = charsum.all_char_sums_fft
+
+    def counting(mod, x):
+        calls.append((mod.q, x))
+        return fft(mod, x)
+
+    monkeypatch.setattr(charsum, "all_char_sums_fft", counting)
+    return calls
+
+
+def test_abs_char_sums_one_slot_per_floor_x(monkeypatch):
+    mod = build_modulus(101)
+    calls = _count_transforms(monkeypatch)
+    first = abs_char_sums(mod, 30)
+    assert abs_char_sums(mod, 30.7) is first  # same floor(x), same slot
+    assert len(calls) == 1 and mod.abs_sums[0] == 30
+    other = abs_char_sums(mod, 31)
+    assert len(calls) == 2 and mod.abs_sums[0] == 31 and mod.abs_sums[1] is other
+    assert abs_char_sums(mod, 30) is not first  # evicted: one floor(x) at a time
+    assert len(calls) == 3
+    # x = q and x = q - 1 fold the same residues, so they share the slot
+    abs_char_sums(mod, 100)
+    abs_char_sums(mod, 101)
+    assert len(calls) == 4

@@ -83,11 +83,28 @@ def test_not_prime_exit_2(capsys):
     ("proxy", "--profile", "desk", "--y", "2"),
     ("proxy", "--profile", "paper", "--log-x", "100"),
     ("rmf-mc", "--x", "inf"),
+    ("proxy", "--profile", "paper", "--x", "1e300", "--c0", "5"),
+    ("proxy", "--profile", "desk", "--x", "6", "--log-x", "4000", "--y", "20"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+    if "paper" in argv and "--x" in argv:
+        # --x reaches build_params, which names the real reason
+        assert "exactly one" not in err
+
+
+def test_unexpected_exception_exit_4(monkeypatch, capsys):
+    def broken(args, cal):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_char_moment", broken)
+    code, out, err = run(capsys, "char-moment", "--q", "101", "--x", "30")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_missing_calibration_exit_2(tmp_path, capsys):

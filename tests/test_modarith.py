@@ -96,3 +96,18 @@ def test_larger_modulus_consistency():
     # g^dlog[n] == n spot check
     for n in (2, 1234, 20010):
         assert pow(mod.g, int(mod.dlog[n]), 20011) == n
+
+
+def test_cap_counts_memo_slot(monkeypatch):
+    # 24 q <= cap < 28 q: the dlog and roots tables alone would fit, the memo does not
+    q = 80_000_023
+    assert modarith.primes.is_prime(q)
+    assert 24 * q <= modarith.DEFAULT_MEMORY_CAP < 28 * q
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was allocated before the cap check")
+
+    monkeypatch.setattr(modarith.np, "full", no_tables)
+    monkeypatch.setattr(modarith, "_primitive_root", no_tables)
+    with pytest.raises(TooLarge):
+        build_modulus(q)

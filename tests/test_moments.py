@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charmoments import moments, proxy, rmf
+from charmoments import charsum, moments, proxy, rmf, verify
+from charmoments.calibration import Calibration
 from charmoments.errors import Degenerate, LengthViolation, TooLarge
 from charmoments.modarith import DEFAULT_MEMORY_CAP, build_modulus
+from charmoments.primes import primes_up_to
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +204,60 @@ def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, rows):
     moments.rmf_moment_mc(x, 2.0, trials=trials, seed=1)
     assert seen[0] == rows and sum(seen) == trials
     assert max(seen) * (int(x) + 1) * 16 <= DEFAULT_MEMORY_CAP
+
+
+def test_magnitude_readers_share_one_transform(monkeypatch):
+    calls = []
+    fft = charsum.all_char_sums_fft
+    monkeypatch.setattr(charsum, "all_char_sums_fft",
+                        lambda mod, x: calls.append(x) or fft(mod, x))
+    mod = build_modulus(101)
+    params = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1], q=101)
+    moments.char_moment(mod, 6, 1.0)
+    moments.char_moment(mod, 6, 2.0)
+    moments.cross_moment(mod, 6, params)
+    assert verify.check_weighted_correspondence(mod, 6, params, Calibration()).passed
+    assert calls == [6]
+
+
+@pytest.fixture(scope="module")
+def mod1000003():
+    return build_modulus(1_000_003)
+
+
+# float.hex of char_moment(...).value, recorded before the magnitude memo existed
+_MOMENT_PINS = [
+    (1_000_003, 505_912, 1, True, "0x1.e836c7b2f55f8p+17"),
+    (1_000_003, 505_912, 1, False, "0x1.ee0e000000000p+18"),
+    (1_000_003, 505_912, 2, True, "0x1.4632e78764d70p+37"),
+    (1_000_003, 505_912, 2, False, "0x1.d177f8491b83dp+55"),
+    (101, 30, 0, True, "0x1.fae147ae147aep-1"),
+    (101, 30, 0, False, "0x1.0000000000000p+0"),
+    (101, 30, 0.5, True, "0x1.0678f168b9895p+2"),
+    (101, 30, 0.5, False, "0x1.19ac249becbc9p+2"),
+    (101, 30, 3, True, "0x1.b66bfffffffffp+15"),
+    (101, 30, 3, False, "0x1.c05f180000001p+22"),
+]
+
+
+@pytest.mark.parametrize("q, x, k, exclude, pin", _MOMENT_PINS)
+def test_char_moment_pinned_bits(request, mod101, q, x, k, exclude, pin):
+    mod = mod101 if q == 101 else request.getfixturevalue("mod1000003")
+    assert moments.char_moment(mod, x, k, exclude_principal=exclude).value.hex() == pin
+
+
+_PRIMES_TO_2000 = [int(p) for p in primes_up_to(2000)]
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(q=st.sampled_from(_PRIMES_TO_2000), frac=st.floats(0.0, 1.0))
+def test_fourth_moment_three_routes(q, frac):
+    # char_moment divides by q - 1, so its all-character k = 2 value is the count itself
+    x = 1.0 + frac * (min(q - 1, 40) - 1)
+    tol = Calibration().orthogonality_tol
+    lhs = moments.char_moment(build_modulus(q), x, 2.0, exclude_principal=False).value
+    count = moments.congruence_energy(q, x)
+    assert abs(lhs - count) <= tol * count
+    if q > x * x:
+        assert count == rmf.exact_moment_2k(x, 2)
+        assert abs(lhs - count) <= tol * count
