@@ -96,9 +96,12 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
         raise DomainError(f"k must be >= 0, got {k}")
     if not math.isfinite(x):
         raise OutOfRange(f"x must be finite, got {x}")
+    if x < 0:
+        raise OutOfRange(f"x = {x} must be >= 0")
     xf = int(math.floor(x))
     if batch is None:
-        # keep the trials x (x+1) complex128 value matrix around 64 MB, never above the cap
+        # size rows by the trials x (x+1) complex128 bound that partial_sums_batch
+        # checks: about 64 MB, never above the cap
         batch = max(16, min(trials, (4 << 20) // max(1, xf)))
         batch = max(1, min(batch, DEFAULT_MEMORY_CAP // (16 * (xf + 1))))
     ps = primes.primes_up_to(xf)

@@ -8,6 +8,15 @@ order and extending the prime limit never reshuffles earlier primes.
 E f(n) conj(f(m)) = [n == m], which makes the exact 2k-th moment of the
 partial sum a pure counting problem: the number of 2k-tuples with
 n_1...n_k = n_{k+1}...n_{2k}.
+
+Two routes give sum_{n<=x} f(n).  The scalar one, values_upto and the Kahan
+partial_sum, sieves f(n) for every n <= x and is the oracle.  The batched
+one, partial_sums_batch, never forms f(n): it runs the floor-quotient
+(Lucy_Hedgehog / min_25) recursion over the about 2 sqrt(x) values
+floor(x/i), vectorised along the trial axis.  It takes one numpy step per
+prime power p^e with p^(e+1) <= x (108 at x = 10^5, for the 65 primes up to
+sqrt(x), where the sieve makes 9,700 passes) and trials x (pi(x) + 2 sqrt(x))
+complex values of memory instead of trials x (x + 1).
 """
 from __future__ import annotations
 
@@ -118,11 +127,14 @@ def values_upto(s: RmfSample, x: float) -> np.ndarray:
 
     Built by a multiplicative sieve: each prime power p^e multiplies its
     residue class by one extra factor of f(p), so v[n] ends up as
-    prod f(p)^{v_p(n)}.
+    prod f(p)^{v_p(n)}.  Refuses an array above DEFAULT_MEMORY_CAP.
     """
     xf = int(math.floor(x))
     if xf > s.limit:
         raise OutOfRange(f"x = {x} exceeds sample limit {s.limit}")
+    nbytes = (xf + 1) * np.dtype(np.complex128).itemsize
+    if nbytes > DEFAULT_MEMORY_CAP:
+        raise TooLarge(f"value array needs {nbytes} bytes, cap is {DEFAULT_MEMORY_CAP}")
     v = np.ones(xf + 1, dtype=np.complex128)
     v[0] = 0.0
     for p, fp in zip(s.primes, s.fp):
@@ -232,24 +244,48 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float,
     """Partial sums sum_{n<=x} f_t(n) for a batch of trial seeds at once.
 
     Equivalent to sample(seed_t, x) + partial_sum per trial: both draw f(p)
-    from unit_values, so batching is a pure layout optimization.  Refuses a
-    trials x (x+1) value matrix above DEFAULT_MEMORY_CAP.
+    from unit_values, and the scalar sieve stays the oracle for this route.
+    Only the floor quotients V = {floor(x/i)} are kept, about 2 sqrt(x) of
+    them.  T(v) starts as G(v) = sum_{p<=v} f(p), one cumsum over the primes.
+    Then, for each prime p <= sqrt(x) in descending order, every v >= p^2
+    gains the n <= v whose least prime factor is p:
+
+        T(v) += sum_{e >= 1, p^(e+1) <= v} f(p)^e (T(v // p^e) - G(p)) + f(p)^(e+1)
+
+    with every increment of p read from T as it was before p.  Then
+    sum_{n<=x} f(n) = 1 + T(x).  That is one numpy step per prime power
+    p^e with p^(e+1) <= x, each over at most 2 sqrt(x) columns, and
+    trials x (pi(x) + 2 sqrt(x)) complex values of memory.  Refuses when the
+    trials x (x+1) complex bound on that memory is above DEFAULT_MEMORY_CAP.
     """
     xf = int(math.floor(x))
+    if xf < 0:
+        raise OutOfRange(f"x = {x} must be >= 0")
     nbytes = len(trial_seeds) * (xf + 1) * np.dtype(np.complex128).itemsize
     if nbytes > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"value matrix needs {nbytes} bytes, cap is {DEFAULT_MEMORY_CAP}")
+        raise TooLarge(f"trials x (x+1) complex bound is {nbytes} bytes, "
+                       f"cap is {DEFAULT_MEMORY_CAP}")
+    if xf == 0:
+        return np.zeros(len(trial_seeds), dtype=np.complex128)
     if ps is None:
         ps = primes.primes_up_to(xf)
     fp = unit_values(trial_seeds, ps)
-    v = np.ones((fp.shape[0], xf + 1), dtype=np.complex128)
-    v[:, 0] = 0.0
-    for j, p in enumerate(ps):
-        p = int(p)
-        if p > xf:
-            break
-        power = p
-        while power <= xf:
-            v[:, power::power] *= fp[:, j : j + 1]
-            power *= p
-    return v[:, 1:].sum(axis=1)
+    g = np.zeros((fp.shape[0], ps.size + 1), dtype=np.complex128)
+    np.cumsum(fp, axis=1, out=g[:, 1:])  # g[:, j] = G(ps[j - 1]), g[:, 0] = 0
+    r = math.isqrt(xf)
+    vs = np.concatenate([np.arange(1, r + 1), xf // np.arange(xf // (r + 1), 0, -1)])
+    t = np.take(g, np.searchsorted(ps, vs, side="right"), axis=1)
+    for j in range(int(np.searchsorted(ps, r, side="right")) - 1, -1, -1):
+        p = int(ps[j])
+        f, gp = fp[:, j : j + 1], g[:, j + 1 : j + 2]
+        start = int(np.searchsorted(vs, p * p))
+        inc = np.zeros((t.shape[0], vs.size - start), dtype=np.complex128)
+        pe, fe = p, f
+        while pe * p <= xf:
+            lo = int(np.searchsorted(vs, pe * p))
+            below = np.searchsorted(vs, vs[lo:] // pe)
+            f_next = fe * f
+            inc[:, lo - start :] += fe * (np.take(t, below, axis=1) - gp) + f_next
+            pe, fe = pe * p, f_next
+        t[:, start:] += inc
+    return 1.0 + t[:, -1]

@@ -85,6 +85,7 @@ def test_not_prime_exit_2(capsys):
     ("rmf-mc", "--x", "inf"),
     ("proxy", "--profile", "paper", "--x", "1e300", "--c0", "5"),
     ("proxy", "--profile", "desk", "--x", "6", "--log-x", "4000", "--y", "20"),
+    ("rmf-mc", "--x", "-3", "--k", "2", "--trials", "10"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -93,6 +94,9 @@ def test_invalid_input_exit_2(capsys, argv):
     if "paper" in argv and "--x" in argv:
         # --x reaches build_params, which names the real reason
         assert "exactly one" not in err
+    if "-3" in argv:
+        # refused by the package, not by numpy's array constructor
+        assert "x = -3" in err
 
 
 def test_unexpected_exception_exit_4(monkeypatch, capsys):

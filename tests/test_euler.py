@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charmoments import euler, primes
 from charmoments.errors import Divergent, HypothesisViolated
@@ -78,6 +80,15 @@ def test_mc_determinism():
     assert a == b
     c = euler.mc_product_estimate(spec, 500, seed=3, batch=77)
     assert a == c  # batch size cannot matter
+
+
+@settings(derandomize=True, max_examples=30, database=None, deadline=None)
+@given(batch=st.integers(1, 520))
+def test_mc_batch_invariant(batch):
+    # any split of the trials into batches gives the same bits as the default split
+    spec = make_spec()
+    assert euler.mc_product_estimate(spec, 500, seed=8, batch=batch) == \
+        euler.mc_product_estimate(spec, 500, seed=8)
 
 
 def test_mc_pinned_bits():

@@ -95,6 +95,19 @@ def test_rmf_mc_determinism():
     assert (a.value, a.stderr) == (c.value, c.stderr)
 
 
+_MC_TRIALS = {30.0: 500, 150.5: 300, 1e5: 40}
+
+
+@pytest.mark.parametrize("x", sorted(_MC_TRIALS))
+@settings(derandomize=True, max_examples=15, database=None, deadline=None)
+@given(data=st.data())
+def test_rmf_mc_batch_invariant(x, data):
+    # any split of the trials into batches gives the same bits as the default split
+    batch = data.draw(st.integers(1, _MC_TRIALS[x] + 5), label="batch")
+    est = moments.rmf_moment_mc(x, 2.0, trials=_MC_TRIALS[x], seed=6, batch=batch)
+    assert est == moments.rmf_moment_mc(x, 2.0, trials=_MC_TRIALS[x], seed=6)
+
+
 def test_rmf_mc_pinned_bits():
     # exact output: a change to the trial seeds, the generator or the
     # averaging order shows here even when batch invariance still holds

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charmoments import rmf
+from charmoments import moments, rmf
 from charmoments.errors import DomainError, OutOfRange, TooLarge
 
 
@@ -190,3 +192,56 @@ def test_batch_refuses_matrix_over_cap():
     seeds = rmf.derive_trial_seeds(0, 200)
     with pytest.raises(TooLarge):
         rmf.partial_sums_batch(seeds, 1e7, ps=np.array([2]))
+
+
+def test_values_upto_refuses_array_over_cap(monkeypatch):
+    s = rmf.sample(1, 1000)
+    monkeypatch.setattr(rmf, "DEFAULT_MEMORY_CAP", 1000 * 16)
+    assert rmf.values_upto(s, 999).size == 1000  # exactly at the cap
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("the value array was allocated before the cap check")
+
+    monkeypatch.setattr(rmf.np, "ones", no_array)
+    with pytest.raises(TooLarge):
+        rmf.values_upto(s, 1000)
+
+
+def test_negative_x_refused_before_allocating(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done before the x check")
+
+    seeds = rmf.derive_trial_seeds(0, 4)
+    monkeypatch.setattr(rmf, "unit_values", no_work)
+    monkeypatch.setattr(rmf.primes, "primes_up_to", no_work)
+    for x in (-3.0, -0.5):
+        with pytest.raises(OutOfRange, match="x = "):
+            rmf.partial_sums_batch(seeds, x)
+        with pytest.raises(OutOfRange, match="x = "):
+            moments.rmf_moment_mc(x, 2.0, trials=10, seed=1)
+
+
+def _oracle_gap(x, seed):
+    # floor-quotient recursion against the multiplicative sieve plus Kahan sum
+    got = rmf.partial_sums_batch(np.array([seed], dtype=np.uint64), x)[0]
+    return abs(got - rmf.partial_sum(rmf.sample(seed, max(2.0, x)), x))
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(x=st.floats(0.0, 3000.0), seed=st.integers(0, 2**64 - 1))
+def test_batch_matches_sieve_oracle(x, seed):
+    assert _oracle_gap(x, seed) <= 1e-10
+
+
+# x below 2 (the sum is floor(x)), prime powers, prime squares and their neighbours
+@pytest.mark.parametrize("x", [0, 0.5, 1, 1.5, 2, 3, 4, 8, 9, 24, 25, 26, 121, 961])
+def test_batch_matches_sieve_oracle_at_prime_powers(x):
+    for seed in range(4):
+        assert _oracle_gap(float(x), seed) <= 1e-10
+
+
+def test_batch_matches_sieve_oracle_large_x():
+    seed = int(rmf.derive_trial_seeds(4, 1)[0])
+    got = rmf.partial_sums_batch(np.array([seed], dtype=np.uint64), 1e5)[0]
+    want = rmf.partial_sum(rmf.sample(seed, 10**5), 1e5)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
