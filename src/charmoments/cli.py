@@ -97,7 +97,8 @@ def _cmd_char_moment(args, cal) -> tuple[dict, int]:
 def _cmd_rmf_mc(args, cal) -> tuple[dict, int]:
     rows = []
     for x in args.x:
-        est = moments.rmf_moment_mc(x, args.k, trials=args.trials, seed=args.seed)
+        est = moments.rmf_moment_mc(x, args.k, trials=args.trials, seed=args.seed,
+                                    threads=args.threads)
         row = {"x": x, "k": args.k, "trials": est.trials,
                "estimate": est.value, "stderr": est.stderr}
         if args.exact:
@@ -201,8 +202,9 @@ def _cmd_shape(args, cal) -> tuple[dict, int]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1, help="deterministic base seed")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for symmetry; results never depend on it")
+    p.add_argument("--threads", type=int, default=None,
+                   help="caps the worker threads of Monte Carlo runs "
+                        "(default: every usable CPU); never changes results")
     p.add_argument("--calibration", default=None,
                    help="path to a JSON calibration override")
 

@@ -131,11 +131,13 @@ def pair_product_quad(spec: EulerProductSpec) -> float:
 
 
 def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
-                        batch: int = 2048) -> tuple[float, float]:
+                        batch: int = 2048, threads: int | None = None) -> tuple[float, float]:
     """Monte Carlo (mean, stderr) of the Euler product over [z, y].
 
-    Trials use independent child seeds derived from seed; results do not
-    depend on the batch size.
+    batch is the number of trial rows in flight at once, in chunks spread over
+    up to threads worker threads (default: every usable CPU; see rmf.mc_plan).
+    Trials use independent child seeds derived from seed; results depend on
+    neither batch nor threads.
     """
     spec.validate()
     ps = primes.primes_up_to(spec.y)
@@ -150,7 +152,7 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
         m2 = np.abs(1.0 - f * w2) ** 2
         return np.exp(-(spec.alpha * np.log(m1).sum(axis=1) + spec.beta * np.log(m2).sum(axis=1)))
 
-    return rmf.mc_estimate(seed, trials, batch, products)
+    return rmf.mc_estimate(seed, trials, batch, products, threads)
 
 
 # ---------------------------------------------------------------------------

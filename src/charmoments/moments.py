@@ -86,11 +86,15 @@ def congruence_energy(q: int, x: float) -> int:
 
 
 def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
-                  batch: int | None = None) -> MomentEstimate:
+                  batch: int | None = None, threads: int | None = None) -> MomentEstimate:
     """Monte Carlo estimate of E |sum_{n <= x} f(n)|^{2k}.
 
+    batch is the number of trial rows in flight at once, in chunks spread over
+    up to threads worker threads (default: every usable CPU; see rmf.mc_plan).
     Per-trial child seeds derive from (seed, trial index); identical inputs
-    give bit-identical output regardless of batch size.
+    give bit-identical output for any batch and any threads.  Refuses before
+    any work when the rows in flight need more than DEFAULT_MEMORY_CAP by
+    rmf.batch_nbytes; the default batch stays under it.
     """
     if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
@@ -100,14 +104,18 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
         raise OutOfRange(f"x = {x} must be >= 0")
     xf = int(math.floor(x))
     if batch is None:
-        # size rows by the trials x (x+1) complex128 bound that partial_sums_batch
-        # checks: about 64 MB, never above the cap
+        # about (4 << 20) / x rows, at least 16, never more than the cap admits
         batch = max(16, min(trials, (4 << 20) // max(1, xf)))
-        batch = max(1, min(batch, DEFAULT_MEMORY_CAP // (16 * (xf + 1))))
+        batch = max(1, min(batch, DEFAULT_MEMORY_CAP // max(1, rmf.batch_nbytes(1, xf))))
+    rows, workers = rmf.mc_plan(trials, batch, threads)
+    nbytes = rmf.batch_nbytes(rows * workers, xf)
+    if nbytes > DEFAULT_MEMORY_CAP:
+        raise TooLarge(f"{rows * workers} trial rows in flight at x = {xf} need about "
+                       f"{nbytes} bytes, cap is {DEFAULT_MEMORY_CAP}")
     ps = primes.primes_up_to(xf)
     mean, stderr = rmf.mc_estimate(
         seed, trials, batch,
-        lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x, ps), k))
+        lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x, ps), k), threads)
     return MomentEstimate(value=mean, stderr=stderr, trials=trials, kind="mc-rmf")
 
 

@@ -21,6 +21,8 @@ complex values of memory instead of trials x (x + 1).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,19 +72,59 @@ def derive_trial_seeds(seed: int, trials: int) -> np.ndarray:
     return _mix_array(key ^ np.arange(trials, dtype=np.uint64))
 
 
-def mc_estimate(seed: int, trials: int, batch: int, per_batch) -> tuple[float, float]:
-    """(mean, stderr) over trials of per_batch(trial seeds), one value per trial.
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Trial t always gets the same child seed of seed, so the result does not
-    depend on the batch size.
+
+def mc_plan(trials: int, batch: int, threads: int | None = None) -> tuple[int, int]:
+    """(rows per chunk, workers) for mc_estimate.
+
+    At most min(batch, trials) trial rows are in flight: each of the workers
+    holds one chunk of min(batch, trials) // workers rows.  workers is the
+    least of threads (None: no limit), the usable CPUs and min(batch, trials).
     """
     if trials < 2:
         raise DomainError("need at least 2 trials for a standard error")
+    if batch < 1:
+        raise DomainError(f"batch must be >= 1, got {batch}")
+    if threads is not None and threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    cpus = usable_cpus()
+    alive = min(batch, trials)
+    workers = min(alive, cpus if threads is None else min(threads, cpus))
+    return alive // workers, workers
+
+
+def mc_estimate(seed: int, trials: int, batch: int, per_batch,
+                threads: int | None = None) -> tuple[float, float]:
+    """(mean, stderr) over trials of per_batch(trial seeds), one value per trial.
+
+    batch is the number of trial rows in flight at once.  Chunks of them run
+    on up to threads worker threads (default: every usable CPU; see mc_plan),
+    which pays because numpy releases the interpreter lock.  Trial t always
+    gets the same child seed of seed and each chunk fills only its own slice
+    of the samples, so the result depends on neither batch nor threads,
+    provided per_batch computes each row on its own.
+    """
+    rows, workers = mc_plan(trials, batch, threads)
     seeds = derive_trial_seeds(seed, trials)
     samples = np.empty(trials, dtype=np.float64)
-    for i in range(0, trials, batch):
-        chunk = seeds[i : i + batch]
+
+    def run(i: int) -> None:
+        chunk = seeds[i : i + rows]
         samples[i : i + chunk.size] = per_batch(chunk)
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for _ in pool.map(run, range(0, trials, rows)):
+            pass
+    finally:
+        # after a failed chunk, drop the chunks not yet started
+        pool.shutdown(cancel_futures=True)
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(trials))
 
 
@@ -239,6 +281,21 @@ def exact_moment_2k(x: float, k: int) -> int:
 # ---------------------------------------------------------------------------
 # batched Monte Carlo internals
 
+def batch_nbytes(rows: int, x: float) -> int:
+    """Bytes partial_sums_batch may hold for rows trial rows at x.
+
+    48 B per row per value, over the pi(x) prime values and the at most
+    2 sqrt(x) floor quotients (tracemalloc measured 38-42 B at x = 10^5,
+    10^6 and 10^7).  pi(x) is taken as its bound 1.25506 x / log x (Rosser
+    and Schoenfeld), so the charge needs no sieve and no prime list.
+    """
+    xf = int(math.floor(x))
+    if xf < 2:
+        return 0
+    pi_bound = int(1.25506 * xf / math.log(xf)) + 1
+    return 48 * int(rows) * (pi_bound + 2 * math.isqrt(xf))
+
+
 def partial_sums_batch(trial_seeds: np.ndarray, x: float,
                        ps: np.ndarray | None = None) -> np.ndarray:
     """Partial sums sum_{n<=x} f_t(n) for a batch of trial seeds at once.
@@ -255,16 +312,17 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float,
     with every increment of p read from T as it was before p.  Then
     sum_{n<=x} f(n) = 1 + T(x).  That is one numpy step per prime power
     p^e with p^(e+1) <= x, each over at most 2 sqrt(x) columns, and
-    trials x (pi(x) + 2 sqrt(x)) complex values of memory.  Refuses when the
-    trials x (x+1) complex bound on that memory is above DEFAULT_MEMORY_CAP.
+    trials x (pi(x) + 2 sqrt(x)) complex values of memory.  Refuses, before
+    drawing any value, when batch_nbytes of these rows is above
+    DEFAULT_MEMORY_CAP.
     """
     xf = int(math.floor(x))
     if xf < 0:
         raise OutOfRange(f"x = {x} must be >= 0")
-    nbytes = len(trial_seeds) * (xf + 1) * np.dtype(np.complex128).itemsize
+    nbytes = batch_nbytes(len(trial_seeds), xf)
     if nbytes > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"trials x (x+1) complex bound is {nbytes} bytes, "
-                       f"cap is {DEFAULT_MEMORY_CAP}")
+        raise TooLarge(f"{len(trial_seeds)} trial rows at x = {xf} need about {nbytes} "
+                       f"bytes, cap is {DEFAULT_MEMORY_CAP}")
     if xf == 0:
         return np.zeros(len(trial_seeds), dtype=np.complex128)
     if ps is None:

@@ -86,6 +86,8 @@ def test_not_prime_exit_2(capsys):
     ("proxy", "--profile", "paper", "--x", "1e300", "--c0", "5"),
     ("proxy", "--profile", "desk", "--x", "6", "--log-x", "4000", "--y", "20"),
     ("rmf-mc", "--x", "-3", "--k", "2", "--trials", "10"),
+    ("rmf-mc", "--x", "10", "--threads", "0"),
+    ("rmf-mc", "--x", "10", "--threads", "-2"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmoments import euler, primes
+from charmoments import euler, primes, rmf
 from charmoments.errors import Divergent, HypothesisViolated
 
 
@@ -89,6 +89,14 @@ def test_mc_batch_invariant(batch):
     spec = make_spec()
     assert euler.mc_product_estimate(spec, 500, seed=8, batch=batch) == \
         euler.mc_product_estimate(spec, 500, seed=8)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_mc_thread_invariant(monkeypatch, threads):
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 3)
+    spec = make_spec()
+    assert euler.mc_product_estimate(spec, 500, seed=8, batch=90, threads=threads) == \
+        euler.mc_product_estimate(spec, 500, seed=8, batch=90, threads=1)
 
 
 def test_mc_pinned_bits():

@@ -2,7 +2,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charmoments import rmf
 from charmoments.fpoly import FPoly
 
 
@@ -67,3 +70,14 @@ def test_max_index():
 def test_power_zero_is_one():
     p = FPoly.var(2, 3.0)
     assert p.power(0).expectation() == pytest.approx(1.0)
+
+
+@settings(derandomize=True, max_examples=12, database=None, deadline=None)
+@given(kx=st.one_of(st.tuples(st.just(2), st.integers(1, 40)),
+                    st.tuples(st.just(3), st.integers(1, 12))))
+def test_moment_expectation_matches_tuple_count(kx):
+    # E (S conj S)^k with S = sum_{n <= x} f(n) is the 2k-tuple count that
+    # exact_moment_2k takes from product histograms: two independent routes
+    k, x = kx
+    s = FPoly({(n, 1): 1.0 + 0j for n in range(1, x + 1)})
+    assert s.abs2().power(k).expectation() == rmf.exact_moment_2k(x, k)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -202,11 +203,14 @@ def test_congruence_energy_refuses_huge_table():
         moments.congruence_energy(1_000_003, 1e5)
 
 
-@pytest.mark.parametrize("x, trials, rows", [
+@pytest.mark.parametrize("x, trials, batch", [
     (1e5, 150, 41), (1e3, 3000, 3000), (100.0, 20_000, 20_000),  # benchmark sizes
-    (1e7, 40, 13),  # the 16-row floor would need 2.4 GiB here
+    (1e7, 40, 16),  # the 16-row floor, about 430 MiB here
 ])
-def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, rows):
+def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, batch):
+    # batch counts the rows in flight; each of the workers holds
+    # batch // workers of them
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
     seen = []
 
     def fake_batch(chunk, x, ps):
@@ -214,9 +218,27 @@ def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, rows):
         return np.zeros(len(chunk), dtype=np.complex128)
 
     monkeypatch.setattr(rmf, "partial_sums_batch", fake_batch)
-    moments.rmf_moment_mc(x, 2.0, trials=trials, seed=1)
-    assert seen[0] == rows and sum(seen) == trials
-    assert max(seen) * (int(x) + 1) * 16 <= DEFAULT_MEMORY_CAP
+    for threads in (1, 2):
+        seen.clear()
+        moments.rmf_moment_mc(x, 2.0, trials=trials, seed=1, threads=threads)
+        assert seen[0] == batch // threads and sum(seen) == trials
+        assert rmf.batch_nbytes(max(seen) * threads, x) <= DEFAULT_MEMORY_CAP
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_rmf_mc_thread_invariant(monkeypatch, threads):
+    # more workers than this machine may have CPUs, switching often: a lost or
+    # misplaced chunk write would change the bits
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 3)
+    want = moments.rmf_moment_mc(150.5, 2.0, trials=300, seed=6, batch=40, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = moments.rmf_moment_mc(150.5, 2.0, trials=300, seed=6, batch=40,
+                                    threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_magnitude_readers_share_one_transform(monkeypatch):

@@ -1,5 +1,7 @@
 """Random multiplicative sampler: determinism, multiplicativity, exact moments."""
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from charmoments import moments, rmf
 from charmoments.errors import DomainError, OutOfRange, TooLarge
+from charmoments.modarith import DEFAULT_MEMORY_CAP
 
 
 def test_unit_modulus():
@@ -171,6 +174,62 @@ def test_mc_estimate_needs_two_trials():
         rmf.mc_estimate(1, 1, 16, lambda chunk: np.ones(chunk.size))
 
 
+@pytest.mark.parametrize("batch, threads", [(0, None), (-5, None), (16, 0), (16, -2)])
+def test_mc_estimate_refuses_bad_batch_or_threads(monkeypatch, batch, threads):
+    # checked before any work: a non-positive batch once averaged an
+    # uninitialised array into value=2.6e+303, stderr=inf
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done before the batch and threads checks")
+
+    monkeypatch.setattr(rmf, "derive_trial_seeds", no_work)
+    with pytest.raises(DomainError):
+        rmf.mc_estimate(1, 50, batch, no_work, threads)
+    with pytest.raises(DomainError):
+        moments.rmf_moment_mc(100.0, 2.0, trials=50, seed=1, batch=batch, threads=threads)
+
+
+@pytest.mark.parametrize("trials, batch, threads", [
+    (100, 10, 3), (100, 7, 2), (100, 1, 3), (100, 50, None), (37, 100, 3), (2, 2, 3),
+    (100, 10, 8),  # never more workers than usable CPUs
+])
+def test_mc_estimate_rows_in_flight(monkeypatch, trials, batch, threads):
+    # three workers, more than some machines have CPUs; each chunk must write
+    # its own slice, and the rows alive at once stay within the batch
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 3)
+    lock = threading.Lock()
+    alive = [0, 0]  # now, peak
+
+    def per_batch(chunk):
+        with lock:
+            alive[0] += chunk.size
+            alive[1] = max(alive[1], alive[0])
+        time.sleep(0.001)  # let the chunks overlap
+        with lock:
+            alive[0] -= chunk.size
+        return (chunk % np.uint64(1000)).astype(np.float64)
+
+    got = rmf.mc_estimate(5, trials, batch, per_batch, threads)
+    want = (rmf.derive_trial_seeds(5, trials) % np.uint64(1000)).astype(np.float64)
+    assert got == (float(want.mean()), float(want.std(ddof=1) / math.sqrt(trials)))
+    rows, workers = rmf.mc_plan(trials, batch, threads)
+    assert workers == min(3 if threads is None else min(threads, 3), batch, trials)
+    assert alive[1] <= workers * math.ceil(batch / workers)
+    assert alive[1] <= rows * workers <= batch
+
+
+def test_mc_estimate_chunk_error_propagates(monkeypatch):
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
+    bad = rmf.derive_trial_seeds(1, 100)[50]
+
+    def per_batch(chunk):
+        if bad in chunk:
+            raise ValueError("chunk failed")
+        return np.ones(chunk.size)
+
+    with pytest.raises(ValueError, match="chunk failed"):
+        rmf.mc_estimate(1, 100, 4, per_batch, threads=2)
+
+
 def test_batch_matches_scalar_path():
     seeds = rmf.derive_trial_seeds(3, 8)
     ps = rmf.sample(0, 50).primes
@@ -192,6 +251,38 @@ def test_batch_refuses_matrix_over_cap():
     seeds = rmf.derive_trial_seeds(0, 200)
     with pytest.raises(TooLarge):
         rmf.partial_sums_batch(seeds, 1e7, ps=np.array([2]))
+
+
+def test_batch_memory_charge_admits_16_rows_at_1e7():
+    # 16 rows at x = 10^7 hold about 430 MiB; the old trials x (x+1) complex
+    # charge called that 2.56 GB and refused it
+    assert rmf.batch_nbytes(16, 1e7) <= DEFAULT_MEMORY_CAP
+    assert rmf.batch_nbytes(16, 1e7) < 16 * (10**7 + 1) * 16 / 4
+
+
+def test_batch_refuses_over_lowered_cap_before_drawing(monkeypatch):
+    seeds = rmf.derive_trial_seeds(0, 4)
+    monkeypatch.setattr(rmf, "DEFAULT_MEMORY_CAP", rmf.batch_nbytes(3, 1e4))
+    assert rmf.partial_sums_batch(seeds[:3], 1e4).shape == (3,)  # exactly at the cap
+
+    def no_values(*args, **kwargs):
+        raise AssertionError("unit values were drawn before the cap check")
+
+    monkeypatch.setattr(rmf, "unit_values", no_values)
+    with pytest.raises(TooLarge):
+        rmf.partial_sums_batch(seeds, 1e4)
+
+
+def test_rmf_mc_charges_every_row_in_flight(monkeypatch):
+    # the cap is checked against all workers' rows together, before any work
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(moments, "DEFAULT_MEMORY_CAP", rmf.batch_nbytes(10, 1e4))
+    for batch, threads in ((11, 1), (12, 2)):  # 11 and 2 x 6 rows in flight
+        with pytest.raises(TooLarge):
+            moments.rmf_moment_mc(1e4, 2.0, trials=40, seed=1, batch=batch, threads=threads)
+    # two workers of 5 rows: 10 rows in flight, which fits
+    est = moments.rmf_moment_mc(1e4, 2.0, trials=40, seed=1, batch=11, threads=2)
+    assert est == moments.rmf_moment_mc(1e4, 2.0, trials=40, seed=1, batch=10, threads=1)
 
 
 def test_values_upto_refuses_array_over_cap(monkeypatch):
