@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import OutOfRange
 from .modarith import PrimeModulus
@@ -50,6 +49,8 @@ def _check_x(mod: PrimeModulus, x: float) -> int:
 
 def all_char_sums_fft(mod: PrimeModulus, x: float) -> PrefixSumTable:
     """Prefix sums for all characters via one real group DFT.  O(q log q)."""
+    import scipy.fft
+
     xf = _check_x(mod, x)
     b = np.zeros(mod.q - 1)
     b[mod.dlog[1 : xf + 1]] = 1.0

@@ -281,6 +281,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     started = time.monotonic()
     try:
+        # checked for every subcommand before any work, not only where MC runs
+        if args.threads is not None and args.threads < 1:
+            raise OutOfRange(f"--threads must be >= 1, got {args.threads}")
         cal = calibration.load(args.calibration)
         payload, code = args.fn(args, cal)
         doc = _document(args, payload["config"], payload["results"], started)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import primes, rmf
 from .errors import Divergent, HypothesisViolated, QuadratureFailure
@@ -91,6 +90,8 @@ def pair_factor_expectation(p: float, alpha: float, sigma1: float,
     with r_j = p^{-1/2-sigma_j} and Delta = dt*log(p).  Raises Divergent when a
     radius reaches 1.
     """
+    from scipy import integrate
+
     r1 = p ** (-0.5 - sigma1)
     r2 = p ** (-0.5 - sigma2)
     if (alpha > 0 and r1 >= 1.0) or (beta > 0 and r2 >= 1.0):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from . import primes
 from .charsum import weighted_char_sums
@@ -210,6 +209,8 @@ def _mellin_numeric(ms: np.ndarray, cs: np.ndarray, s: float,
     Split at v = 1; the upper range maps through v -> 1/u so both pieces live
     on [0, 1].
     """
+    from scipy import integrate
+
     m2 = ms.astype(np.float64) ** 2
 
     def h_of_v(v: float) -> complex:
@@ -248,6 +249,8 @@ def mellin_transform_check(y_smooth: float, s: float, sample: RmfSample,
     The numeric side enumerates smooth terms up to smooth_cap; y_smooth = 1
     reduces to the single term m = 1.
     """
+    from scipy import special
+
     if s <= 0:
         raise DomainError("need Re(s) > 0")
     ms, cs = _smooth_values(sample, y_smooth, smooth_cap)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from . import euler, moments, primes, proxy, rmf, theta
 from .calibration import Calibration
@@ -204,6 +203,8 @@ def check_parseval(coeffs: dict[int, complex], sigma: float, cal: Calibration,
     per distinct lambda = |log(n/m)|, each done by a quadrature rule built for
     that weight, so no oscillatory integrand is integrated directly.
     """
+    from scipy import integrate
+
     if sigma <= 0:
         raise DomainError("need sigma > 0")
     if tol is None:

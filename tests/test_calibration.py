@@ -42,3 +42,32 @@ def test_json_round_trip(tmp_path):
     p = tmp_path / "rt.json"
     p.write_text(cal.to_json())
     assert calibration.load(str(p)) == cal
+
+
+@pytest.mark.parametrize("content", [
+    "5",
+    "[1.0]",
+    '{"orthogonality_tol": "abc"}',
+    '{"orthogonality_tol": null}',
+    '{"orthogonality_tol": -1}',
+    '{"orthogonality_tol": true}',
+    '{"orthogonality_tol": NaN}',
+    '{"orthogonality_tol": Infinity}',
+    '{"orthogonality_tol": 1e400}',
+    '{"orthogonality_tol": 1' + "0" * 400 + '}',
+    '{"sieve_ratio_lo": 2.0, "sieve_ratio_hi": 1.0}',
+    '{"sieve_ratio_lo": 20.0}',
+])
+def test_malformed_values_rejected(tmp_path, content):
+    p = tmp_path / "bad.json"
+    p.write_text(content)
+    with pytest.raises(ValueError):
+        calibration.load(str(p))
+
+
+def test_zero_and_integer_values_accepted(tmp_path):
+    p = tmp_path / "ok.json"
+    p.write_text('{"orthogonality_tol": 0, "sieve_ratio_lo": 3, "sieve_ratio_hi": 3.0}')
+    cal = calibration.load(str(p))
+    assert cal.orthogonality_tol == 0
+    assert cal.sieve_ratio_lo == cal.sieve_ratio_hi == 3.0

@@ -88,6 +88,8 @@ def test_not_prime_exit_2(capsys):
     ("rmf-mc", "--x", "-3", "--k", "2", "--trials", "10"),
     ("rmf-mc", "--x", "10", "--threads", "0"),
     ("rmf-mc", "--x", "10", "--threads", "-2"),
+    ("char-moment", "--q", "101", "--x", "30", "--threads", "0"),
+    ("theta", "--q", "101", "--moment", "1", "--threads", "0"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -117,6 +119,21 @@ def test_missing_calibration_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     code, out, err = run(capsys, "char-moment", "--q", "101", "--x", "30",
                          "--calibration", missing)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("content", [
+    "5",
+    '{"orthogonality_tol": "abc"}',
+    '{"orthogonality_tol": null}',
+    '{"orthogonality_tol": -1}',
+])
+def test_malformed_calibration_exit_2(tmp_path, capsys, content):
+    p = tmp_path / "bad.json"
+    p.write_text(content)
+    code, out, err = run(capsys, "verify", "--suite", "identities", "--q", "101",
+                         "--calibration", str(p))
     assert code == 2
     assert out == "" and err.startswith("error: ")
 
