@@ -7,7 +7,7 @@ Submodules:
     euler       expected Euler products and prime cosine sums
     proxy       truncated-exponential proxy weights and their surrogates
     moments     moment estimators (character side and random side)
-    theta       Gauss theta values at characters, smoothed tails
+    theta       Gauss theta values at characters, their moments, Mellin identity
     verify      dual-route identity and inequality checks
     calibration calibrated slack constants, overridable from the environment
 

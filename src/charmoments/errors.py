@@ -38,10 +38,6 @@ class LengthViolation(CharmomentsError):
     """A polynomial is too long for the orthogonality range it is used in."""
 
 
-class ClassMismatch(CharmomentsError):
-    """A value does not lie in the dyadic class it was labelled with."""
-
-
 class DomainError(CharmomentsError):
     """An input violates a documented precondition."""
 

@@ -70,11 +70,6 @@ def expected_product_exponent(spec: EulerProductSpec) -> float:
                               spec.t2 - spec.t1, spec.z, spec.y)
 
 
-def expected_product(spec: EulerProductSpec) -> float:
-    """exp of the main-term exponent."""
-    return math.exp(expected_product_exponent(spec))
-
-
 def error_bracket(spec: EulerProductSpec) -> float:
     """Size of the suppressed error term: max(alpha, alpha^3, beta, beta^3)/sqrt(z)."""
     a, b = spec.alpha, spec.beta
@@ -109,16 +104,11 @@ def pair_factor_expectation(p: float, alpha: float, sigma1: float,
     return val / (2.0 * math.pi)
 
 
-def geometric_single_factor(p: float, sigma: float) -> float:
-    """Closed form at alpha = 1: E |1 - f(p) p^{-1/2-sigma}|^{-2} = 1/(1 - p^{-1-2 sigma})."""
-    return 1.0 / (1.0 - p ** (-1.0 - 2.0 * sigma))
-
-
 def pair_product_quad(spec: EulerProductSpec) -> float:
     """Two-factor expected product over [z, y], one angle quadrature per prime.
 
-    Independent of the closed-form exponent; used to bound the suppressed
-    error term empirically.
+    Independent of the closed-form exponent; verify's euler-product-quadrature
+    check holds the two within the suppressed error term.
     """
     spec.validate()
     dt = spec.t2 - spec.t1
@@ -157,7 +147,7 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# prime cosine sums and the Mertens product
+# prime cosine sums
 
 @dataclass(frozen=True)
 class CosineSumResult:
@@ -191,8 +181,3 @@ def cosine_sum(t: float, y: float) -> CosineSumResult:
         branch, bound = "large", math.log(math.log(at))
     return CosineSumResult(t=float(t), y=float(y), value=value, branch=branch, bound=bound)
 
-
-def mertens_product(y: float) -> float:
-    """prod_{p <= y} (1 - 1/p)."""
-    ps = primes.primes_up_to(y).astype(np.float64)
-    return float(np.prod(1.0 - 1.0 / ps)) if ps.size else 1.0

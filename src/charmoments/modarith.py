@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import primes
-from .errors import NotPrime, OutOfRange, TooLarge
+from .errors import NotPrime, TooLarge
 
 # A modulus holds 28 bytes per residue: the int64 discrete-log table (8 B),
 # the lazily built complex128 root-of-unity table (16 B) and the memoised
@@ -25,11 +25,6 @@ DEFAULT_MEMORY_CAP = 2 << 30
 _BYTES_PER_RESIDUE = 28
 
 Q_CAP = 1 << 31
-
-
-def parity(a: int) -> str:
-    """Parity of chi_a: chi_a(-1) = (-1)^a, so even iff a is even."""
-    return "even" if int(a) % 2 == 0 else "odd"
 
 
 @dataclass(eq=False)
@@ -112,10 +107,3 @@ def build_modulus(q: int) -> PrimeModulus:
             cur = cur * g_step % q
     return PrimeModulus(q=q, g=g, dlog=dlog)
 
-
-def char_value(mod: PrimeModulus, a: int, n: int) -> complex:
-    """chi_a(n) for a single integer n (0 when q | n)."""
-    a_int = int(a)
-    if not (0 <= a_int <= mod.q - 2):
-        raise OutOfRange(f"character index {a_int} not in [0, {mod.q - 2}]")
-    return complex(mod.char_values(a_int, int(n)))

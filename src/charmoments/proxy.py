@@ -14,8 +14,8 @@ a squared truncated exponential ("level factor")
     R_{m,l}(s) = ( sum_{j <= J_m} (k-1)^j/j! * (Re D_{m,l})^j )^2,
 
 and the full proxy weight R(s) = sum_l prod_m R_{m,l}(s) over integer shifts
-|l| <= floor(log(y)/2).  Piecewise dominating surrogates and dyadic classes on
-|Re D| support the moment comparison machinery downstream.
+|l| <= floor(log(y)/2).  Piecewise dominating surrogates, branching on the
+dyadic bin of |Re D|, support the moment comparison machinery downstream.
 
 Two profiles are supported.  The "paper" profile resolves the full parameter
 recursion (window count from a geometric bracket on log log y, J-chain
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import ClassMismatch, InfeasibleParams, OutOfRange
+from .errors import InfeasibleParams, OutOfRange
 from .fpoly import FPoly
 from .modarith import PrimeModulus
 from .rmf import RmfSample
@@ -265,19 +265,6 @@ def _window_polys_all_chars(mod: PrimeModulus, params: ProxyParams, m: int,
                               np.concatenate([first, second], axis=1))
 
 
-def level_poly(params: ProxyParams, source, m: int, shift: int) -> complex:
-    """D_{m,l}(source) over window m (1-based) at integer shift l."""
-    if not 1 <= m <= params.m_count:
-        raise OutOfRange(f"window index {m} outside 1..{params.m_count}")
-    return complex(_window_polys(params, source, m, [shift])[0])
-
-
-def level_poly_all_chars(mod: PrimeModulus, params: ProxyParams, m: int,
-                         shift: int) -> np.ndarray:
-    """D_{m,l}(chi_a) for all characters a at once, via one weighted DFT."""
-    return _window_polys_all_chars(mod, params, m, [shift])[0]
-
-
 def poly_table(params: ProxyParams, source) -> np.ndarray:
     """D_{m,l}(source) for every shift l (rows, as shift_values) and window m (columns)."""
     shifts = params.shift_values()
@@ -351,42 +338,13 @@ def truncation_error_series(d: float, k: float, depth: int, extra: int = 60) -> 
 
 
 # ---------------------------------------------------------------------------
-# dyadic classes and dominating surrogates
-
-@dataclass(frozen=True)
-class DyadicClass:
-    """Per-window dyadic bin of |Re D|, its left endpoint W_m, and penalty exponent a_m.
-
-    Bin 0 is the closed interval [0, J_m/(100k)]; bin n >= 1 is the half-open
-    interval (J_m 2^{n-1}/(100k), J_m 2^n/(100k)].
-    """
-
-    shift: int
-    bins: tuple[int, ...]
-    floors: tuple[float, ...]
-    penalty_exps: tuple[int, ...]
-
+# dyadic bins and dominating surrogates
 
 def _bin_of(r, t0: float):
     """Dyadic bin of r = |Re D| >= 0, elementwise: 0 on [0, t0], n on (t0 2^{n-1}, t0 2^n]."""
     # r/t0 = m 2^e with m in [1/2, 1), so ceil(log2(r/t0)) = e, or e - 1 when m = 1/2
     m, e = np.frexp(np.asarray(r, dtype=np.float64) / t0)
     return np.maximum(e - (m == 0.5), 0)[()]
-
-
-def classify(params: ProxyParams, source, shift: int) -> DyadicClass:
-    """Dyadic class of |Re D_{m,l}| for every window at one shift."""
-    bins, floors, pens = [], [], []
-    for m in range(1, params.m_count + 1):
-        j = params.levels[m - 1].j
-        t0 = j / (100.0 * params.k)
-        r = abs(level_poly(params, source, m, shift).real)
-        n = int(_bin_of(r, t0))
-        bins.append(n)
-        floors.append(0.0 if n == 0 else t0 * 2.0 ** (n - 1))
-        pens.append(params.penalty_exp(m))
-    return DyadicClass(shift=int(shift), bins=tuple(bins), floors=tuple(floors),
-                       penalty_exps=tuple(pens))
 
 
 def surrogate_log_at(d, k: float, j: int, a: int):
@@ -407,26 +365,6 @@ def surrogate_log_at(d, k: float, j: int, a: int):
                                 + j * np.log(2.0 * w) - math.lgamma(j + 1.0))
     return np.where(n == 0, bin0,
                     np.where(w <= 100.0 * k * j, 4.0 * w, lead) + penalty)[()]
-
-
-def surrogate_factor_log(params: ProxyParams, source, m: int, shift: int,
-                         cls: DyadicClass | None = None) -> float:
-    """log U_{m,l}: the piecewise dominating surrogate for R_{m,l}^{1/(k-1)}."""
-    j = params.levels[m - 1].j
-    k = params.k
-    t0 = j / (100.0 * k)
-    dval = level_poly(params, source, m, shift)
-    n = _bin_of(abs(dval.real), t0)
-    if cls is not None:
-        labelled = cls.bins[m - 1]
-        if labelled != n:
-            lo = 0.0 if labelled == 0 else t0 * 2.0 ** (labelled - 1)
-            hi = t0 * 2.0 ** labelled if labelled else t0
-            raise ClassMismatch(
-                f"|Re D| = {abs(dval.real):.6g} lies in bin {n}, not the "
-                f"labelled bin {labelled} = ({lo:.6g}, {hi:.6g}]"
-            )
-    return surrogate_log_at(dval, k, j, params.penalty_exp(m))
 
 
 def subadditivity_split(params: ProxyParams, source) -> tuple[float, float]:

@@ -203,45 +203,6 @@ def partial_sum(s: RmfSample, x: float) -> complex:
     return complex(total)
 
 
-def restricted_sum(s: RmfSample, x: float, kind: str, y: float) -> complex:
-    """Partial sum over n <= x restricted to smooth (P+(n) <= y) or rough (P-(n) > y) n.
-
-    n = 1 belongs to both classes.
-    """
-    xf = int(math.floor(x))
-    v = values_upto(s, x)
-    if kind == "smooth":
-        mask = primes.greatest_factor_sieve(xf) <= y
-    elif kind == "rough":
-        mask = primes.smallest_factor_sieve(xf) > y
-    else:
-        raise DomainError(f"kind must be 'smooth' or 'rough', got {kind!r}")
-    mask[0] = False
-    return complex(np.sum(v[mask]))
-
-
-@dataclass(frozen=True)
-class SmoothRoughSplit:
-    """Unique factorization n = smooth_part * rough_part about a cut y."""
-
-    n: int
-    y: float
-    smooth_part: int
-    rough_part: int
-
-
-def smooth_rough_decompose(n: int, y: float) -> SmoothRoughSplit:
-    """Split n into its y-smooth part and the complementary rough part."""
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    a = 1
-    for p, e in primes.factorize(n):
-        if p <= y:
-            a *= p**e
-    return SmoothRoughSplit(n=n, y=float(y), smooth_part=a, rough_part=n // a)
-
-
 def _product_histogram(values: np.ndarray, counts: np.ndarray, ns: np.ndarray,
                        chunk: int = 1 << 22) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of pairwise products value*n weighted by counts, chunked."""

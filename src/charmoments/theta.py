@@ -16,10 +16,10 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import DomainError, QuadratureFailure, TooLarge
+from .errors import DomainError, OutOfRange, QuadratureFailure
 from .modarith import PrimeModulus
 from .moments import MomentEstimate, _abs_power_2k
-from .rmf import RmfSample, values_upto
+from .rmf import RmfSample
 
 
 @dataclass(frozen=True)
@@ -140,55 +140,14 @@ def even_theta_second_moment_oracle(mod: PrimeModulus) -> float:
 
 
 # ---------------------------------------------------------------------------
-# smooth-weighted tail sums and their Lipschitz behaviour
-
-_WEIGHT_LOG_CUT = 50.0  # e^-50 ~ 2e-22: weights below this are dropped
-
-
-def _tail_sum(sample: RmfSample, q: int, t: float, kappa: int,
-              y_smooth: float | None) -> complex:
-    m_max = int(math.ceil(math.sqrt(q * _WEIGHT_LOG_CUT / math.pi) / t))
-    v = values_upto(sample, m_max)  # raises OutOfRange beyond the sample limit
-    ms = np.arange(m_max + 1, dtype=np.float64)
-    w = np.exp(-math.pi * (ms * t) ** 2 / q)
-    if kappa == 1:
-        w = t * ms * w
-    keep = np.ones(m_max + 1, dtype=bool)
-    if y_smooth is not None:
-        keep = primes.greatest_factor_sieve(m_max) <= y_smooth
-    keep[0] = False
-    return complex(np.sum(v[keep] * w[keep]))
-
-
-def lipschitz_probe(sample: RmfSample, q: int, t: float, alpha: float,
-                    kappa: int, y_smooth: float | None = None) -> tuple[float, float]:
-    """(|g(t + alpha) - g(t)|, expected scale) for the Gaussian tail sum g.
-
-    g(t) = sum over (smooth) m of exp(-pi (m t)^2 / q) f(m) when kappa = 0,
-    with an extra factor t m inside the sum when kappa = 1.  The comparison
-    scale is alpha sqrt(q)/t^2 (kappa = 0) or alpha q/t^2 (kappa = 1).
-    """
-    if t <= 0 or alpha <= 0:
-        raise DomainError("need t > 0 and alpha > 0")
-    if kappa not in (0, 1):
-        raise DomainError("kappa must be 0 or 1")
-    lhs = abs(_tail_sum(sample, q, t + alpha, kappa, y_smooth)
-              - _tail_sum(sample, q, t, kappa, y_smooth))
-    scale = alpha * math.sqrt(q) / t**2 if kappa == 0 else alpha * q / t**2
-    return lhs, scale
-
-
-# ---------------------------------------------------------------------------
 # Mellin-transform identity for the smooth Gaussian sum
 
 _SMOOTH_COUNT_CAP = 500_000
 
 
 def _smooth_values(sample: RmfSample, y: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """y-smooth integers up to cap with their f-values."""
-    ms = primes.smooth_numbers(cap, y)
-    if ms.size > _SMOOTH_COUNT_CAP:
-        raise TooLarge(f"{ms.size} smooth terms exceed the enumeration cap")
+    """y-smooth integers up to cap with their f-values; TooLarge past _SMOOTH_COUNT_CAP terms."""
+    ms = primes.smooth_numbers(cap, y, _SMOOTH_COUNT_CAP)
     base = {int(p): complex(v) for p, v in zip(sample.primes, sample.fp) if p <= y}
     vals = np.empty(ms.size, dtype=np.complex128)
     for i, m in enumerate(ms):
@@ -247,12 +206,15 @@ def mellin_transform_check(y_smooth: float, s: float, sample: RmfSample,
 
     Closed form: Gamma(s/2)/(2 pi^{s/2}) * prod_{p <= y} (1 - f(p) p^{-s})^{-1}.
     The numeric side enumerates smooth terms up to smooth_cap; y_smooth = 1
-    reduces to the single term m = 1.
+    reduces to the single term m = 1.  OutOfRange when y_smooth exceeds the
+    sample limit, since f is drawn only at the primes up to it.
     """
     from scipy import special
 
     if s <= 0:
         raise DomainError("need Re(s) > 0")
+    if y_smooth > sample.limit:
+        raise OutOfRange(f"y = {y_smooth} exceeds sample limit {sample.limit}")
     ms, cs = _smooth_values(sample, y_smooth, smooth_cap)
     numeric = _mellin_numeric(ms, cs, s)
     closed = special.gamma(s / 2.0) / (2.0 * math.pi ** (s / 2.0))

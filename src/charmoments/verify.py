@@ -189,6 +189,17 @@ def check_cosine_branch(t: float, y: float, cal: Calibration) -> CheckReport:
                             "bound": res.bound, "slack": cal.cosine_slack})
 
 
+def check_euler_product_quadrature(spec: euler.EulerProductSpec) -> CheckReport:
+    """log of the per-prime quadrature product against the closed-form exponent.
+
+    The closed form drops an O(.) term, so the two agree within error_bracket(spec).
+    """
+    lhs = math.log(euler.pair_product_quad(spec))
+    rhs = euler.expected_product_exponent(spec)
+    return _report("euler-product-quadrature", lhs, rhs, "eq", euler.error_bracket(spec),
+                   scale=1.0, context={"z": spec.z, "y": spec.y})
+
+
 # ---------------------------------------------------------------------------
 # Parseval identity
 
@@ -453,7 +464,10 @@ def suite_counting(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
 
 
 def suite_euler(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
+    spec = euler.EulerProductSpec(alpha=0.8, beta=0.6, sigma1=0.02, sigma2=0.0,
+                                  t1=0.0, t2=2.5, z=250.0, y=750.0)
     return [
+        check_euler_product_quadrature(spec),
         check_cosine_branch(0.0, 1e5, cal),
         check_cosine_branch(0.5, 1e5, cal),
         check_cosine_branch(5.0, 1e6, cal),

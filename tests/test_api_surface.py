@@ -1,33 +1,127 @@
-"""Every public function and method of the package has a caller, and every
-import in the package is used.
+"""Every public name of the package has a caller outside the unit tests, and
+every import in the package is used.
 
-A public name defined in src/charmoments/*.py must be referenced somewhere in
-src/, tests/ or perfbench/ other than by its own def.  References are read
-from the syntax tree (names, attributes, imports), so a mention in a comment
-or docstring does not count.  Likewise a name a module imports must appear
-as a name in that module's own syntax tree; the re-exports marked noqa in
-__init__.py are exempt.
+A public module-level function or class of src/charmoments/*.py must be
+reachable from a use outside the unit tests: a module-level statement of the
+package (``SUITES``, a constant, the CLI guard), perfbench/, or
+tests/test_acceptance.py, through the bodies of the functions and classes
+those reach.  A name that only its own def, or only other unreachable
+defs, refers to does not count.  The test oracles in ORACLES are the only
+exceptions.  References are resolved by module: ``mod.f`` with ``mod`` bound
+to a package module, ``from .mod import f`` or ``from charmoments.mod import
+f``, or a bare ``f`` inside mod itself.  They are read from the syntax tree,
+so a mention in a comment or docstring does not count.
+
+A public method must be referenced by name somewhere in src/, tests/ or
+perfbench/.  A name a module imports must appear as a name in that module's
+own syntax tree; the re-exports marked noqa in __init__.py are exempt.
 """
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "charmoments"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+
+# Public names only unit tests call, each kept as the reference side of a test.
+ORACLES = {
+    ("rmf", "value_at"): "the scalar factorisation route for single values f(n)",
+    ("proxy", "OnesSource"): "the constant source, whose window polynomials have closed forms",
+}
 
 
-def _public_defs():
+def _resolver(tree, module):
+    """ref(node) -> (module, name) for a node naming a package-level def, else None."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "charmoments" and alias.asname and parts[-1] in MODULES:
+                    modules[alias.asname] = parts[-1]
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                source = "charmoments." + source if source else "charmoments"
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source == "charmoments" and alias.name in MODULES:
+                    modules[local] = alias.name
+                elif source.startswith("charmoments.") and source[12:] in MODULES:
+                    names[local] = (source[12:], alias.name)
+    own = {node.name for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))} if module else set()
+
+    def ref(node):
+        if isinstance(node, ast.Name):
+            if node.id in names:
+                return names[node.id]
+            if node.id in own:
+                return module, node.id
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                return modules[base.id], node.attr
+            if isinstance(base, ast.Attribute) and base.attr in MODULES:
+                return base.attr, node.attr
+        return None
+
+    return ref
+
+
+def _refs(tree, ref):
+    return {r for node in ast.walk(tree) if (r := ref(node)) is not None}
+
+
+def _reachable(oracles):
+    """(public defs, defs reachable from uses and oracles) as (module, name) pairs."""
+    edges, roots = {}, set(oracles)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = path.stem if path.stem in MODULES else None
+        ref = _resolver(tree, module)
+        for stmt in tree.body:
+            if module and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                edges[(module, stmt.name)] = _refs(stmt, ref)
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                roots |= _refs(stmt, ref)
+    outside = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    for path in outside:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        roots |= _refs(tree, _resolver(tree, None))
+    live, todo = set(), [r for r in roots if r in edges]
+    while todo:
+        node = todo.pop()
+        if node not in live:
+            live.add(node)
+            todo.extend(r for r in edges[node] if r in edges)
+    public = {key for key in edges if not key[1].startswith("_")}
+    return public, live
+
+
+def test_every_public_function_is_referenced():
+    public, live = _reachable(ORACLES)
+    unused = sorted(f"{m}.{n}" for m, n in public - live)
+    assert not unused, "public names only unit tests reach: " + ", ".join(unused)
+
+
+def test_oracles_have_no_other_caller():
+    # an oracle that gains a caller outside the unit tests leaves the list
+    public, live = _reachable(())
+    assert set(ORACLES) <= public - live
+
+
+def _method_defs():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            members = [node]
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                members = node.body
-            for fn in members:
-                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
-                    yield f"{path.name}:{fn.lineno}", fn.name
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        yield f"{path.name}:{fn.lineno}", fn.name
 
 
-def _references():
+def _names():
     names = set()
     for top in ("src", "tests", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
@@ -41,10 +135,10 @@ def _references():
     return names
 
 
-def test_every_public_function_is_referenced():
-    used = _references()
-    unused = [f"{where} {name}" for where, name in _public_defs() if name not in used]
-    assert not unused, "public functions nothing references: " + ", ".join(unused)
+def test_every_public_method_is_referenced():
+    used = _names()
+    unused = [f"{where} {name}" for where, name in _method_defs() if name not in used]
+    assert not unused, "public methods nothing references: " + ", ".join(unused)
 
 
 def _unused_imports(path):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,7 +56,7 @@ def test_single_factor_quadrature_vs_geometric():
     # alpha = 1 has the exact closed form 1/(1 - p^{-1-2 sigma})
     for p, sigma in ((2.0, 0.3), (5.0, 0.1), (101.0, 0.0)):
         quad = euler.pair_factor_expectation(p, 1.0, sigma)
-        assert quad == pytest.approx(euler.geometric_single_factor(p, sigma), rel=1e-9)
+        assert quad == pytest.approx(1.0 / (1.0 - p ** (-1.0 - 2.0 * sigma)), rel=1e-9)
 
 
 def test_pair_factor_divergence_guard():
@@ -67,10 +66,10 @@ def test_pair_factor_divergence_guard():
 
 def test_closed_form_vs_quadrature_product():
     spec = make_spec(alpha=0.8, beta=0.6, sigma1=0.02, sigma2=0.0, t2=2.5)
-    closed = euler.expected_product(spec)
+    closed = euler.expected_product_exponent(spec)
     quad = euler.pair_product_quad(spec)
     # suppressed O-term allows relative deviation up to the bracket size
-    assert abs(math.log(closed) - math.log(quad)) < euler.error_bracket(spec)
+    assert abs(closed - math.log(quad)) < euler.error_bracket(spec)
 
 
 def test_mc_determinism():
@@ -113,9 +112,9 @@ def test_mc_pinned_bits():
 def test_mc_hits_closed_form():
     spec = make_spec(alpha=1.0, beta=0.5, t2=0.5)
     mean, stderr = euler.mc_product_estimate(spec, 8000, seed=1)
-    closed = euler.expected_product(spec)
+    closed = euler.expected_product_exponent(spec)
     tol = max(3.0 * stderr / mean, 10.0 * euler.error_bracket(spec))
-    assert abs(math.log(mean) - math.log(closed)) < tol
+    assert abs(math.log(mean) - closed) < tol
 
 
 def test_cosine_sum_branches():
@@ -132,16 +131,3 @@ def test_cosine_sum_small_t_near_log_log():
     # Mertens: sum 1/p = log log y + M + o(1), M ~ 0.2615
     assert abs(r.value - (math.log(math.log(1e6)) + 0.2615)) < 0.01
 
-
-def test_mertens_product_exact_small():
-    # p in {2,3,5,7}: (1/2)(2/3)(4/5)(6/7) = 8/35
-    assert euler.mertens_product(10.0) == pytest.approx(8.0 / 35.0, rel=1e-14)
-    assert euler.mertens_product(1.5) == 1.0
-
-
-def test_mertens_asymptotic():
-    # prod (1-1/p) ~ e^-gamma / log y within a couple percent at y = 10^6
-    y = 1e6
-    got = euler.mertens_product(y)
-    want = math.exp(-0.5772156649015329) / math.log(y)
-    assert abs(got / want - 1.0) < 0.02

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from charmoments import modarith
-from charmoments.errors import NotPrime, OutOfRange, TooLarge
-from charmoments.modarith import build_modulus, char_value, parity
+from charmoments.errors import NotPrime, TooLarge
+from charmoments.modarith import build_modulus
 
 
 @pytest.fixture(scope="module")
@@ -27,43 +27,41 @@ def test_dlog_inverts_powers(mod7):
 def test_legendre_mod7(mod7):
     # a = 3 gives the order-2 character; residues {1,2,4} map to +1
     want = {1: 1, 2: 1, 3: -1, 4: 1, 5: -1, 6: -1}
-    for n, v in want.items():
-        assert char_value(mod7, 3, n).real == pytest.approx(v, abs=1e-12)
-        assert char_value(mod7, 3, n).imag == pytest.approx(0, abs=1e-12)
+    got = mod7.char_values(3, list(want))
+    assert got.real == pytest.approx(list(want.values()), abs=1e-12)
+    assert got.imag == pytest.approx([0] * 6, abs=1e-12)
 
 
 def test_char_multiplicativity(mod7):
+    ns = np.arange(1, 7)
     for a in range(6):
-        for n in range(1, 7):
-            for m in range(1, 7):
-                lhs = char_value(mod7, a, (n * m) % 7)
-                rhs = char_value(mod7, a, n) * char_value(mod7, a, m)
-                assert lhs == pytest.approx(rhs, abs=1e-12)
+        chi = mod7.char_values(a, ns)
+        lhs = mod7.char_values(a, np.multiply.outer(ns, ns) % 7)
+        assert lhs == pytest.approx(np.multiply.outer(chi, chi), abs=1e-12)
 
 
 def test_char_zero_on_multiples(mod7):
-    assert char_value(mod7, 2, 7) == 0
-    assert char_value(mod7, 2, 14) == 0
+    assert list(mod7.char_values(2, [7, 14])) == [0, 0]
 
 
 def test_principal_character(mod7):
-    for n in range(1, 7):
-        assert char_value(mod7, 0, n) == pytest.approx(1.0)
+    assert mod7.char_values(0, np.arange(1, 7)) == pytest.approx(np.ones(6))
 
 
 def test_parity():
-    assert parity(0) == "even"
-    assert parity(2) == "even"
-    assert parity(1) == "odd"
-    # conjugate pair has matching parity: a and q-1-a differ by an even number
-    assert parity(4) == parity(2)
+    # chi_a(-1) = (-1)^a: chi_a is even iff a is even, the split theta uses
+    for q in (7, 13):
+        mod = build_modulus(q)
+        for a in range(q - 1):
+            assert mod.char_values(a, [q - 1])[0] == pytest.approx((-1) ** a, abs=1e-12)
 
 
 def test_char_values_vectorized(mod7):
     ns = np.arange(0, 15)
     got = mod7.char_values(1, ns)
     for i, n in enumerate(ns):
-        want = 0j if n % 7 == 0 else char_value(mod7, 1, int(n) % 7)
+        # chi_1(n) = exp(2 pi i dlog(n) / (q - 1)) by definition
+        want = 0j if n % 7 == 0 else np.exp(2j * np.pi * mod7.dlog[n % 7] / 6)
         assert got[i] == pytest.approx(want, abs=1e-12)
 
 
@@ -82,13 +80,6 @@ def test_build_modulus_rejects():
         build_modulus(1)
     with pytest.raises(TooLarge):
         build_modulus(2**31 + 11)
-
-
-def test_char_value_bad_index(mod7):
-    with pytest.raises(OutOfRange):
-        char_value(mod7, 6, 1)  # indices live in 0..q-2
-    with pytest.raises(OutOfRange):
-        char_value(mod7, -1, 1)
 
 
 def test_larger_modulus_consistency():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from charmoments import primes
+from charmoments.errors import TooLarge
 
 
 def test_is_prime_small():
@@ -44,16 +45,23 @@ def test_smallest_factor_sieve():
     assert s[1] > 10**18  # unit has no prime factor; sentinel means "infinite"
 
 
-def test_greatest_factor_sieve():
-    g = primes.greatest_factor_sieve(30)
-    assert g[1] == 1
-    assert g[12] == 3 and g[30] == 5 and g[29] == 29
-
-
 def test_smooth_numbers():
-    got = primes.smooth_numbers(50, 3)
+    got = primes.smooth_numbers(50, 3, 15)
     assert list(got) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48]
-    assert list(primes.smooth_numbers(10, 1)) == [1]
+    assert list(primes.smooth_numbers(10, 1, 1)) == [1]
+    with pytest.raises(TooLarge):
+        primes.smooth_numbers(50, 3, 14)  # one more than the cap
+
+
+def test_smooth_numbers_refuses_before_building(monkeypatch):
+    # 7-smooth integers up to 10^12 number 14,672; none of the arrays
+    # sorted on the way may pass the cap of 100
+    sizes = []
+    sort = np.sort
+    monkeypatch.setattr(primes.np, "sort", lambda a: sizes.append(a.size) or sort(a))
+    with pytest.raises(TooLarge):
+        primes.smooth_numbers(10**12, 7, 100)
+    assert sizes and max(sizes) <= 100
 
 
 def test_rough_count_window():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from charmoments import proxy, rmf
-from charmoments.errors import ClassMismatch, InfeasibleParams, OutOfRange
+from charmoments.errors import InfeasibleParams, OutOfRange
 from charmoments.modarith import build_modulus
 
 
@@ -58,27 +58,32 @@ def test_shift_range():
     assert list(d.shift_values()) == list(range(-lmax, lmax + 1))
 
 
+def _table_cell(params, source, m, shift):
+    """D_{m,l}(source) read off poly_table."""
+    row = list(params.shift_values()).index(shift)
+    return proxy.poly_table(params, source)[row, m - 1]
+
+
 def test_level_poly_ones_source():
     d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1])
-    v = proxy.level_poly(d, proxy.OnesSource(), 1, 0)
+    v = _table_cell(d, proxy.OnesSource(), 1, 0)
     assert v == pytest.approx(1 / math.sqrt(2) + 0.25, abs=1e-12)
 
 
 def test_level_poly_shift_phase():
-    d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1])
-    v = proxy.level_poly(d, proxy.OnesSource(), 1, 1)
-    ph = math.log(2.0) / math.log(2.0)  # log p / log y = 1 at p = y = 2
-    want = math.e ** 0j
-    want = (2 ** -0.5) * complex(math.cos(ph), -math.sin(ph)) \
-        + 0.25 * complex(math.cos(2 * ph), -math.sin(2 * ph))
+    # y = 8 admits shifts -1..1; at shift l the prime p turns by l log p / log y
+    d = proxy.desk_params(x=60.0, y=8.0, k=2.0, j_values=[1])
+    v = _table_cell(d, proxy.OnesSource(), 1, 1)
+    want = 0j
+    for p in (2, 3, 5, 7):
+        ph = math.log(p) / math.log(8.0)
+        want += p**-0.5 * complex(math.cos(ph), -math.sin(ph)) \
+            + 0.5 / p * complex(math.cos(2 * ph), -math.sin(2 * ph))
     assert v == pytest.approx(want, abs=1e-12)
 
 
 def test_level_poly_window_bounds():
-    d = proxy.desk_params(x=4.0, y=20.0, k=2.0, levels_m=1, j_values=[2])
-    with pytest.raises(OutOfRange):
-        proxy.level_poly(d, proxy.OnesSource(), 2, 0)
-    # a sample source answers only at primes it covers
+    # a sample source answers only at window primes it covers
     src = proxy.SampleSource(rmf.sample(7, 25))
     for bad in ([2, 4], [23, 29]):  # a composite; a prime above the limit
         with pytest.raises(OutOfRange):
@@ -88,11 +93,10 @@ def test_level_poly_window_bounds():
 def test_level_poly_all_chars_matches_scalar():
     mod = build_modulus(101)
     d = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[1])
-    for shift in (-1, 0, 1):
-        table = proxy.level_poly_all_chars(mod, d, 1, shift)
-        for a in (0, 1, 50, 99):
-            direct = proxy.level_poly(d, proxy.CharSource(mod, a), 1, shift)
-            assert table[a] == pytest.approx(direct, abs=1e-10)
+    table = proxy._window_polys_all_chars(mod, d, 1, d.shift_values())
+    for a in (0, 1, 50, 99):
+        direct = proxy.poly_table(d, proxy.CharSource(mod, a))[:, 0]
+        assert table[:, a] == pytest.approx(direct, abs=1e-10)
 
 
 def test_truncated_exp_values():
@@ -156,37 +160,20 @@ def test_dyadic_bins():
     assert proxy._bin_of(t0 * 1000, t0) == 10
 
 
-def test_classify_labels_every_window():
-    d = proxy.desk_params(x=4.0, y=40.0, k=2.0, levels_m=2, j_values=[2, 1])
-    src = proxy.SampleSource(rmf.sample(7, 45))
-    cls = proxy.classify(d, src, 0)
-    assert len(cls.bins) == 2
-    assert cls.penalty_exps == (d.penalty_exp(1), d.penalty_exp(2))
-    for m, n in enumerate(cls.bins, start=1):
-        r = abs(proxy.level_poly(d, src, m, 0).real)
-        t0 = d.levels[m - 1].j / (100.0 * d.k)
-        assert proxy._bin_of(r, t0) == n
-
-
 def test_poly_table_matches_level_poly():
-    # the table and the single-cell route share one evaluator: equal bits
+    # every cell against the definition of D_{m,l}, summed over the window's primes
     d = proxy.desk_params(x=4.0, y=40.0, k=2.0, levels_m=2, j_values=[2, 1])
-    src = proxy.SampleSource(rmf.sample(7, 45))
-    table = proxy.poly_table(d, src)
+    sample = rmf.sample(7, 45)
+    table = proxy.poly_table(d, proxy.SampleSource(sample))
     assert table.shape == (d.shift_values().size, 2)
     for i, l in enumerate(d.shift_values()):
-        for m in (1, 2):
-            assert table[i, m - 1] == proxy.level_poly(d, src, m, int(l))
-
-
-def test_class_mismatch_raises():
-    d = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[2])
-    src = proxy.SampleSource(rmf.sample(7, 25))
-    cls = proxy.classify(d, src, 0)
-    wrong = proxy.DyadicClass(shift=0, bins=(cls.bins[0] + 3,),
-                              floors=cls.floors, penalty_exps=cls.penalty_exps)
-    with pytest.raises(ClassMismatch):
-        proxy.surrogate_factor_log(d, src, 1, 0, wrong)
+        for m, lv in enumerate(d.levels):
+            want = 0j
+            for p, f in sample.values.items():
+                if lv.lo < p <= lv.hi:
+                    s = 0.5 + 1j * l / d.log_y
+                    want += f / p**s + f * f / (2 * p ** (2 * s))
+            assert table[i, m] == pytest.approx(want, abs=1e-12)
 
 
 def test_surrogate_dominates_on_grid():

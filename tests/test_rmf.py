@@ -126,37 +126,6 @@ def test_exact_moment_cap():
         rmf.exact_moment_2k(10**5, 2)
 
 
-def test_restricted_sum_membership():
-    s = rmf.sample(21, 200)
-    vals = rmf.values_upto(s, 150)
-    from charmoments import primes
-    gpf = primes.greatest_factor_sieve(150)
-    spf = primes.smallest_factor_sieve(150)
-    sm_direct = sum(vals[n] for n in range(1, 151) if gpf[n] <= 5)
-    rg_direct = sum(vals[n] for n in range(1, 151) if spf[n] > 5)
-    assert rmf.restricted_sum(s, 150.0, "smooth", 5.0) == pytest.approx(sm_direct, abs=1e-9)
-    assert rmf.restricted_sum(s, 150.0, "rough", 5.0) == pytest.approx(rg_direct, abs=1e-9)
-    # n = 1 belongs to both classes
-    assert rmf.restricted_sum(s, 1.0, "smooth", 5.0) == pytest.approx(1.0)
-    assert rmf.restricted_sum(s, 1.0, "rough", 5.0) == pytest.approx(1.0)
-
-
-def test_smooth_rough_decompose():
-    from charmoments import primes
-    for n in (1, 12, 14, 97, 360, 899):
-        split = rmf.smooth_rough_decompose(n, 7.0)
-        assert split.smooth_part * split.rough_part == n
-        if split.smooth_part > 1:
-            assert primes.greatest_factor_sieve(split.smooth_part)[split.smooth_part] <= 7
-        if split.rough_part > 1:
-            assert primes.smallest_factor_sieve(split.rough_part)[split.rough_part] > 7
-    # the f-value factors along the split
-    s = rmf.sample(33, 1000)
-    sp = rmf.smooth_rough_decompose(630, 7.0)
-    assert rmf.value_at(s, 630) == pytest.approx(
-        rmf.value_at(s, sp.smooth_part) * rmf.value_at(s, sp.rough_part), abs=1e-12)
-
-
 def test_trial_seed_derivation_disjoint():
     trials = rmf.derive_trial_seeds(7, 64)
     assert len(set(trials.tolist())) == 64

@@ -1,11 +1,10 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
 from charmoments import rmf, theta
-from charmoments.errors import DomainError
+from charmoments.errors import DomainError, OutOfRange, TooLarge
 from charmoments.modarith import build_modulus
 
 
@@ -107,24 +106,6 @@ def test_parity_validation(mod13):
         theta.theta_moment(mod13, 1.0, "both")
 
 
-def test_lipschitz_probe_scales():
-    s = rmf.sample(3, 3000)
-    lhs, scale = theta.lipschitz_probe(s, q=509.0, t=3.0, alpha=0.5, kappa=0)
-    assert scale == pytest.approx(0.5 * math.sqrt(509.0) / 9.0)
-    assert lhs >= 0.0
-    _, s1 = theta.lipschitz_probe(s, q=509.0, t=3.0, alpha=0.5, kappa=1)
-    assert s1 == pytest.approx(0.5 * 509.0 / 9.0)
-    with pytest.raises(DomainError):
-        theta.lipschitz_probe(s, q=509.0, t=-1.0, alpha=0.5, kappa=0)
-
-
-def test_lipschitz_probe_smooth_restriction():
-    s = rmf.sample(3, 3000)
-    full, _ = theta.lipschitz_probe(s, q=509.0, t=2.0, alpha=0.25, kappa=0)
-    sm, _ = theta.lipschitz_probe(s, q=509.0, t=2.0, alpha=0.25, kappa=0, y_smooth=5.0)
-    assert sm != pytest.approx(full)  # restriction genuinely removes terms
-
-
 def test_mellin_single_term():
     s = rmf.sample(1, 10)
     for sv in (0.5, 1.0, 2.0):
@@ -140,6 +121,18 @@ def test_mellin_smooth_product():
     s = rmf.sample(9, 10)
     numeric, closed = theta.mellin_transform_check(2.0, 1.5, s, smooth_cap=10**7)
     assert abs(numeric - closed) < 1e-6 * abs(closed)
+
+
+def test_mellin_refuses_y_beyond_sample():
+    # f is drawn only up to the sample limit: refuse, not KeyError or f(p) = 1
+    with pytest.raises(OutOfRange):
+        theta.mellin_transform_check(20.0, 1.0, rmf.sample(1, 10), smooth_cap=10**4)
+
+
+def test_mellin_smooth_count_cap(monkeypatch):
+    monkeypatch.setattr(theta, "_SMOOTH_COUNT_CAP", 20)
+    with pytest.raises(TooLarge):
+        theta.mellin_transform_check(7.0, 1.0, rmf.sample(1, 10))
 
 
 @pytest.mark.parametrize("q", [3, 13, 101])

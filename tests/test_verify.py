@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from charmoments import proxy, rmf, verify
+from charmoments import euler, proxy, verify
 from charmoments.calibration import Calibration
 from charmoments.errors import DomainError, LengthViolation
 from charmoments.modarith import build_modulus
@@ -133,6 +131,23 @@ def test_proxy_suite_pinned_bits(seed, pins):
     reports = verify.run_suite("proxy", 101, seed)
     for name, want in pins.items():
         assert [r.lhs.hex() for r in reports if r.name == name] == want
+
+
+def _quadrature_check(reports):
+    (r,) = [c for c in reports if c.name == "euler-product-quadrature"]
+    return r
+
+
+def test_euler_suite_runs_product_quadrature():
+    r = _quadrature_check(verify.run_suite("euler", 101, 0))
+    assert r.passed
+    assert 0.0 < abs(r.lhs - r.rhs) < r.tolerance
+
+
+def test_euler_product_quadrature_bites(monkeypatch):
+    exponent = euler.expected_product_exponent
+    monkeypatch.setattr(euler, "expected_product_exponent", lambda spec: exponent(spec) + 1.0)
+    assert not _quadrature_check(verify.run_suite("euler", 101, 0)).passed
 
 
 def test_holder_chain_equality_case(mod101):
