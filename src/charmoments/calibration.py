@@ -44,9 +44,6 @@ class Calibration:
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
 
 def load(path: str | None = None) -> Calibration:
     """Calibration from a JSON file, the environment override, or defaults.

@@ -69,13 +69,5 @@ class FPoly:
         return complex(math.fsum(c.real for (n, m), c in self.terms.items() if n == m)
                        + 1j * math.fsum(c.imag for (n, m), c in self.terms.items() if n == m))
 
-    def max_index(self) -> int:
-        """Largest f- or conj(f)-index carrying a nonzero coefficient."""
-        mx = 1
-        for (n, m), c in self.terms.items():
-            if c != 0:
-                mx = max(mx, n, m)
-        return mx
-
     def __len__(self) -> int:
         return len(self.terms)

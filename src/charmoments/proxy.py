@@ -82,9 +82,6 @@ class ProxyParams:
     def y(self) -> float:
         return math.exp(self.log_y)
 
-    def j_values(self) -> tuple[int, ...]:
-        return tuple(lv.j for lv in self.levels)
-
     def penalty_exp(self, m: int) -> int:
         """Even exponent a_m = 2*ceil(200*k*J_m) attached to window m (1-based)."""
         return 2 * math.ceil(200.0 * self.k * self.levels[m - 1].j)

@@ -148,16 +148,15 @@ _SMOOTH_COUNT_CAP = 500_000
 def _smooth_values(sample: RmfSample, y: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """y-smooth integers up to cap with their f-values; TooLarge past _SMOOTH_COUNT_CAP terms."""
     ms = primes.smooth_numbers(cap, y, _SMOOTH_COUNT_CAP)
-    base = {int(p): complex(v) for p, v in zip(sample.primes, sample.fp) if p <= y}
-    vals = np.empty(ms.size, dtype=np.complex128)
-    for i, m in enumerate(ms):
-        acc = 1 + 0j
-        mm = int(m)
-        for p, fv in base.items():
-            while mm % p == 0:
-                mm //= p
-                acc *= fv
-        vals[i] = acc
+    vals = np.ones(ms.size, dtype=np.complex128)
+    rest = ms.copy()
+    count = np.searchsorted(sample.primes, y, side="right")
+    for p, fv in zip(sample.primes[:count].tolist(), sample.fp[:count]):
+        hit = np.flatnonzero(rest % p == 0)
+        while hit.size:
+            vals[hit] *= fv
+            rest[hit] //= p
+            hit = hit[rest[hit] % p == 0]
     return ms, vals
 
 

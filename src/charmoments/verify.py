@@ -475,19 +475,12 @@ def suite_euler(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     ]
 
 
-def _desk_setup(q: int):
-    mod = build_modulus(q)
-    x = 6 if q >= 101 else 2
-    params = proxy.desk_params(x=x, y=2.0, k=2.0, j_values=[1], q=q)
-    return mod, x, params
-
-
 def suite_proxy(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     rng = np.random.default_rng(seed)
     instances = [(float(rng.uniform(0.5, 2.5) * rng.choice([-1.0, 1.0])),
                   float(rng.uniform(2.0, 4.0)), int(rng.integers(1, 5)))
                  for _ in range(40)]
-    mod, x, params = _desk_setup(q)
+    mod = build_modulus(q)
     wide = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[2])
     skew = proxy.desk_params(x=4.0, y=20.0, k=3.0, j_values=[2])
     sources = [proxy.SampleSource(rmf.sample(int(s), 25))
@@ -501,8 +494,6 @@ def suite_proxy(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
         check_surrogate_domination(wide, sources, cal),
         check_surrogate_domination(skew, sources, cal),
         check_subadditivity(sub_params, sources + char_sources, cal),
-        check_holder_chain(mod, x, params, cal),
-        check_weighted_correspondence(mod, x, params, cal),
     ]
 
 
@@ -519,8 +510,11 @@ def suite_theta(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
 
 
 def suite_holder(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
-    """The moment-comparison chain in isolation."""
-    mod, x, params = _desk_setup(q)
+    """The moment-comparison chain; the one suite that runs the Hoelder chain and
+    the weighted correspondence."""
+    mod = build_modulus(q)
+    x = 6 if q >= 101 else 2
+    params = proxy.desk_params(x=x, y=2.0, k=2.0, j_values=[1], q=q)
     rng = np.random.default_rng(seed)
     sources = [proxy.SampleSource(rmf.sample(int(s), 25))
                for s in rng.integers(0, 2**62, size=20)]

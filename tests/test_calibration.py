@@ -40,7 +40,7 @@ def test_unknown_key_rejected(tmp_path):
 def test_json_round_trip(tmp_path):
     cal = calibration.Calibration(lemma_ratio_max=6.0)
     p = tmp_path / "rt.json"
-    p.write_text(cal.to_json())
+    p.write_text(json.dumps(cal.as_dict()))
     assert calibration.load(str(p)) == cal
 
 

@@ -62,11 +62,6 @@ def test_scalar_multiplication():
     assert (p * p.conj()).expectation() == pytest.approx(16.0)
 
 
-def test_max_index():
-    p = FPoly.var(4, 1.0) * FPoly.var(9, 1.0)
-    assert p.max_index() == 36
-
-
 def test_power_zero_is_one():
     p = FPoly.var(2, 3.0)
     assert p.power(0).expectation() == pytest.approx(1.0)

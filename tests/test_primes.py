@@ -1,8 +1,36 @@
+import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from charmoments import primes
+from charmoments import primes, rmf
 from charmoments.errors import TooLarge
+from charmoments.modarith import DEFAULT_MEMORY_CAP
+
+_REF_LIMIT = 3 << 20
+
+
+def _reference_primes(n):
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+_REF = _reference_primes(_REF_LIMIT)
+
+
+def _empty_table():
+    ps = np.empty(0, dtype=np.int64)
+    ps.flags.writeable = False
+    return (1, ps)
 
 
 def test_is_prime_small():
@@ -78,3 +106,73 @@ def test_rough_count_window():
 def test_sieve_cap_enforced():
     with pytest.raises(Exception):
         primes.primes_up_to(primes.SIEVE_CAP * 10)
+
+
+@settings(derandomize=True, max_examples=25, database=None, deadline=None)
+@given(limits=st.lists(st.integers(-3, _REF_LIMIT), min_size=1, max_size=6))
+@example(limits=[2**20 - 1])
+@example(limits=[2**20])
+@example(limits=[2**20 + 1])
+@example(limits=[2**20 - 1, 2**20 + 1, 2**20, 0, 1, 2])
+@example(limits=[1791, _REF_LIMIT])  # 1791 + 2^20, a prime, ends the first full segment
+def test_table_matches_reference_sieve(limits):
+    # each example grows a table of its own from empty, in the order given
+    saved = primes._table[0]
+    primes._table[0] = _empty_table()
+    try:
+        for n in limits:
+            got = primes.primes_up_to(n)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, _REF[_REF <= n])
+            assert primes._table[0][0] >= n
+    finally:
+        primes._table[0] = saved
+
+
+def test_outputs_are_read_only():
+    for ps in (primes.primes_up_to(100), primes.primes_in(10, 100), rmf.sample(1, 100).primes):
+        with pytest.raises(ValueError):
+            ps[0] = 4
+
+
+def test_one_shared_table():
+    big = primes.primes_up_to(1000)
+    assert np.shares_memory(primes.primes_up_to(100), big)
+    assert np.shares_memory(primes.primes_in(50, 500), big)
+
+
+def test_refused_limit_leaves_table():
+    before = primes._table[0]
+    with pytest.raises(TooLarge):
+        primes.primes_up_to(primes.SIEVE_CAP + 1)
+    assert primes._table[0] is before
+
+
+def test_full_table_fits_memory_cap():
+    # the Rosser-Schoenfeld bound rmf.batch_nbytes also charges for pi(x)
+    pi_bound = 1.25506 * primes.SIEVE_CAP / math.log(primes.SIEVE_CAP)
+    assert 8 * pi_bound < DEFAULT_MEMORY_CAP
+
+
+def test_concurrent_growth_never_shrinks(monkeypatch):
+    # eight growers start together from an empty table; one that replaced the
+    # table after a larger one would leave the limit below the largest asked
+    monkeypatch.setattr(primes, "_table", [_empty_table()])
+    monkeypatch.setattr(primes, "_SEGMENT", 1 << 10)
+    limits = [200_000 - 1000 * k for k in range(8)]
+    start = threading.Barrier(len(limits))
+
+    def grow(n):
+        start.wait(timeout=60)
+        return primes.primes_up_to(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(limits)) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(grow, n) for n in limits]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert primes._table[0][0] == max(limits)
+    for n, got in zip(limits, results):
+        np.testing.assert_array_equal(got, _REF[_REF <= n])

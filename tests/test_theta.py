@@ -123,6 +123,14 @@ def test_mellin_smooth_product():
     assert abs(numeric - closed) < 1e-6 * abs(closed)
 
 
+def test_smooth_values_match_factorisation():
+    s = rmf.sample(3, 2000)
+    ms, vals = theta._smooth_values(s, 7, 2000)
+    assert ms.size == 187  # 7-smooth integers up to 2000
+    for m, v in zip(ms.tolist(), vals):
+        assert v == pytest.approx(rmf.value_at(s, m), abs=1e-13)
+
+
 def test_mellin_refuses_y_beyond_sample():
     # f is drawn only up to the sample limit: refuse, not KeyError or f(p) = 1
     with pytest.raises(OutOfRange):
