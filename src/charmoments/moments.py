@@ -104,9 +104,13 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
         raise OutOfRange(f"x = {x} must be >= 0")
     xf = int(math.floor(x))
     if batch is None:
-        # about (4 << 20) / x rows, at least 16, never more than the cap admits
-        batch = max(16, min(trials, (4 << 20) // max(1, xf)))
-        batch = max(1, min(batch, DEFAULT_MEMORY_CAP // max(1, rmf.batch_nbytes(1, xf))))
+        # rows whose held arrays (batch_nbytes) fit in 12 MiB and whose
+        # per-step temporaries, 2 sqrt(x) complex values a row, fit in 2 MiB
+        # (one core's L2 cache on a current Xeon); at least 16, never
+        # more than the cap admits
+        row_bytes = max(1, rmf.batch_nbytes(1, xf))
+        batch = min(trials, (12 << 20) // row_bytes, (2 << 20) // (32 * max(1, math.isqrt(xf))))
+        batch = max(1, min(max(16, batch), DEFAULT_MEMORY_CAP // row_bytes))
     rows, workers = rmf.mc_plan(trials, batch, threads)
     nbytes = rmf.batch_nbytes(rows * workers, xf)
     if nbytes > DEFAULT_MEMORY_CAP:

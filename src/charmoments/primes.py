@@ -56,12 +56,18 @@ def is_prime(n: int) -> bool:
 def _grown(n: int) -> np.ndarray:
     """The table's array, grown first to hold every prime p <= n.
 
+    Above _SEGMENT the table grows to the next multiple of _SEGMENT, at most
+    SIEVE_CAP; a smaller limit is sieved exactly, so a cold call at n = 100
+    sieves 100 numbers.
+
     Recurses on itself rather than on primes_up_to, so a traced run counts
     only the calls made from outside this module.
     """
     limit, ps = _table[0]
     if n <= limit:
         return ps
+    if n > _SEGMENT:  # whole segments, so nearby larger limits copy no table
+        n = min(SIEVE_CAP, -(-n // _SEGMENT) * _SEGMENT)
     r = math.isqrt(n)
     base = _grown(r)  # grows the table to at least sqrt(n) first
     base = base[: np.searchsorted(base, r, side="right")]

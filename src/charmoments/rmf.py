@@ -15,8 +15,9 @@ one, partial_sums_batch, never forms f(n): it runs the floor-quotient
 (Lucy_Hedgehog / min_25) recursion over the about 2 sqrt(x) values
 floor(x/i), vectorised along the trial axis.  It takes one numpy step per
 prime power p^e with p^(e+1) <= x (108 at x = 10^5, for the 65 primes up to
-sqrt(x), where the sieve makes 9,700 passes) and trials x (pi(x) + 2 sqrt(x))
-complex values of memory instead of trials x (x + 1).
+sqrt(x), where the sieve makes 9,700 passes).  Its peak is 24 bytes per trial
+and prime, while unit_values makes f(p), against 16 (x + 1) bytes per trial
+for the sieve's values.
 """
 from __future__ import annotations
 
@@ -44,26 +45,36 @@ EXACT_MOMENT_CAP = 10**8
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 step vectorized over a uint64 array."""
-    z = (z + np.uint64(_PHI)).astype(np.uint64)
+    """splitmix64 step on a uint64 array, in place; returns z."""
+    z += np.uint64(_PHI)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_C1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_C2)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def unit_values(seeds, ps: np.ndarray) -> np.ndarray:
     """f_t(p) = exp(2*pi*i*U) for each seed t and prime p, shape seeds.shape + ps.shape.
 
     U is the top 53 bits of a splitmix64 hash of (seed, p), so a value
-    depends on nothing but its seed and its prime.
+    depends on nothing but its seed and its prime.  The hash is freed before
+    the output is made, and cos and sin of the angle are written into its
+    real and imaginary parts, the same bits as exp(1j * angle): at most 24
+    bytes per value are alive at once.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    ps = np.asarray(ps).astype(np.uint64)
-    keys = _mix_array(seeds.reshape(seeds.shape + (1,) * ps.ndim))
-    h = _mix_array(keys ^ ps)
-    return np.exp(1j * ((h >> np.uint64(11)).astype(np.float64) * (2.0 * np.pi / (1 << 53))))
+    seeds = np.array(seeds, dtype=np.uint64)  # a copy: hashed in place
+    ps = np.asarray(ps, dtype=np.int64).view(np.uint64)
+    h = _mix_array(_mix_array(seeds.reshape(seeds.shape + (1,) * ps.ndim)) ^ ps)
+    h >>= np.uint64(11)
+    angle = h.astype(np.float64)
+    del h
+    angle *= 2.0 * np.pi / (1 << 53)
+    out = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
 
 
 def derive_trial_seeds(seed: int, trials: int) -> np.ndarray:
@@ -203,24 +214,15 @@ def partial_sum(s: RmfSample, x: float) -> complex:
     return complex(total)
 
 
-def _product_histogram(values: np.ndarray, counts: np.ndarray, ns: np.ndarray,
-                       chunk: int = 1 << 22) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of pairwise products value*n weighted by counts, chunked."""
-    acc_v = np.empty(0, dtype=np.int64)
-    acc_c = np.empty(0, dtype=np.float64)
-    step = max(1, chunk // max(1, values.size))
-    for i in range(0, ns.size, step):
-        block = np.multiply.outer(values, ns[i : i + step]).ravel()
-        w = np.repeat(counts, ns[i : i + step].size)
-        both = np.concatenate([acc_v, block])
-        bw = np.concatenate([acc_c, w])
-        acc_v, inv = np.unique(both, return_inverse=True)
-        acc_c = np.bincount(inv, weights=bw)
-    return acc_v, acc_c
-
-
 def exact_moment_2k(x: float, k: int) -> int:
-    """E |sum_{n<=x} f(n)|^{2k} exactly: the count of 2k-tuples with equal k-fold products."""
+    """E |sum_{n<=x} f(n)|^{2k} exactly: the count of 2k-tuples with equal k-fold products.
+
+    That count is sum_m c(m)^2, with c(m) the number of k-tuples of n <= x
+    whose product is m.  For k = 2, c is the bincount of the x^2 products
+    n1 n2; for k = 3, each n <= x adds that histogram into every n-th entry
+    of a dense x^3 + 1 histogram.  Refuses before allocating when the product
+    table and the histograms alive with it exceed DEFAULT_MEMORY_CAP.
+    """
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2, or 3")
     k = int(k)
@@ -231,12 +233,19 @@ def exact_moment_2k(x: float, k: int) -> int:
         raise TooLarge(f"floor(x)^k = {xf**k} exceeds cap {EXACT_MOMENT_CAP}")
     if k == 1:
         return xf
+    # int64 entries: the x^2 table with the pair histogram, then that
+    # histogram with the dense histogram of k-fold products
+    nbytes = 8 * (xf * xf + xf**k + 2)
+    if nbytes > DEFAULT_MEMORY_CAP:
+        raise TooLarge(f"product tables at x = {xf}, k = {k} need {nbytes} bytes, "
+                       f"cap is {DEFAULT_MEMORY_CAP}")
     ns = np.arange(1, xf + 1, dtype=np.int64)
-    vals, counts = np.unique(np.multiply.outer(ns, ns).ravel(), return_counts=True)
-    counts = counts.astype(np.float64)
+    counts = np.bincount(np.multiply.outer(ns, ns).ravel())
     if k == 3:
-        vals, counts = _product_histogram(vals, counts, ns)
-    return int(round(np.sum(counts * counts)))
+        pairs, counts = counts, np.zeros(xf**3 + 1, dtype=np.int64)
+        for n in range(1, xf + 1):
+            counts[: n * (pairs.size - 1) + 1 : n] += pairs
+    return int(np.dot(counts, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +254,19 @@ def exact_moment_2k(x: float, k: int) -> int:
 def batch_nbytes(rows: int, x: float) -> int:
     """Bytes partial_sums_batch may hold for rows trial rows at x.
 
-    48 B per row per value, over the pi(x) prime values and the at most
-    2 sqrt(x) floor quotients (tracemalloc measured 38-42 B at x = 10^5,
-    10^6 and 10^7).  pi(x) is taken as its bound 1.25506 x / log x (Rosser
-    and Schoenfeld), so the charge needs no sieve and no prime list.
+    24 B per row per value, over the pi(x) prime values and the at most
+    2 sqrt(x) floor quotients.  The peak is unit_values making f(p): its
+    angles and its output, 24 B per prime.  tracemalloc reads 19-21 B per
+    charged value at x = 10^4 to 10^7 and 1 to 64 rows; below x = 10^4 the
+    loop's columns weigh more, on arrays of a few kilobytes a row.  pi(x) is
+    taken as its bound 1.25506 x / log x (Rosser and Schoenfeld), so the
+    charge needs no sieve and no prime list.
     """
     xf = int(math.floor(x))
     if xf < 2:
         return 0
     pi_bound = int(1.25506 * xf / math.log(xf)) + 1
-    return 48 * int(rows) * (pi_bound + 2 * math.isqrt(xf))
+    return 24 * int(rows) * (pi_bound + 2 * math.isqrt(xf))
 
 
 def partial_sums_batch(trial_seeds: np.ndarray, x: float,
@@ -272,10 +284,11 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float,
 
     with every increment of p read from T as it was before p.  Then
     sum_{n<=x} f(n) = 1 + T(x).  That is one numpy step per prime power
-    p^e with p^(e+1) <= x, each over at most 2 sqrt(x) columns, and
-    trials x (pi(x) + 2 sqrt(x)) complex values of memory.  Refuses, before
-    drawing any value, when batch_nbytes of these rows is above
-    DEFAULT_MEMORY_CAP.
+    p^e with p^(e+1) <= x, each over at most 2 sqrt(x) columns.  A row
+    holds one pi(x)-long complex array, f(p) turned into G in place, until
+    T is read from it, then only its 2 sqrt(x) columns and the f(p), G(p) of
+    p <= sqrt(x).  Refuses, before drawing any value, when batch_nbytes of
+    these rows is above DEFAULT_MEMORY_CAP.
     """
     xf = int(math.floor(x))
     if xf < 0:
@@ -284,19 +297,22 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float,
     if nbytes > DEFAULT_MEMORY_CAP:
         raise TooLarge(f"{len(trial_seeds)} trial rows at x = {xf} need about {nbytes} "
                        f"bytes, cap is {DEFAULT_MEMORY_CAP}")
-    if xf == 0:
-        return np.zeros(len(trial_seeds), dtype=np.complex128)
+    if xf < 2:  # no prime: the sum is floor(x)
+        return np.full(len(trial_seeds), float(xf), dtype=np.complex128)
     if ps is None:
         ps = primes.primes_up_to(xf)
-    fp = unit_values(trial_seeds, ps)
-    g = np.zeros((fp.shape[0], ps.size + 1), dtype=np.complex128)
-    np.cumsum(fp, axis=1, out=g[:, 1:])  # g[:, j] = G(ps[j - 1]), g[:, 0] = 0
     r = math.isqrt(xf)
+    m = int(np.searchsorted(ps, r, side="right"))  # the primes p <= sqrt(x)
+    g = unit_values(trial_seeds, ps)
+    fp = g[:, :m].copy()
+    np.cumsum(g, axis=1, out=g)  # in place: g[:, j] = G(ps[j])
     vs = np.concatenate([np.arange(1, r + 1), xf // np.arange(xf // (r + 1), 0, -1)])
-    t = np.take(g, np.searchsorted(ps, vs, side="right"), axis=1)
-    for j in range(int(np.searchsorted(ps, r, side="right")) - 1, -1, -1):
+    t = np.take(g, np.searchsorted(ps, vs, side="right") - 1, axis=1)
+    t[:, 0] = 0.0  # G(1) = 0; index -1 read the last column
+    g = g[:, :m].copy()  # drop G beyond sqrt(x)
+    for j in range(m - 1, -1, -1):
         p = int(ps[j])
-        f, gp = fp[:, j : j + 1], g[:, j + 1 : j + 2]
+        f, gp = fp[:, j : j + 1], g[:, j : j + 1]
         start = int(np.searchsorted(vs, p * p))
         inc = np.zeros((t.shape[0], vs.size - start), dtype=np.complex128)
         pe, fe = p, f
@@ -304,7 +320,11 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float,
             lo = int(np.searchsorted(vs, pe * p))
             below = np.searchsorted(vs, vs[lo:] // pe)
             f_next = fe * f
-            inc[:, lo - start :] += fe * (np.take(t, below, axis=1) - gp) + f_next
+            step = np.take(t, below, axis=1)
+            step -= gp
+            np.multiply(fe, step, out=step)  # fe first: the same bits as fe * step
+            step += f_next
+            inc[:, lo - start :] += step
             pe, fe = pe * p, f_next
         t[:, start:] += inc
     return 1.0 + t[:, -1]

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmoments import euler, primes, rmf
-from charmoments.errors import Divergent, HypothesisViolated
+from charmoments.errors import Divergent, HypothesisViolated, TooLarge
 
 
 def make_spec(**kw):
@@ -107,6 +108,46 @@ def test_mc_pinned_bits():
         t1=0.0, t2=-3.0106967678322327, z=556.7669706642919, y=1670.3009119928756)
     mean, stderr = euler.mc_product_estimate(spec, trials=2000, seed=100)
     assert (mean.hex(), stderr.hex()) == ("0x1.12b19547386a8p+0", "0x1.22954b2a8a2ebp-7")
+
+
+def _mc_charge(spec, rows):
+    # 40 B per trial and prime for the rows in flight, and one row for the weights
+    ps = primes.primes_up_to(spec.y)
+    return 40 * (rows + 1) * int((ps >= spec.z).sum())
+
+
+def test_mc_refuses_over_lowered_cap_before_drawing(monkeypatch):
+    spec = make_spec()
+    monkeypatch.setattr(euler, "DEFAULT_MEMORY_CAP", _mc_charge(spec, 64))
+    mean, _ = euler.mc_product_estimate(spec, 200, seed=3, batch=64, threads=1)  # at the cap
+    assert mean > 0
+
+    def no_values(*args, **kwargs):
+        raise AssertionError("unit values were drawn before the cap check")
+
+    monkeypatch.setattr(rmf, "unit_values", no_values)
+    for batch, threads in ((65, 1), (2048, None)):
+        with pytest.raises(TooLarge):
+            euler.mc_product_estimate(spec, 200, seed=3, batch=batch, threads=threads)
+
+
+def test_mc_chunk_peak_memory_within_charge(monkeypatch):
+    # one chunk of 16 rows over the 70,000 or so primes in [1000, 10^6]: the
+    # charge refuses a cap below the measured peak and admits twice the peak
+    spec = make_spec(z=1e3, y=1e6)
+    primes.primes_up_to(spec.y)  # the shared table is not the chunk's to charge
+    tracemalloc.start()
+    try:
+        euler.mc_product_estimate(spec, 16, seed=1, batch=16, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _mc_charge(spec, 16)
+    monkeypatch.setattr(euler, "DEFAULT_MEMORY_CAP", peak - 1)
+    with pytest.raises(TooLarge):
+        euler.mc_product_estimate(spec, 16, seed=1, batch=16, threads=1)
+    monkeypatch.setattr(euler, "DEFAULT_MEMORY_CAP", 2 * peak)
+    euler.mc_product_estimate(spec, 16, seed=1, batch=16, threads=1)
 
 
 def test_mc_hits_closed_form():

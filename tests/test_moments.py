@@ -204,8 +204,9 @@ def test_congruence_energy_refuses_huge_table():
 
 
 @pytest.mark.parametrize("x, trials, batch", [
-    (1e5, 150, 41), (1e3, 3000, 3000), (100.0, 20_000, 20_000),  # benchmark sizes
-    (1e7, 40, 16),  # the 16-row floor, about 430 MiB here
+    (1e5, 150, 45),  # held arrays within 12 MiB
+    (1e3, 3000, 2114), (100.0, 20_000, 6553), (150.0, 20_000, 5461),  # temporaries within 2 MiB
+    (1e7, 40, 16),  # the 16-row floor, charged about 300 MB
 ])
 def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, batch):
     # batch counts the rows in flight; each of the workers holds

@@ -173,6 +173,37 @@ def test_concurrent_growth_never_shrinks(monkeypatch):
             results = [f.result(timeout=60) for f in [pool.submit(grow, n) for n in limits]]
     finally:
         sys.setswitchinterval(interval)
-    assert primes._table[0][0] == max(limits)
+    # grown in whole segments: the segment holding the largest limit
+    assert primes._table[0][0] == -(-max(limits) // primes._SEGMENT) * primes._SEGMENT
     for n, got in zip(limits, results):
         np.testing.assert_array_equal(got, _REF[_REF <= n])
+
+
+class _CountingSlot(list):
+    """A one-slot table that counts its replacements."""
+
+    replaced = 0
+
+    def __setitem__(self, i, value):
+        self.replaced += 1
+        super().__setitem__(i, value)
+
+
+def test_growth_in_whole_segments(monkeypatch):
+    # limits rising within one segment copy the table once; below one segment
+    # a cold call sieves only up to its limit
+    slot = _CountingSlot([_empty_table()])
+    monkeypatch.setattr(primes, "_table", slot)
+    monkeypatch.setattr(primes, "_SEGMENT", 1 << 10)
+    monkeypatch.setattr(primes, "SIEVE_CAP", 20 * 1024 + 500)
+    primes.primes_up_to(100)
+    assert slot[0][0] == 100
+    primes.primes_up_to(200)  # past the square root of every limit below
+    for limits, table_limit in (([5 * 1024 + 1, 5 * 1024 + 2, 6 * 1024], 6 * 1024),
+                                ([primes.SIEVE_CAP - 2, primes.SIEVE_CAP - 1,
+                                  primes.SIEVE_CAP], primes.SIEVE_CAP)):
+        before = slot.replaced
+        for n in limits:
+            np.testing.assert_array_equal(primes.primes_up_to(n), _REF[_REF <= n])
+        assert slot.replaced == before + 1
+        assert slot[0][0] == table_limit

@@ -1,7 +1,10 @@
 """Random multiplicative sampler: determinism, multiplicativity, exact moments."""
+import itertools
 import math
 import threading
 import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -126,6 +129,47 @@ def test_exact_moment_cap():
         rmf.exact_moment_2k(10**5, 2)
 
 
+def _tuple_count(x, k):
+    # pairs of k-tuples of n <= x with equal products, by plain enumeration
+    c = Counter(math.prod(t) for t in itertools.product(range(1, int(x) + 1), repeat=k))
+    return sum(v * v for v in c.values())
+
+
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(x=st.floats(1.0, 12.999), k=st.sampled_from([2, 3]))
+def test_exact_moment_matches_tuple_enumeration(x, k):
+    assert rmf.exact_moment_2k(x, k) == _tuple_count(x, k)
+
+
+@pytest.mark.parametrize("x, k", [(12, 2), (12, 3)])
+def test_exact_moment_refuses_tables_over_lowered_cap(monkeypatch, x, k):
+    # the x^2 product table and the histograms alive with it, 8 B an entry
+    need = 8 * (x * x + x**k + 2)
+    monkeypatch.setattr(rmf, "DEFAULT_MEMORY_CAP", need)
+    assert rmf.exact_moment_2k(x, k) == _tuple_count(x, k)  # exactly at the cap
+    monkeypatch.setattr(rmf, "DEFAULT_MEMORY_CAP", need - 1)
+    with pytest.raises(TooLarge):
+        rmf.exact_moment_2k(x, k)
+
+
+def _splitmix(z):
+    z = (z + 0x9E3779B97F4A7C15) & rmf._M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & rmf._M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & rmf._M64
+    return z ^ (z >> 31)
+
+
+@settings(derandomize=True, max_examples=30, database=None, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+       ps=st.lists(st.integers(2, 10**8), min_size=1, max_size=30))
+def test_unit_values_equal_exp_of_angle_bitwise(seeds, ps):
+    # the hash in plain Python integers, then exp(1j * angle) as numpy makes it
+    angle = np.array([[(_splitmix(_splitmix(s) ^ p) >> 11) * (2.0 * np.pi / (1 << 53))
+                       for p in ps] for s in seeds])
+    got = rmf.unit_values(np.array(seeds, dtype=np.uint64), np.array(ps))
+    assert got.tobytes() == np.exp(1j * angle).tobytes()
+
+
 def test_trial_seed_derivation_disjoint():
     trials = rmf.derive_trial_seeds(7, 64)
     assert len(set(trials.tolist())) == 64
@@ -223,8 +267,8 @@ def test_batch_refuses_matrix_over_cap():
 
 
 def test_batch_memory_charge_admits_16_rows_at_1e7():
-    # 16 rows at x = 10^7 hold about 430 MiB; the old trials x (x+1) complex
-    # charge called that 2.56 GB and refused it
+    # 16 rows at x = 10^7 are charged about 300 MB; the old trials x (x+1)
+    # complex charge called that 2.56 GB and refused it
     assert rmf.batch_nbytes(16, 1e7) <= DEFAULT_MEMORY_CAP
     assert rmf.batch_nbytes(16, 1e7) < 16 * (10**7 + 1) * 16 / 4
 
@@ -291,6 +335,34 @@ def _oracle_gap(x, seed):
 @given(x=st.floats(0.0, 3000.0), seed=st.integers(0, 2**64 - 1))
 def test_batch_matches_sieve_oracle(x, seed):
     assert _oracle_gap(x, seed) <= 1e-10
+
+
+@pytest.mark.parametrize("x", [0, 1, 1.5, 2, 3, 4])
+def test_batch_rows_match_sieve_oracle_at_small_x(x):
+    # several rows at once, through the no-prime path below 2 and the
+    # smallest prime lists
+    seeds = rmf.derive_trial_seeds(9, 5)
+    got = rmf.partial_sums_batch(seeds, float(x))
+    assert got.shape == (5,) and got.dtype == np.complex128
+    for g, sd in zip(got, seeds):
+        assert g == pytest.approx(rmf.partial_sum(rmf.sample(int(sd), max(2, x)), x), abs=1e-12)
+    if x < 2:
+        assert got.tobytes() == np.full(5, complex(math.floor(x))).tobytes()
+
+
+@pytest.mark.parametrize("x", [1e4, 1e5])
+def test_batch_peak_memory_within_charge(x):
+    # the byte charge must cover what the recursion really allocates
+    rmf.primes.primes_up_to(x)  # the shared table is not the batch's to charge
+    seeds = rmf.derive_trial_seeds(2, 3)
+    tracemalloc.start()
+    try:
+        rmf.partial_sums_batch(seeds, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rmf.batch_nbytes(3, x)
+    assert peak > rmf.batch_nbytes(3, x) / 2  # and stays a fair model
 
 
 # x below 2 (the sum is floor(x)), prime powers, prime squares and their neighbours
