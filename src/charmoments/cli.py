@@ -25,6 +25,8 @@ from .errors import CharmomentsError, OutOfRange, TooLarge
 from .modarith import build_modulus
 
 SCHEMA = "charmoments/1"
+# parsed arguments that steer a run but are not its configuration
+_RUN_ARGS = ("command", "fn", "seed", "format", "threads", "calibration")
 
 
 def _emit(doc: dict, fmt: str, stream) -> None:
@@ -44,8 +46,13 @@ def _emit(doc: dict, fmt: str, stream) -> None:
         writer = csv.DictWriter(buf, fieldnames=keys)
         writer.writeheader()
         for r in rows:
-            writer.writerow({k: _jsonable(r.get(k, "")) for k in keys})
+            writer.writerow({k: _cell(r.get(k, "")) for k in keys})
     stream.write(buf.getvalue())
+
+
+def _cell(v):  # nested values as JSON text
+    v = _jsonable(v)
+    return json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
 
 
 def _jsonable(v):
@@ -62,7 +69,10 @@ def _jsonable(v):
     return v
 
 
-def _document(args, config: dict, results, started: float) -> dict:
+def _document(args, cal, results, started: float) -> dict:
+    config = {k: v for k, v in vars(args).items() if k not in _RUN_ARGS}
+    if args.command == "verify":
+        config["calibration"] = cal.as_dict()
     return {
         "schema": SCHEMA,
         "version": __version__,
@@ -77,7 +87,7 @@ def _document(args, config: dict, results, started: float) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_char_moment(args, cal) -> tuple[dict, int]:
+def _cmd_char_moment(args, cal) -> tuple[list | dict, int]:
     mod = build_modulus(args.q)
     rows = []
     for x in args.x:
@@ -89,12 +99,10 @@ def _cmd_char_moment(args, cal) -> tuple[dict, int]:
         if args.k == 1.0 and not args.include_principal and args.divisor == "phi":
             row["closed_form"] = moments.second_moment_closed_form(args.q, x)
         rows.append(row)
-    config = {"q": args.q, "x": args.x, "k": args.k, "divisor": args.divisor,
-              "include_principal": args.include_principal}
-    return {"config": config, "results": rows}, 0
+    return rows, 0
 
 
-def _cmd_rmf_mc(args, cal) -> tuple[dict, int]:
+def _cmd_rmf_mc(args, cal) -> tuple[list | dict, int]:
     rows = []
     for x in args.x:
         est = moments.rmf_moment_mc(x, args.k, trials=args.trials, seed=args.seed,
@@ -104,23 +112,15 @@ def _cmd_rmf_mc(args, cal) -> tuple[dict, int]:
         if args.exact:
             row["exact"] = rmf.exact_moment_2k(x, args.k)
         rows.append(row)
-    config = {"x": args.x, "k": args.k, "trials": args.trials,
-              "exact": args.exact}
-    return {"config": config, "results": rows}, 0
+    return rows, 0
 
 
-def _cmd_verify(args, cal) -> tuple[dict, int]:
+def _cmd_verify(args, cal) -> tuple[list | dict, int]:
     reports = verify.run_suite(args.suite, args.q, args.seed, cal)
-    rows = [{"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "relation": r.relation,
-             "tolerance": r.tolerance, "passed": r.passed, "context": r.context}
-            for r in reports]
-    ok = all(r.passed for r in reports)
-    config = {"suite": args.suite, "q": args.q,
-              "calibration": cal.as_dict()}
-    return {"config": config, "results": rows}, (0 if ok else 1)
+    return [vars(r) for r in reports], (0 if all(r.passed for r in reports) else 1)
 
 
-def _cmd_theta(args, cal) -> tuple[dict, int]:
+def _cmd_theta(args, cal) -> tuple[list | dict, int]:
     results = []
     for q in args.q:
         mod = build_modulus(q)
@@ -140,31 +140,26 @@ def _cmd_theta(args, cal) -> tuple[dict, int]:
                             "tail_bound": vals[a].tail_bound,
                             "truncation_point": vals[a].truncation_point}
                            for a in idx)
-    config = {"q": args.q, "moment": args.moment, "char": args.char}
-    return {"config": config, "results": results}, 0
+    return results, 0
 
 
-def _cmd_proxy(args, cal) -> tuple[dict, int]:
+def _cmd_proxy(args, cal) -> tuple[list | dict, int]:
     if args.profile == "paper":
         if args.c0 is None:
             raise OutOfRange("paper profile needs --c0")
         params = proxy.build_params(args.x, log_x=args.log_x, k=args.k, c0=args.c0,
                                     profile="paper")
-    elif args.log_x is not None:
-        # desk chain at a scale whose x itself would overflow a float
-        if args.y is None or args.y <= 1:
-            raise OutOfRange("desk profile with --log-x needs --y > 1")
-        m = len(args.j) if args.j else 1
-        params = proxy.build_params(args.x, log_x=args.log_x, k=args.k,
-                                    c0=args.log_x / math.log(args.y),
-                                    profile="desk", levels_m=m,
-                                    j_values=args.j, q=args.q)
     else:
-        if args.x is None or args.y is None:
+        # --log-x reaches scales whose x itself would overflow a float
+        if args.y is None or (args.x is None and args.log_x is None):
             raise OutOfRange("desk profile needs --y and one of --x, --log-x")
-        params = proxy.desk_params(x=args.x, y=args.y, k=args.k,
-                                   levels_m=len(args.j) if args.j else 1,
-                                   j_values=args.j, q=args.q)
+        if args.y <= 1:
+            raise OutOfRange("desk profile needs --y > 1")
+        log_x = math.log(args.x) if args.log_x is None else args.log_x
+        params = proxy.build_params(args.x, log_x=args.log_x, k=args.k,
+                                    c0=log_x / math.log(args.y), profile="desk",
+                                    levels_m=len(args.j) if args.j else 1,
+                                    j_values=args.j, q=args.q)
     levels = [{"m": i + 1, "log_y_m": lv.log_hi, "j_m": lv.j,
                "penalty_exp": params.penalty_exp(i + 1)}
               for i, lv in enumerate(params.levels)]
@@ -176,13 +171,10 @@ def _cmd_proxy(args, cal) -> tuple[dict, int]:
                                             int(params.y) + 1))
         results["weight"] = proxy.proxy_weight(params, src)
         results["exp_weight_total"] = proxy.exp_weight_total(params, src)
-    config = {"profile": args.profile, "k": args.k, "c0": args.c0,
-              "log_x": args.log_x, "x": args.x, "y": args.y, "j": args.j,
-              "q": args.q, "weights_seed": args.weights_seed}
-    return {"config": config, "results": results}, 0
+    return results, 0
 
 
-def _cmd_shape(args, cal) -> tuple[dict, int]:
+def _cmd_shape(args, cal) -> tuple[list | dict, int]:
     mod = build_modulus(args.q)
     pts = []
     for x in args.x:
@@ -193,8 +185,7 @@ def _cmd_shape(args, cal) -> tuple[dict, int]:
                "exponent": fit.exponent, "exponent_stderr": fit.exponent_stderr,
                "intercept": fit.intercept, "residual": fit.residual,
                "reference_exponent": (args.k - 1.0) ** 2}
-    config = {"q": args.q, "k": args.k, "x": args.x}
-    return {"config": config, "results": results}, 0
+    return results, 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +276,8 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise OutOfRange(f"--threads must be >= 1, got {args.threads}")
         cal = calibration.load(args.calibration)
-        payload, code = args.fn(args, cal)
-        doc = _document(args, payload["config"], payload["results"], started)
+        results, code = args.fn(args, cal)
+        doc = _document(args, cal, results, started)
         _emit(doc, args.format, sys.stdout)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

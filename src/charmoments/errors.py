@@ -2,8 +2,11 @@
 
 Every guard in the library raises one of these rather than a bare ValueError,
 so callers (and the CLI exit-code mapping) can tell validation problems apart
-from resource refusals.
+from resource refusals.  Every byte budget is charged by check_bytes, which
+reads DEFAULT_MEMORY_CAP when called: lowering it lowers the whole package's.
 """
+
+DEFAULT_MEMORY_CAP = 2 << 30
 
 
 class CharmomentsError(Exception):
@@ -16,6 +19,12 @@ class NotPrime(CharmomentsError):
 
 class TooLarge(CharmomentsError):
     """Refusal: the request would exceed a configured size or memory cap."""
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Refuse with TooLarge when what would take more than DEFAULT_MEMORY_CAP bytes."""
+    if nbytes > DEFAULT_MEMORY_CAP:
+        raise TooLarge(f"{what} would take {nbytes} bytes, cap is {DEFAULT_MEMORY_CAP}")
 
 
 class OutOfRange(CharmomentsError):

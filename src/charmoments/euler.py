@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primes, rmf
-from .errors import Divergent, HypothesisViolated, QuadratureFailure, TooLarge
-from .modarith import DEFAULT_MEMORY_CAP
+from .errors import Divergent, HypothesisViolated, QuadratureFailure
 
 HYPOTHESIS_FACTOR = 100.0
 
@@ -123,7 +122,8 @@ def pair_product_quad(spec: EulerProductSpec) -> float:
 
 
 def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
-                        batch: int = 2048, threads: int | None = None) -> tuple[float, float]:
+                        batch: int | None = None,
+                        threads: int | None = None) -> tuple[float, float]:
     """Monte Carlo (mean, stderr) of the Euler product over [z, y].
 
     batch is the number of trial rows in flight at once, in chunks spread over
@@ -131,18 +131,17 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
     Trials use independent child seeds derived from seed; results depend on
     neither batch nor threads.  A chunk holds 40 B per trial and prime: its
     unit values and one complex and one real buffer (tracemalloc reads
-    40.0-40.2 B at 1 to 64 rows).  Refuses before drawing any value when the
-    rows in flight, and a row's worth for the two weight arrays, need more
-    than DEFAULT_MEMORY_CAP.
+    40.0-40.2 B at 1 to 64 rows).  The two weight arrays, made first, take a
+    row's worth.  rmf.mc_estimate charges both and refuses, before drawing
+    any value, a run above errors.DEFAULT_MEMORY_CAP.  The default batch is
+    2048 rows, or the most the cap admits if that is fewer.
     """
     spec.validate()
     ps = primes.primes_up_to(spec.y)
     ps = ps[np.searchsorted(ps, spec.z) :]
-    rows, workers = rmf.mc_plan(trials, batch, threads)
-    nbytes = 40 * (rows * workers + 1) * ps.size
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"{rows * workers} trial rows in flight over {ps.size} primes need "
-                       f"about {nbytes} bytes, cap is {DEFAULT_MEMORY_CAP}")
+    row_bytes = 40 * ps.size
+    if batch is None:
+        batch = min(2048, rmf.mc_rows_admitted(trials, row_bytes, row_bytes))
     lp = np.log(ps.astype(np.float64))
     w1 = np.exp(-(0.5 + spec.sigma1) * lp - 1j * spec.t1 * lp)
     w2 = np.exp(-(0.5 + spec.sigma2) * lp - 1j * spec.t2 * lp)
@@ -161,7 +160,7 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
             logs.append(m.sum(axis=1))
         return np.exp(-(spec.alpha * logs[0] + spec.beta * logs[1]))
 
-    return rmf.mc_estimate(seed, trials, batch, products, threads)
+    return rmf.mc_estimate(seed, trials, batch, products, row_bytes, row_bytes, threads)
 
 
 # ---------------------------------------------------------------------------

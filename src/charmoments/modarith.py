@@ -16,12 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from . import primes
-from .errors import NotPrime, TooLarge
+from .errors import NotPrime, TooLarge, check_bytes
 
 # A modulus holds 28 bytes per residue: the int64 discrete-log table (8 B),
 # the lazily built complex128 root-of-unity table (16 B) and the memoised
 # prefix-sum magnitudes, (q-1)//2 + 1 float64 values (4 B).
-DEFAULT_MEMORY_CAP = 2 << 30
 _BYTES_PER_RESIDUE = 28
 
 Q_CAP = 1 << 31
@@ -73,14 +72,12 @@ def build_modulus(q: int) -> PrimeModulus:
     """Construct the discrete-log table for prime q.
 
     Raises NotPrime for composite q, TooLarge when q exceeds 2^31 or the
-    tables would exceed DEFAULT_MEMORY_CAP bytes.
+    tables would exceed errors.DEFAULT_MEMORY_CAP bytes.
     """
     q = int(q)
     if q >= Q_CAP:
         raise TooLarge(f"q = {q} exceeds the 2^31 cap")
-    if q * _BYTES_PER_RESIDUE > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"tables for q = {q} need ~{q * _BYTES_PER_RESIDUE} bytes, "
-                       f"cap is {DEFAULT_MEMORY_CAP}")
+    check_bytes(q * _BYTES_PER_RESIDUE, f"the tables for q = {q}")
     if not primes.is_prime(q):
         raise NotPrime(f"q = {q} is not prime")
     g = _primitive_root(q)

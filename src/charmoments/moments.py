@@ -16,8 +16,8 @@ import numpy as np
 
 from . import primes, proxy, rmf
 from .charsum import abs_char_sums, mirror
-from .errors import Degenerate, DomainError, LengthViolation, OutOfRange, TooLarge
-from .modarith import DEFAULT_MEMORY_CAP, PrimeModulus
+from .errors import Degenerate, DomainError, LengthViolation, OutOfRange, check_bytes
+from .modarith import PrimeModulus
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,7 @@ def second_moment_closed_form(q: int, x: float) -> float:
 def congruence_energy(q: int, x: float) -> int:
     """Exact count of quadruples n_i <= x with n_1 n_2 = n_3 n_4 (mod q)."""
     xf = int(math.floor(x))
-    table_bytes = xf * xf * np.dtype(np.int64).itemsize
-    if table_bytes > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"the x^2 product table needs {table_bytes} bytes, "
-                       f"cap is {DEFAULT_MEMORY_CAP}")
+    check_bytes(8 * xf * xf, f"the product table at x = {xf}")
     ns = np.arange(1, xf + 1, dtype=np.int64)
     residues = np.multiply.outer(ns, ns)
     residues %= q
@@ -92,9 +89,10 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     batch is the number of trial rows in flight at once, in chunks spread over
     up to threads worker threads (default: every usable CPU; see rmf.mc_plan).
     Per-trial child seeds derive from (seed, trial index); identical inputs
-    give bit-identical output for any batch and any threads.  Refuses before
-    any work when the rows in flight need more than DEFAULT_MEMORY_CAP by
-    rmf.batch_nbytes; the default batch stays under it.
+    give bit-identical output for any batch and any threads.  rmf.mc_estimate
+    charges each row in flight rmf.batch_nbytes and refuses, before any row
+    runs, a run above errors.DEFAULT_MEMORY_CAP; the default batch stays
+    under it.
     """
     if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
@@ -103,23 +101,20 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     if x < 0:
         raise OutOfRange(f"x = {x} must be >= 0")
     xf = int(math.floor(x))
+    row_bytes = rmf.batch_nbytes(1, xf)
     if batch is None:
         # rows whose held arrays (batch_nbytes) fit in 12 MiB and whose
         # per-step temporaries, 2 sqrt(x) complex values a row, fit in 2 MiB
         # (one core's L2 cache on a current Xeon); at least 16, never
         # more than the cap admits
-        row_bytes = max(1, rmf.batch_nbytes(1, xf))
-        batch = min(trials, (12 << 20) // row_bytes, (2 << 20) // (32 * max(1, math.isqrt(xf))))
-        batch = max(1, min(max(16, batch), DEFAULT_MEMORY_CAP // row_bytes))
-    rows, workers = rmf.mc_plan(trials, batch, threads)
-    nbytes = rmf.batch_nbytes(rows * workers, xf)
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"{rows * workers} trial rows in flight at x = {xf} need about "
-                       f"{nbytes} bytes, cap is {DEFAULT_MEMORY_CAP}")
+        batch = min(trials, (12 << 20) // max(1, row_bytes),
+                    (2 << 20) // (32 * max(1, math.isqrt(xf))))
+        batch = min(max(16, batch), rmf.mc_rows_admitted(trials, row_bytes, 0))
     ps = primes.primes_up_to(xf)
     mean, stderr = rmf.mc_estimate(
         seed, trials, batch,
-        lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x, ps), k), threads)
+        lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x, ps), k),
+        row_bytes, 0, threads)
     return MomentEstimate(value=mean, stderr=stderr, trials=trials, kind="mc-rmf")
 
 

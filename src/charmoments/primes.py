@@ -133,20 +133,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def smallest_factor_sieve(n: int) -> np.ndarray:
-    """Array s with s[m] = smallest prime factor of m (s[1] = 2**62 sentinel)."""
-    if n > SIEVE_CAP:
-        raise TooLarge(f"sieve limit {n} exceeds cap {SIEVE_CAP}")
-    s = np.zeros(n + 1, dtype=np.int64)
-    for p in primes_up_to(n):
-        p = int(p)
-        sl = s[p::p]
-        sl[sl == 0] = p
-    if n >= 1:
-        s[1] = 1 << 62  # no prime factor: treat P-(1) as +infinity
-    return s
-
-
 def smooth_numbers(limit: int | float, y: int | float, max_count: int) -> np.ndarray:
     """Sorted array of all y-smooth integers in [1, limit] (1 included).
 

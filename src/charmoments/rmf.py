@@ -29,9 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import primes
-from .errors import DomainError, OutOfRange, TooLarge
-from .modarith import DEFAULT_MEMORY_CAP
+from . import errors, primes
+from .errors import DomainError, OutOfRange, TooLarge, check_bytes
 
 _M64 = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -42,6 +41,11 @@ _C2 = 0x94D049BB133111EB
 _TRIAL_SALT = 0xA5A5A5A55A5A5A5A
 
 EXACT_MOMENT_CAP = 10**8
+
+# Bytes per trial mc_estimate holds itself: the trial's seed, its sample and,
+# while the standard error is taken, its deviation from the mean
+# (tracemalloc reads 24.0 B per trial at 10^6 trials).
+TRIAL_BYTES = 24
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
@@ -110,8 +114,14 @@ def mc_plan(trials: int, batch: int, threads: int | None = None) -> tuple[int, i
     return alive // workers, workers
 
 
-def mc_estimate(seed: int, trials: int, batch: int, per_batch,
-                threads: int | None = None) -> tuple[float, float]:
+def mc_rows_admitted(trials: int, row_bytes: int, shared_bytes: int) -> int:
+    """The most trial rows in flight, at least 1, that mc_estimate's charge admits."""
+    free = errors.DEFAULT_MEMORY_CAP - shared_bytes - TRIAL_BYTES * trials
+    return max(1, free // max(1, row_bytes))
+
+
+def mc_estimate(seed: int, trials: int, batch: int, per_batch, row_bytes: int,
+                shared_bytes: int, threads: int | None = None) -> tuple[float, float]:
     """(mean, stderr) over trials of per_batch(trial seeds), one value per trial.
 
     batch is the number of trial rows in flight at once.  Chunks of them run
@@ -119,9 +129,13 @@ def mc_estimate(seed: int, trials: int, batch: int, per_batch,
     which pays because numpy releases the interpreter lock.  Trial t always
     gets the same child seed of seed and each chunk fills only its own slice
     of the samples, so the result depends on neither batch nor threads,
-    provided per_batch computes each row on its own.
+    provided per_batch computes each row on its own.  Before any seed is
+    derived, the run is charged against errors.DEFAULT_MEMORY_CAP: row_bytes
+    for each row in flight, shared_bytes once, and TRIAL_BYTES per trial.
     """
     rows, workers = mc_plan(trials, batch, threads)
+    check_bytes(rows * workers * row_bytes + shared_bytes + TRIAL_BYTES * trials,
+                f"a run of {trials} trials in batches of {rows * workers}")
     seeds = derive_trial_seeds(seed, trials)
     samples = np.empty(trials, dtype=np.float64)
 
@@ -180,14 +194,12 @@ def values_upto(s: RmfSample, x: float) -> np.ndarray:
 
     Built by a multiplicative sieve: each prime power p^e multiplies its
     residue class by one extra factor of f(p), so v[n] ends up as
-    prod f(p)^{v_p(n)}.  Refuses an array above DEFAULT_MEMORY_CAP.
+    prod f(p)^{v_p(n)}.  Refuses an array above errors.DEFAULT_MEMORY_CAP.
     """
     xf = int(math.floor(x))
     if xf > s.limit:
         raise OutOfRange(f"x = {x} exceeds sample limit {s.limit}")
-    nbytes = (xf + 1) * np.dtype(np.complex128).itemsize
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"value array needs {nbytes} bytes, cap is {DEFAULT_MEMORY_CAP}")
+    check_bytes(16 * (xf + 1), f"the value array up to x = {xf}")
     v = np.ones(xf + 1, dtype=np.complex128)
     v[0] = 0.0
     for p, fp in zip(s.primes, s.fp):
@@ -221,7 +233,7 @@ def exact_moment_2k(x: float, k: int) -> int:
     whose product is m.  For k = 2, c is the bincount of the x^2 products
     n1 n2; for k = 3, each n <= x adds that histogram into every n-th entry
     of a dense x^3 + 1 histogram.  Refuses before allocating when the product
-    table and the histograms alive with it exceed DEFAULT_MEMORY_CAP.
+    table and the histograms alive with it exceed errors.DEFAULT_MEMORY_CAP.
     """
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2, or 3")
@@ -235,10 +247,7 @@ def exact_moment_2k(x: float, k: int) -> int:
         return xf
     # int64 entries: the x^2 table with the pair histogram, then that
     # histogram with the dense histogram of k-fold products
-    nbytes = 8 * (xf * xf + xf**k + 2)
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"product tables at x = {xf}, k = {k} need {nbytes} bytes, "
-                       f"cap is {DEFAULT_MEMORY_CAP}")
+    check_bytes(8 * (xf * xf + xf**k + 2), f"the product tables at x = {xf}, k = {k}")
     ns = np.arange(1, xf + 1, dtype=np.int64)
     counts = np.bincount(np.multiply.outer(ns, ns).ravel())
     if k == 3:
@@ -288,15 +297,12 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float,
     holds one pi(x)-long complex array, f(p) turned into G in place, until
     T is read from it, then only its 2 sqrt(x) columns and the f(p), G(p) of
     p <= sqrt(x).  Refuses, before drawing any value, when batch_nbytes of
-    these rows is above DEFAULT_MEMORY_CAP.
+    these rows is above errors.DEFAULT_MEMORY_CAP.
     """
     xf = int(math.floor(x))
     if xf < 0:
         raise OutOfRange(f"x = {x} must be >= 0")
-    nbytes = batch_nbytes(len(trial_seeds), xf)
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"{len(trial_seeds)} trial rows at x = {xf} need about {nbytes} "
-                       f"bytes, cap is {DEFAULT_MEMORY_CAP}")
+    check_bytes(batch_nbytes(len(trial_seeds), xf), f"{len(trial_seeds)} trial rows at x = {xf}")
     if xf < 2:  # no prime: the sum is floor(x)
         return np.full(len(trial_seeds), float(xf), dtype=np.complex128)
     if ps is None:

@@ -19,7 +19,7 @@ from . import euler, moments, primes, proxy, rmf, theta
 from .calibration import Calibration
 from .charsum import (abs_char_sums, all_char_sums_fft, all_char_sums_naive, mirror,
                       weighted_char_sums)
-from .errors import DomainError, LengthViolation
+from .errors import DomainError, LengthViolation, check_bytes
 from .fpoly import FPoly
 from .modarith import PrimeModulus, build_modulus
 
@@ -163,11 +163,16 @@ def check_even_moment_ratio(c: dict[int, complex], pset: tuple[int, ...],
 
 
 def check_rough_count(a: float, b: float, y: float, cal: Calibration) -> CheckReport:
-    """Count of n in (a, b] with no prime factor <= y against (b - a)/log y."""
-    bf = int(math.floor(b))
-    spf = primes.smallest_factor_sieve(bf)
-    ns = np.arange(int(math.floor(a)) + 1, bf + 1)
-    count = int(np.sum(spf[ns] > y))
+    """Count of n in (a, b] with no prime factor <= y against (b - a)/log y.
+
+    Only the window is sieved, by the primes p <= y, one byte a number.
+    """
+    lo, hi = int(math.floor(a)) + 1, int(math.floor(b))
+    check_bytes(hi - lo + 1, f"the sieve window ({a}, {b}]")
+    rough = np.ones(max(0, hi - lo + 1), dtype=bool)
+    for p in primes.primes_up_to(min(y, hi)).tolist():
+        rough[-lo % p :: p] = False
+    count = int(rough.sum())
     expected = (b - a) / math.log(y) if y >= 2 else (b - a)
     ratio = count / expected if expected > 0 else math.inf
     passed = cal.sieve_ratio_lo <= ratio <= cal.sieve_ratio_hi

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -61,6 +63,34 @@ def test_csv_format(capsys):
     header = lines[2].split(",")
     assert "moment" in header and "x" in header
     assert len(lines) == 5  # two data rows
+
+
+@pytest.mark.parametrize("argv, column", [
+    (("verify", "--suite", "counting", "--q", "101"), "context"),
+    (("theta", "--q", "101", "--char", "1", "2"), "value"),
+])
+def test_csv_nested_cells_are_json(capsys, argv, column):
+    # dict and list cells are written as JSON, and read back as the JSON document has them
+    _, want, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out.split("\n", 2)[2])))
+    assert [json.loads(r[column]) for r in rows] == \
+        [r[column] for r in json.loads(want)["results"]]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("rmf-mc", "--x", "10", "--trials", "20", "--threads", "1"),
+     {"x": [10.0], "k": 2.0, "trials": 20, "exact": False}),
+    (("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--seed", "3"),
+     {"profile": "desk", "k": 2.0, "c0": None, "log_x": None, "x": 6.0, "y": 2.0,
+      "j": [1], "q": None, "weights_seed": None}),
+])
+def test_config_is_the_parsed_arguments(capsys, argv, config):
+    # everything parsed except the run's own seed, format, threads and calibration
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == config
 
 
 def test_not_prime_exit_2(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmoments import euler, primes, rmf
+from charmoments import errors, euler, primes, rmf
 from charmoments.errors import Divergent, HypothesisViolated, TooLarge
 
 
@@ -110,15 +110,16 @@ def test_mc_pinned_bits():
     assert (mean.hex(), stderr.hex()) == ("0x1.12b19547386a8p+0", "0x1.22954b2a8a2ebp-7")
 
 
-def _mc_charge(spec, rows):
-    # 40 B per trial and prime for the rows in flight, and one row for the weights
+def _mc_charge(spec, rows, trials):
+    # 40 B per trial and prime for the rows in flight, one row for the
+    # weights, and the driver's own arrays for every trial
     ps = primes.primes_up_to(spec.y)
-    return 40 * (rows + 1) * int((ps >= spec.z).sum())
+    return 40 * (rows + 1) * int((ps >= spec.z).sum()) + rmf.TRIAL_BYTES * trials
 
 
 def test_mc_refuses_over_lowered_cap_before_drawing(monkeypatch):
     spec = make_spec()
-    monkeypatch.setattr(euler, "DEFAULT_MEMORY_CAP", _mc_charge(spec, 64))
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", _mc_charge(spec, 64, 200))
     mean, _ = euler.mc_product_estimate(spec, 200, seed=3, batch=64, threads=1)  # at the cap
     assert mean > 0
 
@@ -142,11 +143,11 @@ def test_mc_chunk_peak_memory_within_charge(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _mc_charge(spec, 16)
-    monkeypatch.setattr(euler, "DEFAULT_MEMORY_CAP", peak - 1)
+    assert peak <= _mc_charge(spec, 16, 16)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", peak - 1)
     with pytest.raises(TooLarge):
         euler.mc_product_estimate(spec, 16, seed=1, batch=16, threads=1)
-    monkeypatch.setattr(euler, "DEFAULT_MEMORY_CAP", 2 * peak)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", 2 * peak)
     euler.mc_product_estimate(spec, 16, seed=1, batch=16, threads=1)
 
 

@@ -1,0 +1,95 @@
+"""One memory cap: errors.DEFAULT_MEMORY_CAP, read by errors.check_bytes when called.
+
+Lowering it must lower it for every charged route: each runs with the cap at
+exactly its charge and refuses, before it allocates, one byte below.
+"""
+import numpy as np
+import pytest
+
+from charmoments import charsum, errors, euler, moments, modarith, primes, rmf, verify
+from charmoments.calibration import Calibration
+from charmoments.errors import TooLarge
+
+MOD = modarith.build_modulus(101)
+SAMPLE = rmf.sample(1, 1000)
+SEEDS = rmf.derive_trial_seeds(0, 3)
+SPEC = euler.EulerProductSpec(alpha=1.0, beta=1.0, sigma1=0.05, sigma2=0.1,
+                              t1=0.0, t2=1.0, z=250.0, y=1500.0)
+EULER_PRIMES = primes.primes_in(249, 1500).size
+
+
+def _euler_charge(rows, trials):
+    # 40 B per prime for each row in flight and once for the weights, and the
+    # driver's own arrays for every trial
+    return 40 * (rows + 1) * EULER_PRIMES + rmf.TRIAL_BYTES * trials
+
+
+# route: (call, its charge, the allocators it must not reach when refused);
+# two workers hold the MC rows in flight, 5 rows each for a batch of 10
+ROUTES = {
+    "build_modulus": (lambda: modarith.build_modulus(101), 28 * 101,
+                      [(modarith.np, "full"), (modarith, "_primitive_root")]),
+    "values_upto": (lambda: rmf.values_upto(SAMPLE, 999), 16 * 1000, [(rmf.np, "ones")]),
+    "exact_moment_2k": (lambda: rmf.exact_moment_2k(12, 3), 8 * (12**2 + 12**3 + 2),
+                        [(rmf.np, "bincount")]),
+    "partial_sums_batch": (lambda: rmf.partial_sums_batch(SEEDS, 1e4),
+                           rmf.batch_nbytes(3, 1e4), [(rmf, "unit_values")]),
+    "congruence_energy": (lambda: moments.congruence_energy(101, 30), 8 * 30 * 30,
+                          [(moments.np, "arange")]),
+    "weighted_char_sums": (lambda: charsum.weighted_char_sums(MOD, np.arange(1, 21),
+                                                              np.ones((3, 20))),
+                           32 * 3 * 100, [(charsum.np, "zeros")]),
+    "mc_estimate": (lambda: rmf.mc_estimate(1, 50, 10, lambda c: np.zeros(c.size), 7, 100),
+                    10 * 7 + 100 + rmf.TRIAL_BYTES * 50, [(rmf, "derive_trial_seeds")]),
+    "rmf_moment_mc": (lambda: moments.rmf_moment_mc(100.0, 2.0, trials=50, seed=1, batch=10),
+                      rmf.batch_nbytes(10, 100) + rmf.TRIAL_BYTES * 50,
+                      [(rmf, "derive_trial_seeds"), (rmf, "unit_values")]),
+    "mc_product_estimate": (lambda: euler.mc_product_estimate(SPEC, 50, seed=1, batch=10),
+                            _euler_charge(10, 50),
+                            [(rmf, "derive_trial_seeds"), (rmf, "unit_values")]),
+    "check_rough_count": (lambda: verify.check_rough_count(100, 1000, 5, Calibration()),
+                          900, [(verify.np, "ones")]),
+}
+
+
+def _no_alloc(*args, **kwargs):
+    raise AssertionError("allocated before the cap check")
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_lowered_cap_refuses_before_allocating(monkeypatch, route):
+    call, need, allocators = ROUTES[route]
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", need)
+    call()  # exactly at the cap
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", need - 1)
+    for owner, name in allocators:
+        monkeypatch.setattr(owner, name, _no_alloc)
+    with pytest.raises(TooLarge, match=f"cap is {need - 1}$"):
+        call()
+
+
+def test_driver_charges_every_trial(monkeypatch):
+    # the seeds and samples of 10^6 trials alone pass a 20 MB cap, however
+    # few rows are in flight
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", 20 * 10**6)
+    monkeypatch.setattr(rmf, "derive_trial_seeds", _no_alloc)
+    with pytest.raises(TooLarge):
+        moments.rmf_moment_mc(10.0, 2.0, trials=10**6, seed=1)
+
+
+def test_euler_default_batch_follows_lowered_cap(monkeypatch):
+    # 2048 rows no longer fit, so the default batch shrinks to the 6 the cap
+    # admits beside the 3,000 trials' own arrays instead of refusing, with
+    # the bits of any explicit batch
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", _euler_charge(6, 3000))
+    with pytest.raises(TooLarge):
+        euler.mc_product_estimate(SPEC, 3000, seed=4, batch=2048)
+    rows = []
+    unit_values = rmf.unit_values
+    monkeypatch.setattr(rmf, "unit_values", lambda s, ps: rows.append(len(s)) or unit_values(s, ps))
+    got = euler.mc_product_estimate(SPEC, 3000, seed=4)
+    assert max(rows) == 3 and sum(rows) == 3000  # two workers of 3 rows
+    monkeypatch.undo()
+    assert got == euler.mc_product_estimate(SPEC, 3000, seed=4, batch=4, threads=1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charmoments import modarith
+from charmoments import errors, modarith
 from charmoments.errors import NotPrime, TooLarge
 from charmoments.modarith import build_modulus
 
@@ -93,7 +93,7 @@ def test_cap_counts_memo_slot(monkeypatch):
     # 24 q <= cap < 28 q: the dlog and roots tables alone would fit, the memo does not
     q = 80_000_023
     assert modarith.primes.is_prime(q)
-    assert 24 * q <= modarith.DEFAULT_MEMORY_CAP < 28 * q
+    assert 24 * q <= errors.DEFAULT_MEMORY_CAP < 28 * q
 
     def no_tables(*args, **kwargs):
         raise AssertionError("a table was allocated before the cap check")

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmoments import charsum, moments, proxy, rmf, verify
+from charmoments import charsum, errors, moments, proxy, rmf, verify
 from charmoments.calibration import Calibration
 from charmoments.errors import Degenerate, LengthViolation, TooLarge
-from charmoments.modarith import DEFAULT_MEMORY_CAP, build_modulus
+from charmoments.modarith import build_modulus
 from charmoments.primes import primes_up_to
 
 
@@ -223,7 +223,7 @@ def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, batch):
         seen.clear()
         moments.rmf_moment_mc(x, 2.0, trials=trials, seed=1, threads=threads)
         assert seen[0] == batch // threads and sum(seen) == trials
-        assert rmf.batch_nbytes(max(seen) * threads, x) <= DEFAULT_MEMORY_CAP
+        assert rmf.batch_nbytes(max(seen) * threads, x) <= errors.DEFAULT_MEMORY_CAP
 
 
 @pytest.mark.parametrize("threads", [2, 3])

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charmoments import primes, rmf
+from charmoments import errors, primes, rmf, verify
+from charmoments.calibration import Calibration
 from charmoments.errors import TooLarge
-from charmoments.modarith import DEFAULT_MEMORY_CAP
 
 _REF_LIMIT = 3 << 20
 
@@ -67,12 +67,6 @@ def test_factorize():
     assert primes.factorize(97) == [(97, 1)]
 
 
-def test_smallest_factor_sieve():
-    s = primes.smallest_factor_sieve(30)
-    assert s[2] == 2 and s[15] == 3 and s[29] == 29
-    assert s[1] > 10**18  # unit has no prime factor; sentinel means "infinite"
-
-
 def test_smooth_numbers():
     got = primes.smooth_numbers(50, 3, 15)
     assert list(got) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48]
@@ -93,14 +87,12 @@ def test_smooth_numbers_refuses_before_building(monkeypatch):
 
 
 def test_rough_count_window():
-    # integers in (100, 1000] with every prime factor > 10
-    g = primes.smallest_factor_sieve(1000)
-    ns = np.arange(101, 1001)
-    count = int(np.sum(g[ns] > 10))
-    members = ns[g[ns] > 10]
-    assert count == members.size
-    assert 121 in members and 143 in members  # 11^2, 11*13
-    assert 102 not in members
+    # integers in (a, b] with every prime factor > y, by trial division
+    for a, b, y in ((100, 1000, 10), (100, 1000, 5), (10, 20, 3), (0, 50, 7),
+                    (10, 110, 1.5), (96.5, 130.9, 11.5), (1000, 1100, 2000)):
+        want = sum(all(n % d for d in range(2, int(y) + 1))
+                   for n in range(int(a) + 1, int(b) + 1))
+        assert verify.check_rough_count(a, b, y, Calibration()).context["count"] == want
 
 
 def test_sieve_cap_enforced():
@@ -151,7 +143,7 @@ def test_refused_limit_leaves_table():
 def test_full_table_fits_memory_cap():
     # the Rosser-Schoenfeld bound rmf.batch_nbytes also charges for pi(x)
     pi_bound = 1.25506 * primes.SIEVE_CAP / math.log(primes.SIEVE_CAP)
-    assert 8 * pi_bound < DEFAULT_MEMORY_CAP
+    assert 8 * pi_bound < errors.DEFAULT_MEMORY_CAP
 
 
 def test_concurrent_growth_never_shrinks(monkeypatch):

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmoments import moments, rmf
+from charmoments import errors, moments, rmf
 from charmoments.errors import DomainError, OutOfRange, TooLarge
-from charmoments.modarith import DEFAULT_MEMORY_CAP
 
 
 def test_unit_modulus():
@@ -145,9 +144,9 @@ def test_exact_moment_matches_tuple_enumeration(x, k):
 def test_exact_moment_refuses_tables_over_lowered_cap(monkeypatch, x, k):
     # the x^2 product table and the histograms alive with it, 8 B an entry
     need = 8 * (x * x + x**k + 2)
-    monkeypatch.setattr(rmf, "DEFAULT_MEMORY_CAP", need)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", need)
     assert rmf.exact_moment_2k(x, k) == _tuple_count(x, k)  # exactly at the cap
-    monkeypatch.setattr(rmf, "DEFAULT_MEMORY_CAP", need - 1)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", need - 1)
     with pytest.raises(TooLarge):
         rmf.exact_moment_2k(x, k)
 
@@ -184,7 +183,7 @@ def test_trial_seed_derivation_disjoint():
 def test_mc_estimate_needs_two_trials():
     # a standard error needs two trials, for every caller of the shared MC loop
     with pytest.raises(DomainError):
-        rmf.mc_estimate(1, 1, 16, lambda chunk: np.ones(chunk.size))
+        rmf.mc_estimate(1, 1, 16, lambda chunk: np.ones(chunk.size), 0, 0)
 
 
 @pytest.mark.parametrize("batch, threads", [(0, None), (-5, None), (16, 0), (16, -2)])
@@ -196,7 +195,7 @@ def test_mc_estimate_refuses_bad_batch_or_threads(monkeypatch, batch, threads):
 
     monkeypatch.setattr(rmf, "derive_trial_seeds", no_work)
     with pytest.raises(DomainError):
-        rmf.mc_estimate(1, 50, batch, no_work, threads)
+        rmf.mc_estimate(1, 50, batch, no_work, 0, 0, threads)
     with pytest.raises(DomainError):
         moments.rmf_moment_mc(100.0, 2.0, trials=50, seed=1, batch=batch, threads=threads)
 
@@ -221,7 +220,7 @@ def test_mc_estimate_rows_in_flight(monkeypatch, trials, batch, threads):
             alive[0] -= chunk.size
         return (chunk % np.uint64(1000)).astype(np.float64)
 
-    got = rmf.mc_estimate(5, trials, batch, per_batch, threads)
+    got = rmf.mc_estimate(5, trials, batch, per_batch, 0, 0, threads)
     want = (rmf.derive_trial_seeds(5, trials) % np.uint64(1000)).astype(np.float64)
     assert got == (float(want.mean()), float(want.std(ddof=1) / math.sqrt(trials)))
     rows, workers = rmf.mc_plan(trials, batch, threads)
@@ -240,7 +239,7 @@ def test_mc_estimate_chunk_error_propagates(monkeypatch):
         return np.ones(chunk.size)
 
     with pytest.raises(ValueError, match="chunk failed"):
-        rmf.mc_estimate(1, 100, 4, per_batch, threads=2)
+        rmf.mc_estimate(1, 100, 4, per_batch, 0, 0, threads=2)
 
 
 def test_batch_matches_scalar_path():
@@ -269,13 +268,13 @@ def test_batch_refuses_matrix_over_cap():
 def test_batch_memory_charge_admits_16_rows_at_1e7():
     # 16 rows at x = 10^7 are charged about 300 MB; the old trials x (x+1)
     # complex charge called that 2.56 GB and refused it
-    assert rmf.batch_nbytes(16, 1e7) <= DEFAULT_MEMORY_CAP
+    assert rmf.batch_nbytes(16, 1e7) <= errors.DEFAULT_MEMORY_CAP
     assert rmf.batch_nbytes(16, 1e7) < 16 * (10**7 + 1) * 16 / 4
 
 
 def test_batch_refuses_over_lowered_cap_before_drawing(monkeypatch):
     seeds = rmf.derive_trial_seeds(0, 4)
-    monkeypatch.setattr(rmf, "DEFAULT_MEMORY_CAP", rmf.batch_nbytes(3, 1e4))
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", rmf.batch_nbytes(3, 1e4))
     assert rmf.partial_sums_batch(seeds[:3], 1e4).shape == (3,)  # exactly at the cap
 
     def no_values(*args, **kwargs):
@@ -287,9 +286,11 @@ def test_batch_refuses_over_lowered_cap_before_drawing(monkeypatch):
 
 
 def test_rmf_mc_charges_every_row_in_flight(monkeypatch):
-    # the cap is checked against all workers' rows together, before any work
+    # the cap is checked against all workers' rows together, and the driver's
+    # own arrays for the 40 trials, before any work
     monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(moments, "DEFAULT_MEMORY_CAP", rmf.batch_nbytes(10, 1e4))
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP",
+                        rmf.batch_nbytes(10, 1e4) + rmf.TRIAL_BYTES * 40)
     for batch, threads in ((11, 1), (12, 2)):  # 11 and 2 x 6 rows in flight
         with pytest.raises(TooLarge):
             moments.rmf_moment_mc(1e4, 2.0, trials=40, seed=1, batch=batch, threads=threads)
@@ -300,7 +301,7 @@ def test_rmf_mc_charges_every_row_in_flight(monkeypatch):
 
 def test_values_upto_refuses_array_over_cap(monkeypatch):
     s = rmf.sample(1, 1000)
-    monkeypatch.setattr(rmf, "DEFAULT_MEMORY_CAP", 1000 * 16)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", 1000 * 16)
     assert rmf.values_upto(s, 999).size == 1000  # exactly at the cap
 
     def no_array(*args, **kwargs):
