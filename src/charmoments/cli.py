@@ -103,14 +103,16 @@ def _cmd_char_moment(args, cal) -> tuple[list | dict, int]:
 
 
 def _cmd_rmf_mc(args, cal) -> tuple[list | dict, int]:
+    # the exact moments first: a k or an x they refuse fails before any Monte Carlo
+    exact = [rmf.exact_moment_2k(x, args.k) for x in args.x] if args.exact else []
     rows = []
-    for x in args.x:
+    for i, x in enumerate(args.x):
         est = moments.rmf_moment_mc(x, args.k, trials=args.trials, seed=args.seed,
                                     threads=args.threads)
         row = {"x": x, "k": args.k, "trials": est.trials,
                "estimate": est.value, "stderr": est.stderr}
         if args.exact:
-            row["exact"] = rmf.exact_moment_2k(x, args.k)
+            row["exact"] = exact[i]
         rows.append(row)
     return rows, 0
 
@@ -158,7 +160,6 @@ def _cmd_proxy(args, cal) -> tuple[list | dict, int]:
         log_x = math.log(args.x) if args.log_x is None else args.log_x
         params = proxy.build_params(args.x, log_x=args.log_x, k=args.k,
                                     c0=log_x / math.log(args.y), profile="desk",
-                                    levels_m=len(args.j) if args.j else 1,
                                     j_values=args.j, q=args.q)
     levels = [{"m": i + 1, "log_y_m": lv.log_hi, "j_m": lv.j,
                "penalty_exp": params.penalty_exp(i + 1)}

@@ -126,41 +126,41 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
                         threads: int | None = None) -> tuple[float, float]:
     """Monte Carlo (mean, stderr) of the Euler product over [z, y].
 
-    batch is the number of trial rows in flight at once, in chunks spread over
-    up to threads worker threads (default: every usable CPU; see rmf.mc_plan).
-    Trials use independent child seeds derived from seed; results depend on
-    neither batch nor threads.  A chunk holds 40 B per trial and prime: its
-    unit values and one complex and one real buffer (tracemalloc reads
-    40.0-40.2 B at 1 to 64 rows).  The two weight arrays, made first, take a
-    row's worth.  rmf.mc_estimate charges both and refuses, before drawing
-    any value, a run above errors.DEFAULT_MEMORY_CAP.  The default batch is
-    2048 rows, or the most the cap admits if that is fewer.
+    rmf.mc_estimate runs it: it picks the batch when batch is None and spreads
+    the rows in flight over up to threads worker threads.  Trials use
+    independent child seeds derived from seed; results depend on neither
+    batch nor threads.  A row holds 40 B per prime: its unit values and one
+    complex and one real buffer (tracemalloc reads 40.0-40.2 B at 1 to 64
+    rows).  The two weight arrays take a row's worth, and are built only
+    after rmf.mc_estimate has charged both and not refused the run.
     """
     spec.validate()
     ps = primes.primes_up_to(spec.y)
     ps = ps[np.searchsorted(ps, spec.z) :]
+
+    def make_products():
+        lp = np.log(ps.astype(np.float64))
+        w1 = np.exp(-(0.5 + spec.sigma1) * lp - 1j * spec.t1 * lp)
+        w2 = np.exp(-(0.5 + spec.sigma2) * lp - 1j * spec.t2 * lp)
+        del lp
+
+        def products(chunk: np.ndarray) -> np.ndarray:
+            f = rmf.unit_values(chunk, ps)
+            c, m = np.empty_like(f), np.empty(f.shape)
+            logs = []
+            for w in (w1, w2):  # log |1 - f(p) w(p)|^2 per trial
+                np.multiply(f, w, out=c)
+                np.subtract(1.0, c, out=c)
+                np.abs(c, out=m)
+                np.square(m, out=m)
+                np.log(m, out=m)
+                logs.append(m.sum(axis=1))
+            return np.exp(-(spec.alpha * logs[0] + spec.beta * logs[1]))
+
+        return products
+
     row_bytes = 40 * ps.size
-    if batch is None:
-        batch = min(2048, rmf.mc_rows_admitted(trials, row_bytes, row_bytes))
-    lp = np.log(ps.astype(np.float64))
-    w1 = np.exp(-(0.5 + spec.sigma1) * lp - 1j * spec.t1 * lp)
-    w2 = np.exp(-(0.5 + spec.sigma2) * lp - 1j * spec.t2 * lp)
-    del lp
-
-    def products(chunk: np.ndarray) -> np.ndarray:
-        f = rmf.unit_values(chunk, ps)
-        c, m = np.empty_like(f), np.empty(f.shape)
-        logs = []
-        for w in (w1, w2):  # log |1 - f(p) w(p)|^2 per trial
-            np.multiply(f, w, out=c)
-            np.subtract(1.0, c, out=c)
-            np.abs(c, out=m)
-            np.square(m, out=m)
-            np.log(m, out=m)
-            logs.append(m.sum(axis=1))
-        return np.exp(-(spec.alpha * logs[0] + spec.beta * logs[1]))
-
-    return rmf.mc_estimate(seed, trials, batch, products, row_bytes, row_bytes, threads)
+    return rmf.mc_estimate(seed, trials, batch, make_products, row_bytes, row_bytes, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,11 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
                   batch: int | None = None, threads: int | None = None) -> MomentEstimate:
     """Monte Carlo estimate of E |sum_{n <= x} f(n)|^{2k}.
 
-    batch is the number of trial rows in flight at once, in chunks spread over
-    up to threads worker threads (default: every usable CPU; see rmf.mc_plan).
-    Per-trial child seeds derive from (seed, trial index); identical inputs
-    give bit-identical output for any batch and any threads.  rmf.mc_estimate
-    charges each row in flight rmf.batch_nbytes and refuses, before any row
-    runs, a run above errors.DEFAULT_MEMORY_CAP; the default batch stays
-    under it.
+    rmf.mc_estimate runs it: it picks the batch when batch is None, spreads
+    the rows in flight over up to threads worker threads, and refuses, before
+    any row runs, a run above errors.DEFAULT_MEMORY_CAP, charging each row
+    rmf.batch_nbytes.  Per-trial child seeds derive from (seed, trial index);
+    identical inputs give bit-identical output for any batch and any threads.
     """
     if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
@@ -101,20 +99,13 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     if x < 0:
         raise OutOfRange(f"x = {x} must be >= 0")
     xf = int(math.floor(x))
-    row_bytes = rmf.batch_nbytes(1, xf)
-    if batch is None:
-        # rows whose held arrays (batch_nbytes) fit in 12 MiB and whose
-        # per-step temporaries, 2 sqrt(x) complex values a row, fit in 2 MiB
-        # (one core's L2 cache on a current Xeon); at least 16, never
-        # more than the cap admits
-        batch = min(trials, (12 << 20) // max(1, row_bytes),
-                    (2 << 20) // (32 * max(1, math.isqrt(xf))))
-        batch = min(max(16, batch), rmf.mc_rows_admitted(trials, row_bytes, 0))
-    ps = primes.primes_up_to(xf)
-    mean, stderr = rmf.mc_estimate(
-        seed, trials, batch,
-        lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x, ps), k),
-        row_bytes, 0, threads)
+
+    def make_per_batch():
+        ps = primes.primes_up_to(xf)
+        return lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x, ps), k)
+
+    mean, stderr = rmf.mc_estimate(seed, trials, batch, make_per_batch,
+                                   rmf.batch_nbytes(1, xf), 0, threads)
     return MomentEstimate(value=mean, stderr=stderr, trials=trials, kind="mc-rmf")
 
 

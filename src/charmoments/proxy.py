@@ -67,7 +67,6 @@ class ProxyParams:
     k: float
     c0: float
     log_x: float
-    profile: str
     levels: tuple[Level, ...]
 
     @property
@@ -108,7 +107,6 @@ def _window_chain(log_y: float, m_count: int) -> list[tuple[float, float]]:
 
 def build_params(x: float | None = None, *, log_x: float | None = None, k: float,
                  c0: float, profile: str = "paper",
-                 levels_m: int | None = None,
                  j_values: tuple[int, ...] | list[int] | None = None,
                  q: int | None = None) -> ProxyParams:
     """Build the window chain for scale x (or log_x directly) and exponent k.
@@ -116,9 +114,9 @@ def build_params(x: float | None = None, *, log_x: float | None = None, k: float
     Paper profile: window count M is the unique value with 20^(M-1) inside
     [ (log log y)^2, 20 (log log y)^2 ), depths are J_1 = ceil((log log y)^{3/2}),
     J_M = ceil(C0/(10^5 k)), J_m = J_M + M - m in between, and the length
-    constraint prod_m y_m^{10^4 k J_m} < x must hold.  Desk profile: M and the
-    J_m are caller-chosen; when q is given the cross-moment length guard
-    x * prod_m y_m^{4 J_m} < q is enforced instead.
+    constraint prod_m y_m^{10^4 k J_m} < x must hold.  Desk profile: j_values
+    lists the J_m, one window each (default (2,)); when q is given the
+    cross-moment length guard x * prod_m y_m^{4 J_m} < q is enforced instead.
     """
     if (x is None) == (log_x is None):
         raise OutOfRange("pass exactly one of x, log_x")
@@ -159,19 +157,15 @@ def build_params(x: float | None = None, *, log_x: float | None = None, k: float
                 f">= log x = {log_x:.4g}"
             )
     elif profile == "desk":
-        m_count = int(levels_m) if levels_m is not None else 1
-        if m_count < 1:
-            raise OutOfRange("need at least one window")
-        js = list(j_values) if j_values is not None else [2] * m_count
-        if len(js) != m_count or any(j < 1 for j in js):
+        js = list(j_values) if j_values is not None else [2]
+        if not js or any(j < 1 for j in js):
             raise InfeasibleParams("j_values must list one depth >= 1 per window")
-        chain = _window_chain(log_y, m_count)
+        chain = _window_chain(log_y, len(js))
         levels = tuple(Level(lo, hi, int(j)) for (lo, hi), j in zip(chain, js))
     else:
         raise OutOfRange(f"unknown profile {profile!r}")
 
-    params = ProxyParams(k=float(k), c0=float(c0), log_x=float(log_x),
-                         profile=profile, levels=levels)
+    params = ProxyParams(k=float(k), c0=float(c0), log_x=float(log_x), levels=levels)
     if q is not None and profile == "desk":
         if not params.fits_modulus(log_x, q):
             raise InfeasibleParams(
@@ -180,14 +174,13 @@ def build_params(x: float | None = None, *, log_x: float | None = None, k: float
     return params
 
 
-def desk_params(x: float, y: float, k: float, levels_m: int = 1,
-                j_values=None, q: int | None = None) -> ProxyParams:
+def desk_params(x: float, y: float, k: float, j_values=None,
+                q: int | None = None) -> ProxyParams:
     """Desk profile parametrized by outer window edge y instead of C0."""
     if not (1 < y):
         raise OutOfRange("need y > 1")
     c0 = math.log(x) / math.log(y)
-    return build_params(x=x, k=k, c0=c0, profile="desk",
-                        levels_m=levels_m, j_values=j_values, q=q)
+    return build_params(x=x, k=k, c0=c0, profile="desk", j_values=j_values, q=q)
 
 
 # ---------------------------------------------------------------------------

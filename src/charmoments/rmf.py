@@ -114,28 +114,31 @@ def mc_plan(trials: int, batch: int, threads: int | None = None) -> tuple[int, i
     return alive // workers, workers
 
 
-def mc_rows_admitted(trials: int, row_bytes: int, shared_bytes: int) -> int:
-    """The most trial rows in flight, at least 1, that mc_estimate's charge admits."""
-    free = errors.DEFAULT_MEMORY_CAP - shared_bytes - TRIAL_BYTES * trials
-    return max(1, free // max(1, row_bytes))
-
-
-def mc_estimate(seed: int, trials: int, batch: int, per_batch, row_bytes: int,
-                shared_bytes: int, threads: int | None = None) -> tuple[float, float]:
+def mc_estimate(seed: int, trials: int, batch: int | None, make_per_batch,
+                row_bytes: int, shared_bytes: int,
+                threads: int | None = None) -> tuple[float, float]:
     """(mean, stderr) over trials of per_batch(trial seeds), one value per trial.
 
-    batch is the number of trial rows in flight at once.  Chunks of them run
-    on up to threads worker threads (default: every usable CPU; see mc_plan),
-    which pays because numpy releases the interpreter lock.  Trial t always
-    gets the same child seed of seed and each chunk fills only its own slice
-    of the samples, so the result depends on neither batch nor threads,
-    provided per_batch computes each row on its own.  Before any seed is
-    derived, the run is charged against errors.DEFAULT_MEMORY_CAP: row_bytes
-    for each row in flight, shared_bytes once, and TRIAL_BYTES per trial.
+    batch is the number of trial rows in flight at once.  None means
+    min(trials, 2048, 12 MiB // row_bytes) rows, at least 16 and never more
+    than the charge below admits.  Chunks of the rows run on up to threads
+    worker threads (default: every usable CPU; see mc_plan), which pays
+    because numpy releases the interpreter lock.  Trial t always gets the same
+    child seed of seed and each chunk fills only its own slice of the samples,
+    so the result depends on neither batch nor threads, provided per_batch
+    computes each row on its own.  Before anything is built, the run is
+    charged against errors.DEFAULT_MEMORY_CAP: row_bytes for each row in
+    flight, shared_bytes once, and TRIAL_BYTES per trial.  Only then does
+    make_per_batch() build what the rows share and return per_batch.
     """
+    if batch is None:
+        row = max(1, row_bytes)
+        admitted = (errors.DEFAULT_MEMORY_CAP - shared_bytes - TRIAL_BYTES * trials) // row
+        batch = max(1, min(max(16, min(trials, 2048, (12 << 20) // row)), admitted))
     rows, workers = mc_plan(trials, batch, threads)
     check_bytes(rows * workers * row_bytes + shared_bytes + TRIAL_BYTES * trials,
                 f"a run of {trials} trials in batches of {rows * workers}")
+    per_batch = make_per_batch()
     seeds = derive_trial_seeds(seed, trials)
     samples = np.empty(trials, dtype=np.float64)
 

@@ -121,7 +121,12 @@ def test_not_prime_exit_2(capsys):
     ("char-moment", "--q", "101", "--x", "30", "--threads", "0"),
     ("theta", "--q", "101", "--moment", "1", "--threads", "0"),
 ])
-def test_invalid_input_exit_2(capsys, argv):
+def test_invalid_input_exit_2(monkeypatch, capsys, argv):
+    # refused before any Monte Carlo trial runs, --exact's k included
+    def no_mc(*args, **kwargs):
+        raise AssertionError("a Monte Carlo trial ran before the input was refused")
+
+    monkeypatch.setattr(cli.rmf, "partial_sums_batch", no_mc)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ")

@@ -39,14 +39,15 @@ ROUTES = {
     "weighted_char_sums": (lambda: charsum.weighted_char_sums(MOD, np.arange(1, 21),
                                                               np.ones((3, 20))),
                            32 * 3 * 100, [(charsum.np, "zeros")]),
-    "mc_estimate": (lambda: rmf.mc_estimate(1, 50, 10, lambda c: np.zeros(c.size), 7, 100),
+    "mc_estimate": (lambda: rmf.mc_estimate(1, 50, 10, lambda: lambda c: np.zeros(c.size), 7, 100),
                     10 * 7 + 100 + rmf.TRIAL_BYTES * 50, [(rmf, "derive_trial_seeds")]),
     "rmf_moment_mc": (lambda: moments.rmf_moment_mc(100.0, 2.0, trials=50, seed=1, batch=10),
                       rmf.batch_nbytes(10, 100) + rmf.TRIAL_BYTES * 50,
                       [(rmf, "derive_trial_seeds"), (rmf, "unit_values")]),
     "mc_product_estimate": (lambda: euler.mc_product_estimate(SPEC, 50, seed=1, batch=10),
                             _euler_charge(10, 50),
-                            [(rmf, "derive_trial_seeds"), (rmf, "unit_values")]),
+                            [(rmf, "derive_trial_seeds"), (rmf, "unit_values"),
+                             (euler.np, "exp")]),  # np.exp builds the weights
     "check_rough_count": (lambda: verify.check_rough_count(100, 1000, 5, Calibration()),
                           900, [(verify.np, "ones")]),
 }

@@ -205,7 +205,7 @@ def test_congruence_energy_refuses_huge_table():
 
 @pytest.mark.parametrize("x, trials, batch", [
     (1e5, 150, 45),  # held arrays within 12 MiB
-    (1e3, 3000, 2114), (100.0, 20_000, 6553), (150.0, 20_000, 5461),  # temporaries within 2 MiB
+    (1e3, 3000, 2048), (100.0, 20_000, 2048), (150.0, 20_000, 2048),  # at most 2048 rows
     (1e7, 40, 16),  # the 16-row floor, charged about 300 MB
 ])
 def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, batch):

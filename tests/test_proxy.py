@@ -43,8 +43,6 @@ def test_desk_profile_validation():
         proxy.desk_params(x=6.0, y=0.9, k=2.0)
     with pytest.raises(OutOfRange):
         proxy.build_params(x=10.0, k=1.5, c0=2.0, profile="desk")
-    with pytest.raises(InfeasibleParams):
-        proxy.desk_params(x=10.0, y=3.0, k=2.0, levels_m=2, j_values=[1])
 
 
 def test_penalty_exponent():
@@ -162,7 +160,7 @@ def test_dyadic_bins():
 
 def test_poly_table_matches_level_poly():
     # every cell against the definition of D_{m,l}, summed over the window's primes
-    d = proxy.desk_params(x=4.0, y=40.0, k=2.0, levels_m=2, j_values=[2, 1])
+    d = proxy.desk_params(x=4.0, y=40.0, k=2.0, j_values=[2, 1])
     sample = rmf.sample(7, 45)
     table = proxy.poly_table(d, proxy.SampleSource(sample))
     assert table.shape == (d.shift_values().size, 2)

@@ -183,7 +183,7 @@ def test_trial_seed_derivation_disjoint():
 def test_mc_estimate_needs_two_trials():
     # a standard error needs two trials, for every caller of the shared MC loop
     with pytest.raises(DomainError):
-        rmf.mc_estimate(1, 1, 16, lambda chunk: np.ones(chunk.size), 0, 0)
+        rmf.mc_estimate(1, 1, 16, lambda: lambda chunk: np.ones(chunk.size), 0, 0)
 
 
 @pytest.mark.parametrize("batch, threads", [(0, None), (-5, None), (16, 0), (16, -2)])
@@ -220,13 +220,37 @@ def test_mc_estimate_rows_in_flight(monkeypatch, trials, batch, threads):
             alive[0] -= chunk.size
         return (chunk % np.uint64(1000)).astype(np.float64)
 
-    got = rmf.mc_estimate(5, trials, batch, per_batch, 0, 0, threads)
+    got = rmf.mc_estimate(5, trials, batch, lambda: per_batch, 0, 0, threads)
     want = (rmf.derive_trial_seeds(5, trials) % np.uint64(1000)).astype(np.float64)
     assert got == (float(want.mean()), float(want.std(ddof=1) / math.sqrt(trials)))
     rows, workers = rmf.mc_plan(trials, batch, threads)
     assert workers == min(3 if threads is None else min(threads, 3), batch, trials)
     assert alive[1] <= workers * math.ceil(batch / workers)
     assert alive[1] <= rows * workers <= batch
+
+
+@pytest.mark.parametrize("trials, row_bytes, cap_rows, rows", [
+    (5000, 8, None, 2048),  # at most 2048 rows
+    (5000, 64 << 10, None, 192),  # rows within 12 MiB
+    (100, 8, None, 100),  # never more rows than trials
+    (5000, 1 << 20, None, 16),  # at least 16 rows
+    (5000, 1 << 20, 5, 5),  # never more than the cap admits
+])
+def test_mc_estimate_default_batch(monkeypatch, trials, row_bytes, cap_rows, rows):
+    # one worker, so each chunk holds the whole batch, beside 3 MiB the rows share
+    shared = 3 << 20
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 1)
+    if cap_rows is not None:
+        monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP",
+                            cap_rows * row_bytes + shared + rmf.TRIAL_BYTES * trials)
+    seen = []
+
+    def per_batch(chunk):
+        seen.append(chunk.size)
+        return np.zeros(chunk.size)
+
+    rmf.mc_estimate(1, trials, None, lambda: per_batch, row_bytes, shared)
+    assert seen[0] == rows and sum(seen) == trials
 
 
 def test_mc_estimate_chunk_error_propagates(monkeypatch):
@@ -239,7 +263,7 @@ def test_mc_estimate_chunk_error_propagates(monkeypatch):
         return np.ones(chunk.size)
 
     with pytest.raises(ValueError, match="chunk failed"):
-        rmf.mc_estimate(1, 100, 4, per_batch, 0, 0, threads=2)
+        rmf.mc_estimate(1, 100, 4, lambda: per_batch, 0, 0, threads=2)
 
 
 def test_batch_matches_scalar_path():
