@@ -11,10 +11,8 @@ Submodules:
     verify      dual-route identity and inequality checks
     calibration calibrated slack constants, overridable from the environment
 
-Importing the package loads numpy but no scipy.  The few routes that call
-scipy import the piece they call inside the function: scipy.fft in
-charsum.all_char_sums_fft, scipy.integrate in the quadrature routes and
-scipy.special in theta.mellin_transform_check.
+Importing the package loads numpy but no scipy.  The one scipy import,
+scipy.fft, sits inside charsum.all_char_sums_fft; the quadratures are numpy.
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,12 @@
-"""Importing the package loads no scipy; each route loads only the scipy piece it calls.
+"""Importing the package loads no scipy, and the one route that calls scipy
+loads only scipy.fft.
 
 The steps run in order in one fresh interpreter, because a module, once
 imported, stays in sys.modules: what a step may load depends on what ran
 before it.  scipy.fft imports scipy.special itself (for its FFTLog
-routines), so the character-moment step is held to exactly what a bare
-`import scipy.fft` loads.
+routines), so the FFT routes are held to exactly what a bare
+`import scipy.fft` loads.  The quadratures (the Euler angle rule, the
+Mellin rule at y > 1 and the closed-form Parseval check) are numpy only.
 """
 import json
 import os
@@ -23,12 +25,14 @@ def loaded(step):
 import charmoments, charmoments.cli
 loaded("import")
 
-from charmoments import cli, euler, moments, theta, verify
+from charmoments import cli, euler, moments, rmf, theta, verify
 from charmoments.modarith import build_modulus
 moments.rmf_moment_mc(150.0, 2.0, trials=200, seed=1)
-euler.mc_product_estimate(euler.EulerProductSpec(alpha=1.0, beta=0.5, sigma1=0.0,
-                                                 sigma2=0.1, t1=0.0, t2=2.0,
-                                                 z=1000.0, y=5000.0), 200, seed=3)
+spec = euler.EulerProductSpec(alpha=1.0, beta=0.5, sigma1=0.0, sigma2=0.1,
+                              t1=0.0, t2=2.0, z=1000.0, y=5000.0)
+euler.mc_product_estimate(spec, 200, seed=3)
+euler.pair_product_quad(spec)
+theta.mellin_transform_check(2.0, 1.5, rmf.sample(9, 10), smooth_cap=10**7)
 theta.theta_moment(build_modulus(101), 1, "even")
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1",
@@ -39,9 +43,9 @@ loaded("no-scipy routes")
 moments.char_moment(build_modulus(101), 30, 2)
 loaded("char_moment")
 
-reports = verify.run_suite("identities", 101, 1)
+reports = verify.run_suite("full", 499, 1)
 assert all(r.passed for r in reports)
-loaded("verify identities")
+loaded("verify full")
 """
 
 
@@ -63,4 +67,4 @@ def test_scipy_loaded_only_by_the_routes_that_call_it():
                        ' if m.startswith("scipy"))]))')["fft"]
     assert "scipy.integrate" not in bare_fft
     assert steps["char_moment"] == bare_fft
-    assert "scipy.integrate" in steps["verify identities"]
+    assert steps["verify full"] == bare_fft

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmoments import errors, euler, primes, rmf
-from charmoments.errors import Divergent, HypothesisViolated, TooLarge
+from charmoments.errors import Divergent, HypothesisViolated, QuadratureFailure, TooLarge
 
 
 def make_spec(**kw):
@@ -63,6 +64,76 @@ def test_single_factor_quadrature_vs_geometric():
 def test_pair_factor_divergence_guard():
     with pytest.raises(Divergent):
         euler.pair_factor_expectation(0.9, 1.0, 0.0)
+
+
+SMALL_PRIMES = primes.primes_up_to(1000).tolist()
+
+
+def _binomial_series(alpha, r):
+    # E|1 - r e^{i theta}|^{-2 alpha} = sum_n ((alpha)_n / n!)^2 r^{2n}
+    total, a, n = 0.0, 1.0, 0
+    while a * a * r ** (2 * n) > 1e-18 * max(total, 1.0):
+        total += a * a * r ** (2 * n)
+        a *= (alpha + n) / (n + 1)
+        n += 1
+    return total
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(p=st.sampled_from(SMALL_PRIMES),
+       alpha=st.floats(0.0, 1.5, exclude_min=True, allow_subnormal=False),
+       sigma=st.floats(0.0, 0.3))
+def test_single_factor_matches_binomial_series(p, alpha, sigma):
+    got = euler.pair_factor_expectation(float(p), alpha, sigma)
+    assert got == pytest.approx(_binomial_series(alpha, p ** (-0.5 - sigma)), rel=1e-10)
+
+
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(p=st.sampled_from(SMALL_PRIMES), alpha=st.floats(0.0, 1.5), beta=st.floats(0.0, 1.5),
+       sigma=st.floats(0.0, 0.3))
+def test_coincident_factors_merge(p, alpha, beta, sigma):
+    # at dt = 0 and sigma1 = sigma2 the two factors are one with exponent alpha + beta
+    two = euler.pair_factor_expectation(float(p), alpha, sigma, beta, sigma, 0.0)
+    assert two == pytest.approx(euler.pair_factor_expectation(float(p), alpha + beta, sigma),
+                                rel=1e-12)
+
+
+def test_radius_near_one_fails_loudly():
+    # r = 1.0001^{-1/2} needs far more than the node cap: refuse, return no number
+    with pytest.raises(QuadratureFailure):
+        euler.pair_factor_expectation(1.0001, 1.0, 0.0)
+    with pytest.raises(QuadratureFailure):
+        euler.pair_factor_expectation(np.array([101.0, 1.0001]), 1.0, 0.0)
+
+
+def test_angle_rule_vectorised_over_blocks():
+    # 200 primes span four blocks; each agrees with its own one-prime rule
+    ps = primes.primes_in(250, 2000)[:200]
+    got = euler.pair_factor_expectation(ps, 0.8, 0.02, 0.6, 0.0, 2.5)
+    assert got.shape == ps.shape
+    want = [euler.pair_factor_expectation(float(p), 0.8, 0.02, 0.6, 0.0, 2.5) for p in ps]
+    assert got == pytest.approx(want, rel=1e-13)
+    assert euler.pair_factor_expectation(ps.reshape(8, 25), 0.8, 0.02).shape == (8, 25)
+
+
+@pytest.mark.parametrize("p", [np.array([101.0]), primes.primes_in(250, 1e5), np.full(70, 1.0001)])
+def test_angle_rule_peak_memory_within_charge(monkeypatch, p):
+    # the charge refuses a cap below the measured peak, converged or not
+    def run():
+        try:
+            euler.pair_factor_expectation(p, 1.0, 0.05, 1.0, 0.1, 1.0)
+        except QuadratureFailure:
+            pass
+
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", peak - 1)
+    with pytest.raises(TooLarge):
+        run()
 
 
 def test_closed_form_vs_quadrature_product():

@@ -6,7 +6,7 @@ exactly its charge and refuses, before it allocates, one byte below.
 import numpy as np
 import pytest
 
-from charmoments import charsum, errors, euler, moments, modarith, primes, rmf, verify
+from charmoments import charsum, errors, euler, moments, modarith, primes, rmf, theta, verify
 from charmoments.calibration import Calibration
 from charmoments.errors import TooLarge
 
@@ -16,6 +16,14 @@ SEEDS = rmf.derive_trial_seeds(0, 3)
 SPEC = euler.EulerProductSpec(alpha=1.0, beta=1.0, sigma1=0.05, sigma2=0.1,
                               t1=0.0, t2=1.0, z=250.0, y=1500.0)
 EULER_PRIMES = primes.primes_in(249, 1500).size
+MELLIN_TERMS = primes.smooth_numbers(10**4, 2, 100).size  # 1, 2, 4, ..., 8192
+
+
+def _angle_charge(count):
+    # 16 B per prime, and 24 B per (row, node) cell of a block's newest nodes
+    # with one row more for the node vectors
+    rows = min(count, euler._ANGLE_ROWS) + 1
+    return 16 * count + 24 * rows * (euler._ANGLE_NODES >> 1)
 
 
 def _euler_charge(rows, trials):
@@ -48,6 +56,12 @@ ROUTES = {
                             _euler_charge(10, 50),
                             [(rmf, "derive_trial_seeds"), (rmf, "unit_values"),
                              (euler.np, "exp")]),  # np.exp builds the weights
+    "pair_product_quad": (lambda: euler.pair_product_quad(SPEC), _angle_charge(EULER_PRIMES),
+                          [(euler.np, "empty"), (euler.np, "cos")]),
+    "mellin_transform_check": (lambda: theta.mellin_transform_check(2.0, 1.5, SAMPLE,
+                                                                    smooth_cap=10**4),
+                               theta._mellin_grid(MELLIN_TERMS, 1.5, 1e-10)[3],
+                               [(theta.np, "stack"), (theta.np, "exp")]),
     "check_rough_count": (lambda: verify.check_rough_count(100, 1000, 5, Calibration()),
                           900, [(verify.np, "ones")]),
 }

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from charmoments import rmf, theta
+from charmoments import errors, rmf, theta
 from charmoments.errors import DomainError, OutOfRange, TooLarge
 from charmoments.modarith import build_modulus
 
@@ -121,6 +122,34 @@ def test_mellin_smooth_product():
     s = rmf.sample(9, 10)
     numeric, closed = theta.mellin_transform_check(2.0, 1.5, s, smooth_cap=10**7)
     assert abs(numeric - closed) < 1e-6 * abs(closed)
+
+
+@pytest.mark.parametrize("y", [2, 3, 5])
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0])
+def test_mellin_rule_matches_enumerated_terms(y, s):
+    # the numeric side integrates exactly the terms _smooth_values enumerated,
+    # so it equals their Mellin transforms summed, with no truncation error
+    sample = rmf.sample(9, 10)
+    cap = 10**6
+    numeric, _ = theta.mellin_transform_check(float(y), s, sample, smooth_cap=cap)
+    ms, cs = theta._smooth_values(sample, y, cap)
+    terms = complex(np.sum(cs * ms.astype(np.float64) ** -s))
+    assert numeric == pytest.approx(math.gamma(s / 2.0) / (2.0 * math.pi ** (s / 2.0)) * terms,
+                                    rel=1e-10)
+
+
+@pytest.mark.parametrize("y, cap", [(1, 10**12), (5, 10**6), (13, 10**8)])
+def test_mellin_peak_memory_within_charge(monkeypatch, y, cap):
+    ms, cs = theta._smooth_values(rmf.sample(2, 20), y, cap)
+    tracemalloc.start()
+    try:
+        theta._mellin_numeric(ms, cs, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", peak - 1)
+    with pytest.raises(TooLarge):
+        theta._mellin_numeric(ms, cs, 1.5)
 
 
 def test_smooth_values_match_factorisation():

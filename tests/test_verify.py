@@ -76,6 +76,19 @@ def test_parseval_oscillatory_support_seed_106():
     assert r[-1].lhs == pytest.approx(r[-1].rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [0.3, 0.75, 1.5])
+@pytest.mark.parametrize("seed", range(4))
+def test_parseval_random_supports_agree(sigma, seed):
+    # random supports in [1, 40]: the closed-form transform side meets the
+    # segment-wise left side far inside the calibrated tolerance
+    rng = np.random.default_rng(seed)
+    ns = rng.choice(np.arange(1, 41), size=int(rng.integers(1, 12)), replace=False)
+    coeffs = {int(n): complex(a, b) for n, (a, b) in zip(ns, rng.standard_normal((ns.size, 2)))}
+    r = verify.check_parseval(coeffs, sigma, CAL)
+    assert r.passed
+    assert r.lhs == pytest.approx(r.rhs, rel=1e-12)
+
+
 def test_parseval_rejects_bad_support():
     with pytest.raises(DomainError):
         verify.check_parseval({0: 1.0}, 0.5, CAL)
