@@ -5,7 +5,8 @@ CSV on request) carrying the resolved configuration, the seed, the package
 version, and wall time, so runs can be replayed and diffed.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
-3 resource limit refused, 4 internal error.
+3 resource limit refused, 4 internal error, 141 stdout closed before the
+document was written (as 128 + SIGPIPE from a shell, e.g. piped into head).
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -280,6 +282,11 @@ def main(argv=None) -> int:
         results, code = args.fn(args, cal)
         doc = _document(args, cal, results, started)
         _emit(doc, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,6 +17,11 @@ and the full proxy weight R(s) = sum_l prod_m R_{m,l}(s) over integer shifts
 |l| <= floor(log(y)/2).  Piecewise dominating surrogates, branching on the
 dyadic bin of |Re D|, support the moment comparison machinery downstream.
 
+poly_table takes a stack of sources (one source is the one-row case) and gives
+D over (source, shift, window); level factors and the subadditivity split keep
+the reductions of a one-source table.  The truncation series is elementwise
+over (d, k, depth), like the truncated exponential and the surrogates.
+
 Two profiles are supported.  The "paper" profile resolves the full parameter
 recursion (window count from a geometric bracket on log log y, J-chain
 decreasing by one, and the 10^4*k*J length constraint); its constants are
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import InfeasibleParams, OutOfRange
+from .errors import InfeasibleParams, OutOfRange, check_bytes
 from .fpoly import FPoly
 from .modarith import PrimeModulus
 from .rmf import RmfSample
@@ -236,10 +241,12 @@ def _window_coeffs(params: ProxyParams, m: int,
     return ps, np.exp(-0.5 * lp) * phase, 0.5 * np.exp(-lp) * phase * phase
 
 
-def _window_polys(params: ProxyParams, source, m: int, shifts) -> np.ndarray:
-    """D_{m,l}(source) at each of the given shifts, from one values_at call."""
+def _window_polys(params: ProxyParams, sources, m: int, shifts) -> np.ndarray:
+    """D_{m,l}(s) for each source s (rows) and shift l (columns), one values_at call per source."""
     ps, first, second = _window_coeffs(params, m, shifts)
-    sv = source.values_at(ps)
+    # two complex products of sources x shifts x primes are live at once
+    check_bytes(32 * len(sources) * first.size, f"window polynomials of {len(sources)} sources")
+    sv = np.stack([source.values_at(ps) for source in sources])[:, None, :]
     return (first * sv + second * (sv * sv)).sum(axis=-1)
 
 
@@ -255,11 +262,11 @@ def _window_polys_all_chars(mod: PrimeModulus, params: ProxyParams, m: int,
                               np.concatenate([first, second], axis=1))
 
 
-def poly_table(params: ProxyParams, source) -> np.ndarray:
-    """D_{m,l}(source) for every shift l (rows, as shift_values) and window m (columns)."""
+def poly_table(params: ProxyParams, sources) -> np.ndarray:
+    """D_{m,l}(s) for each source s, shift l (as shift_values) and window m, in that axis order."""
     shifts = params.shift_values()
-    return np.stack([_window_polys(params, source, m, shifts)
-                     for m in range(1, params.m_count + 1)], axis=1)
+    return np.stack([_window_polys(params, sources, m, shifts)
+                     for m in range(1, params.m_count + 1)], axis=-1)
 
 
 def truncated_exp(d, depth: int, coef: float):
@@ -273,35 +280,36 @@ def truncated_exp(d, depth: int, coef: float):
 
 
 def level_factors(params: ProxyParams, table: np.ndarray) -> np.ndarray:
-    """R_{m,l}: squared truncated exponential of (k-1) Re D_{m,l}, over a D table."""
+    """R_{m,l}: squared truncated exponential of (k-1) Re D_{m,l}, over a D table
+    whose last axis runs over the windows."""
     out = np.empty(table.shape)
     for m, lv in enumerate(params.levels):
-        t = truncated_exp(table[:, m].real, lv.j, params.k - 1.0)
-        out[:, m] = t * t
+        t = truncated_exp(table[..., m].real, lv.j, params.k - 1.0)
+        out[..., m] = t * t
     return out
 
 
 def _weight(params: ProxyParams, table: np.ndarray):
-    """R = sum over shifts of the product over windows of the level factors."""
-    return level_factors(params, table).prod(axis=1).sum(axis=0)
+    """R = sum over shifts (axis 0) of the product over windows (last axis) of level factors."""
+    return level_factors(params, table).prod(axis=-1).sum(axis=0)
 
 
 def proxy_weight(params: ProxyParams, source) -> float:
     """R(source) = sum over shifts of the product of level factors."""
-    return float(_weight(params, poly_table(params, source)))
+    return float(_weight(params, poly_table(params, [source])[0]))
 
 
 def proxy_weight_all_chars(mod: PrimeModulus, params: ProxyParams) -> np.ndarray:
     """R(chi_a) for every character, sharing one DFT per (window, shift)."""
     shifts = params.shift_values()
     table = np.stack([_window_polys_all_chars(mod, params, m, shifts)
-                      for m in range(1, params.m_count + 1)], axis=1)
+                      for m in range(1, params.m_count + 1)], axis=-1)
     return _weight(params, table)
 
 
 def exp_weight_total(params: ProxyParams, source) -> float:
     """Untruncated analogue of the proxy weight: sum_l exp(2(k-1) Re sum_m D_{m,l})."""
-    logs = 2.0 * (params.k - 1.0) * poly_table(params, source).real.sum(axis=1)
+    logs = 2.0 * (params.k - 1.0) * poly_table(params, [source])[0].real.sum(axis=1)
     peak = logs.max()
     return float(math.exp(peak) * np.exp(logs - peak).sum())
 
@@ -315,16 +323,28 @@ def truncation_error_direct(d: float, k: float, depth: int) -> float:
     return math.exp(2.0 * (k - 1.0) * d) - t * t
 
 
-def truncation_error_series(d: float, k: float, depth: int, extra: int = 60) -> float:
-    """Same quantity as the explicit double series over max(j1, j2) > depth."""
-    cap = depth + extra
-    c = np.empty(cap + 1)
-    c[0] = 1.0
+def truncation_error_series(d, k, depth, extra: int = 60):
+    """Same quantity as the explicit double series over max(j1, j2) > depth,
+    elementwise over scalars or arrays d, k and depth."""
+    d, k, depth = np.broadcast_arrays(d, k, depth)
+    cap = int(depth.max()) + extra
+    # two gathers of c and their product, one float per instance and pair i <= j
+    check_bytes(12 * d.size * (cap + 1) * (cap + 2), f"the truncation series of {d.size} values")
+    c = np.ones(d.shape + (cap + 1,))  # c_0 = 1
+    x = (k - 1.0) * d
     for j in range(1, cap + 1):
-        c[j] = c[j - 1] * ((k - 1.0) * d) / j
-    idx = np.arange(cap + 1)
-    # fsum is correctly rounded, so the order of the terms does not matter
-    return math.fsum(np.multiply.outer(c, c)[np.maximum.outer(idx, idx) > depth].tolist())
+        c[..., j] = c[..., j - 1] * x / j
+    j, i = np.tril_indices(cap + 1)  # pairs i <= j, in runs of equal j
+    # c_i c_j == c_j c_i bit for bit and doubling is exact, so each pair off the
+    # diagonal enters once, doubled; fsum is correctly rounded, so neither that
+    # nor the order of the terms moves the sum
+    terms = (c[..., i] * c[..., j] * np.where(i < j, 2.0, 1.0)).reshape(-1, i.size)
+    # the pairs with depth < j <= depth + extra: run j starts at j (j + 1) / 2;
+    # a memoryview hands fsum Python floats without building a list
+    lo = ((depth + 1) * (depth + 2) // 2).ravel().tolist()
+    hi = ((depth + extra + 1) * (depth + extra + 2) // 2).ravel().tolist()
+    return np.reshape([math.fsum(memoryview(t[a:b])) for t, a, b in zip(terms, lo, hi)],
+                      d.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +377,17 @@ def surrogate_log_at(d, k: float, j: int, a: int):
                     np.where(w <= 100.0 * k * j, 4.0 * w, lead) + penalty)[()]
 
 
-def subadditivity_split(params: ProxyParams, source) -> tuple[float, float]:
-    """(R^{k/(k-1)}, sum_{l1,l2} prod_m R_{m,l1} R_{m,l2}^{1/(k-1)}).
+def subadditivity_split(params: ProxyParams, sources) -> list[tuple[float, float]]:
+    """(R^{k/(k-1)}, sum_{l1,l2} prod_m R_{m,l1} R_{m,l2}^{1/(k-1)}) for each source.
 
     The left side never exceeds the right for k >= 2.
     """
-    table = level_factors(params, poly_table(params, source))
-    prod_full = table.prod(axis=1)
-    prod_frac = (table ** (1.0 / (params.k - 1.0))).prod(axis=1)
-    lhs = float(prod_full.sum() ** (params.k / (params.k - 1.0)))
-    rhs = float(prod_full.sum() * prod_frac.sum())
-    return lhs, rhs
+    table = level_factors(params, poly_table(params, sources))
+    full = table.prod(axis=-1).sum(axis=-1)
+    frac = (table ** (1.0 / (params.k - 1.0))).prod(axis=-1).sum(axis=-1)
+    # one scalar power per source: numpy's array power may round differently
+    return [(float(f ** (params.k / (params.k - 1.0))), float(f * g))
+            for f, g in zip(full, frac)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import euler, moments, primes, proxy, rmf, theta
 from .calibration import Calibration
 from .charsum import (abs_char_sums, all_char_sums_fft, all_char_sums_naive, mirror,
                       weighted_char_sums)
-from .errors import DomainError, LengthViolation, check_bytes
+from .errors import DomainError, LengthViolation, OutOfRange, check_bytes
 from .fpoly import FPoly
 from .modarith import PrimeModulus, build_modulus
 
@@ -245,18 +245,17 @@ def check_parseval(coeffs: dict[int, complex], sigma: float, cal: Calibration,
 
 def check_series_consistency(instances, cal: Calibration) -> CheckReport:
     """Direct truncation error against the double-tail series on given (d, k, depth)."""
+    instances = list(instances)
+    series = proxy.truncation_error_series(*(np.array(col) for col in zip(*instances)))
     worst = 0.0
     worst_inst = None
-    for d, k, depth in instances:
-        direct = proxy.truncation_error_direct(d, k, depth)
-        series = proxy.truncation_error_series(d, k, depth)
-        ref = max(abs(series), 1e-300)
-        rel = abs(direct - series) / ref
+    for inst, s in zip(instances, series.tolist()):
+        rel = abs(proxy.truncation_error_direct(*inst) - s) / max(abs(s), 1e-300)
         if rel > worst:
-            worst, worst_inst = rel, (d, k, depth)
+            worst, worst_inst = rel, inst
     return _report("truncation-series-consistency", worst, 0.0, "eq",
                    cal.series_rel_tol, scale=1.0,
-                   context={"instances": len(list(instances)), "worst_at": worst_inst})
+                   context={"instances": len(instances), "worst_at": worst_inst})
 
 
 def _domination_constant(d: np.ndarray, k: float, j: int, a: int) -> float:
@@ -279,16 +278,11 @@ def check_surrogate_domination(params: proxy.ProxyParams, sources,
     Reports the smallest c that would have sufficed across all sources,
     windows, and shifts, and passes when it is below the ceiling.
     """
-    needed = 0.0
-    count = 0
-    for source in sources:
-        table = proxy.poly_table(params, source)
-        count += table.size
-        for m, lv in enumerate(params.levels, start=1):
-            needed = max(needed, _domination_constant(table[:, m - 1], params.k, lv.j,
-                                                      params.penalty_exp(m)))
+    table = proxy.poly_table(params, sources)
+    needed = max(_domination_constant(table[..., m - 1], params.k, lv.j, params.penalty_exp(m))
+                 for m, lv in enumerate(params.levels, start=1))
     return _report("surrogate-domination", needed, cal.surrogate_slack, "le",
-                   0.0, scale=1.0, context={"comparisons": count})
+                   0.0, scale=1.0, context={"comparisons": table.size})
 
 
 def check_surrogate_grid(cal: Calibration, ks=(2.0, 2.5, 3.0),
@@ -321,11 +315,8 @@ def check_surrogate_grid(cal: Calibration, ks=(2.0, 2.5, 3.0),
 
 def check_subadditivity(params: proxy.ProxyParams, sources, cal: Calibration) -> CheckReport:
     """R^{k/(k-1)} <= sum_{l1,l2} prod_m R_{m,l1} R_{m,l2}^{1/(k-1)}, pointwise."""
-    worst = -math.inf
-    for source in sources:
-        lhs, rhs = proxy.subadditivity_split(params, source)
-        margin = (lhs - rhs) / max(rhs, 1e-300)
-        worst = max(worst, margin)
+    worst = max((lhs - rhs) / max(rhs, 1e-300)
+                for lhs, rhs in proxy.subadditivity_split(params, sources))
     return _report("shift-subadditivity", worst, 0.0, "le", cal.chain_slack,
                    scale=1.0, context={"sources": len(list(sources))})
 
@@ -450,6 +441,8 @@ def suite_euler(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
 
 
 def suite_proxy(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
+    if q < 3:  # the character sources need a non-principal index in [1, q - 2]
+        raise OutOfRange(f"suite proxy needs q >= 3, got q = {q}")
     rng = np.random.default_rng(seed)
     instances = [(float(rng.uniform(0.5, 2.5) * rng.choice([-1.0, 1.0])),
                   float(rng.uniform(2.0, 4.0)), int(rng.integers(1, 5)))

@@ -173,8 +173,8 @@ def test_criterion_6_proxy_machinery(capsys):
     sub_params = proxy.desk_params(x=4.0, y=8.0, k=2.5, j_values=[1])
     worst_sub = -math.inf
     agg_lhs = agg_rhs = 0.0
-    for a in range(1, 100):
-        lhs, rhs = proxy.subadditivity_split(sub_params, proxy.CharSource(mod, a))
+    chars = [proxy.CharSource(mod, a) for a in range(1, 100)]
+    for lhs, rhs in proxy.subadditivity_split(sub_params, chars):
         worst_sub = max(worst_sub, (lhs - rhs) / max(rhs, 1e-300))
         agg_lhs += lhs
         agg_rhs += rhs

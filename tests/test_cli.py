@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from charmoments import cli
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -273,3 +279,29 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_verify_proxy_refuses_q_below_3(capsys):
+    # no character index in [1, q - 2] at q = 2
+    code, out, err = run(capsys, "verify", "--suite", "proxy", "--q", "2")
+    assert code == 2
+    assert out == "" and err == "error: suite proxy needs q >= 3, got q = 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # a document that fits the output buffer, written at the final flush
+    ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "4e5", "--k", "2"),
+    # one that overflows it, written while the document is dumped
+    ("theta", "--q", "101", "--char", *map(str, range(100))),
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte
+    try:
+        proc = subprocess.run([sys.executable, "-m", "charmoments.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

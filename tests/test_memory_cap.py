@@ -6,7 +6,8 @@ exactly its charge and refuses, before it allocates, one byte below.
 import numpy as np
 import pytest
 
-from charmoments import charsum, errors, euler, moments, modarith, primes, rmf, theta, verify
+from charmoments import (charsum, errors, euler, moments, modarith, primes, proxy, rmf,
+                         theta, verify)
 from charmoments.calibration import Calibration
 from charmoments.errors import TooLarge
 
@@ -17,6 +18,7 @@ SPEC = euler.EulerProductSpec(alpha=1.0, beta=1.0, sigma1=0.05, sigma2=0.1,
                               t1=0.0, t2=1.0, z=250.0, y=1500.0)
 EULER_PRIMES = primes.primes_in(249, 1500).size
 MELLIN_TERMS = primes.smooth_numbers(10**4, 2, 100).size  # 1, 2, 4, ..., 8192
+WINDOW = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[2])  # 3 shifts, 8 primes
 
 
 def _angle_charge(count):
@@ -62,6 +64,12 @@ ROUTES = {
                                                                     smooth_cap=10**4),
                                theta._mellin_grid(MELLIN_TERMS, 1.5, 1e-10)[3],
                                [(theta.np, "stack"), (theta.np, "exp")]),
+    "poly_table": (lambda: proxy.poly_table(WINDOW, [proxy.OnesSource()] * 5),
+                   32 * 5 * 3 * 8, [(proxy.np, "stack")]),
+    # 24 B per value and pair i <= j <= 2 + 4
+    "truncation_error_series": (
+        lambda: proxy.truncation_error_series([1.0, 1.0, 1.0], 2.0, 2, 4),
+        24 * 3 * 28, [(proxy.np, "ones")]),
     "check_rough_count": (lambda: verify.check_rough_count(100, 1000, 5, Calibration()),
                           900, [(verify.np, "ones")]),
 }

@@ -59,7 +59,7 @@ def test_shift_range():
 def _table_cell(params, source, m, shift):
     """D_{m,l}(source) read off poly_table."""
     row = list(params.shift_values()).index(shift)
-    return proxy.poly_table(params, source)[row, m - 1]
+    return proxy.poly_table(params, [source])[0, row, m - 1]
 
 
 def test_level_poly_ones_source():
@@ -93,7 +93,7 @@ def test_level_poly_all_chars_matches_scalar():
     d = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[1])
     table = proxy._window_polys_all_chars(mod, d, 1, d.shift_values())
     for a in (0, 1, 50, 99):
-        direct = proxy.poly_table(d, proxy.CharSource(mod, a))[:, 0]
+        direct = proxy.poly_table(d, [proxy.CharSource(mod, a)])[0, :, 0]
         assert table[:, a] == pytest.approx(direct, abs=1e-10)
 
 
@@ -162,7 +162,7 @@ def test_poly_table_matches_level_poly():
     # every cell against the definition of D_{m,l}, summed over the window's primes
     d = proxy.desk_params(x=4.0, y=40.0, k=2.0, j_values=[2, 1])
     sample = rmf.sample(7, 45)
-    table = proxy.poly_table(d, proxy.SampleSource(sample))
+    (table,) = proxy.poly_table(d, [proxy.SampleSource(sample)])
     assert table.shape == (d.shift_values().size, 2)
     for i, l in enumerate(d.shift_values()):
         for m, lv in enumerate(d.levels):
@@ -210,16 +210,16 @@ def test_surrogate_branch_structure():
 def test_subadditivity_equality_at_k2():
     d = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[2])
     src = proxy.SampleSource(rmf.sample(19, 25))
-    lhs, rhs = proxy.subadditivity_split(d, src)
+    [(lhs, rhs)] = proxy.subadditivity_split(d, [src])
     assert lhs == pytest.approx(rhs, rel=1e-12)  # k/(k-1) = 2: both sides square
 
 
 def test_subadditivity_strict_above_k2():
     d = proxy.desk_params(x=4.0, y=8.0, k=2.5, j_values=[1])
     rng = np.random.default_rng(2)
-    for sd in rng.integers(0, 2**62, size=30):
-        src = proxy.SampleSource(rmf.sample(int(sd), 10))
-        lhs, rhs = proxy.subadditivity_split(d, src)
+    sources = [proxy.SampleSource(rmf.sample(int(sd), 10))
+               for sd in rng.integers(0, 2**62, size=30)]
+    for lhs, rhs in proxy.subadditivity_split(d, sources):
         assert lhs <= rhs * (1 + 1e-12)
 
 

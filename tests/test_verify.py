@@ -146,6 +146,27 @@ def test_proxy_suite_pinned_bits(seed, pins):
         assert [r.lhs.hex() for r in reports if r.name == name] == want
 
 
+@pytest.mark.parametrize("q, seed, proxy_pins, holder_pins", [
+    (101, 3, ["0x1.b976d61639644p-44", "0x1.294c2605217a3p-19", "0x0.0p+0", "0x0.0p+0",
+              "-0x1.eb7fd73a01feep-4"],
+     ["0x1.7a9c427b728e8p+3", "-0x1.a5783dd3404c3p-4", "0x1.a6bc2d33dad3ap+3"]),
+    (101, 12, ["0x1.f8d78175ca4e5p-44", "0x1.294c2605217a3p-19", "0x0.0p+0", "0x0.0p+0",
+               "-0x1.2ca8b537ffa22p-4"],
+     ["0x1.7a9c427b728e8p+3", "-0x1.7eb919cdf3cd2p-3", "0x1.a6bc2d33dad3ap+3"]),
+    (499, 10, ["0x1.d438d489f5569p-47", "0x1.294c2605217a3p-19", "0x0.0p+0", "0x0.0p+0",
+               "-0x1.3297a03951ef9p-3"],
+     ["0x1.9ddfeb905e0ccp+3", "-0x1.3e84e0c38de46p-3", "0x1.a6bc2d33dad3bp+3"]),
+    (499, 11, ["0x1.20ee9eccfe390p-46", "0x1.294c2605217a3p-19", "0x0.0p+0", "0x0.0p+0",
+               "-0x1.2d69a99102200p-5"],
+     ["0x1.9ddfeb905e0ccp+3", "-0x1.3ed91c4913167p-3", "0x1.a6bc2d33dad3bp+3"]),
+])
+def test_proxy_holder_report_bits(q, seed, proxy_pins, holder_pins):
+    # every report's lhs, shift-subadditivity included, recorded from the
+    # one-source-at-a-time loops that the stacked tables replaced
+    for suite, want in (("proxy", proxy_pins), ("holder", holder_pins)):
+        assert [r.lhs.hex() for r in verify.run_suite(suite, q, seed)] == want
+
+
 def _quadrature_check(reports):
     (r,) = [c for c in reports if c.name == "euler-product-quadrature"]
     return r
