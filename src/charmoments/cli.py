@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -148,21 +147,19 @@ def _cmd_theta(args, cal) -> tuple[list | dict, int]:
 
 
 def _cmd_proxy(args, cal) -> tuple[list | dict, int]:
+    # an option only the other profile reads would be written to config unused
+    for name in (("y", "j", "q") if args.profile == "paper" else ("c0",)):
+        if getattr(args, name) is not None:
+            raise OutOfRange(f"--{name} does not apply to the {args.profile} profile")
     if args.profile == "paper":
         if args.c0 is None:
             raise OutOfRange("paper profile needs --c0")
-        params = proxy.build_params(args.x, log_x=args.log_x, k=args.k, c0=args.c0,
-                                    profile="paper")
+        params = proxy.paper_params(args.x, log_x=args.log_x, k=args.k, c0=args.c0)
     else:
-        # --log-x reaches scales whose x itself would overflow a float
-        if args.y is None or (args.x is None and args.log_x is None):
-            raise OutOfRange("desk profile needs --y and one of --x, --log-x")
-        if args.y <= 1:
-            raise OutOfRange("desk profile needs --y > 1")
-        log_x = math.log(args.x) if args.log_x is None else args.log_x
-        params = proxy.build_params(args.x, log_x=args.log_x, k=args.k,
-                                    c0=log_x / math.log(args.y), profile="desk",
-                                    j_values=args.j, q=args.q)
+        if args.y is None:
+            raise OutOfRange("desk profile needs --y")
+        params = proxy.desk_params(args.x, log_x=args.log_x, y=args.y, k=args.k,
+                                   j_values=args.j, q=args.q)
     levels = [{"m": i + 1, "log_y_m": lv.log_hi, "j_m": lv.j,
                "penalty_exp": params.penalty_exp(i + 1)}
               for i, lv in enumerate(params.levels)]
@@ -170,8 +167,9 @@ def _cmd_proxy(args, cal) -> tuple[list | dict, int]:
                "levels": levels, "shift_count": len(params.shift_values()),
                "poly_length_log": params.poly_length_log()}
     if args.weights_seed is not None:
+        # a sample needs a limit of 2 or more, even below an empty window
         src = proxy.SampleSource(rmf.sample(args.weights_seed,
-                                            int(params.y) + 1))
+                                            max(2, params.levels[-1].hi)))
         results["weight"] = proxy.proxy_weight(params, src)
         results["exp_weight_total"] = proxy.exp_weight_total(params, src)
     return results, 0

@@ -22,12 +22,15 @@ D over (source, shift, window); level factors and the subadditivity split keep
 the reductions of a one-source table.  The truncation series is elementwise
 over (d, k, depth), like the truncated exponential and the surrogates.
 
-Two profiles are supported.  The "paper" profile resolves the full parameter
-recursion (window count from a geometric bracket on log log y, J-chain
-decreasing by one, and the 10^4*k*J length constraint); its constants are
-only reachable at astronomical x, so parameters are handled on log scale.
-The "desk" profile keeps the identical structure at numerically exercisable
-sizes with user-chosen window count and truncation depths.
+Two profiles are supported, one constructor each.  paper_params resolves the
+full parameter recursion from C0 (window count from a geometric bracket on
+log log y, J-chain decreasing by one, and the 10^4*k*J length constraint);
+its constants are only reachable at astronomical x, so parameters are handled
+on log scale.  desk_params keeps the identical structure at numerically
+exercisable sizes: it takes y itself, with log y = math.log(y), and
+user-chosen window count and truncation depths.  A window holds the integers
+n with math.log(n) in (log y_{m-1}, log y_m], so an integer edge such as a
+prime y lies in its own window.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import InfeasibleParams, OutOfRange, check_bytes
+from .errors import InfeasibleParams, OutOfRange, TooLarge, check_bytes
 from .fpoly import FPoly
 from .modarith import PrimeModulus
 from .rmf import RmfSample
@@ -48,21 +51,43 @@ LENGTH_FACTOR = 10**4  # paper-profile short-polynomial constraint factor
 DEPTH_FACTOR = 10**5   # paper-profile J_M = ceil(C0/(10^5 k))
 
 
+def _edge(log_e: float) -> int:
+    """The largest integer n with math.log(n) <= log_e.
+
+    Membership is decided on the log scale, by the math.log that made the
+    edge, so an integer edge holds itself: exp(log 5) is 4.999999999999999.
+    Refuses an edge past the sieve cap, where no window can be enumerated,
+    before exp can overflow.
+    """
+    if log_e > math.log(primes.SIEVE_CAP):
+        raise TooLarge(f"window edge e^{log_e:.6g} lies past the sieve cap {primes.SIEVE_CAP}")
+    n = math.floor(math.exp(log_e))
+    while math.log(n + 1) <= log_e:
+        n += 1
+    while math.log(n) > log_e:
+        n -= 1
+    return n
+
+
 @dataclass(frozen=True)
 class Level:
-    """Prime window (lo, hi] with truncation depth j, stored on log scale."""
+    """Prime window with truncation depth j, stored on log scale.
+
+    The integers of the window are lo < n <= hi: those with math.log(n) in
+    (log_lo, log_hi].
+    """
 
     log_lo: float
     log_hi: float
     j: int
 
     @property
-    def lo(self) -> float:
-        return math.exp(self.log_lo)
+    def lo(self) -> int:
+        return _edge(self.log_lo)
 
     @property
-    def hi(self) -> float:
-        return math.exp(self.log_hi)
+    def hi(self) -> int:
+        return _edge(self.log_hi)
 
 
 @dataclass(frozen=True)
@@ -82,10 +107,6 @@ class ProxyParams:
     def log_y(self) -> float:
         return self.levels[-1].log_hi
 
-    @property
-    def y(self) -> float:
-        return math.exp(self.log_y)
-
     def penalty_exp(self, m: int) -> int:
         """Even exponent a_m = 2*ceil(200*k*J_m) attached to window m (1-based)."""
         return 2 * math.ceil(200.0 * self.k * self.levels[m - 1].j)
@@ -104,88 +125,86 @@ class ProxyParams:
         return self.poly_length_log() + log_x < math.log(q)
 
 
-def _window_chain(log_y: float, m_count: int) -> list[tuple[float, float]]:
-    """(log_lo, log_hi] pairs with log y_m = log_y / 20^(M-m); lowest lo is 1."""
-    bounds = [log_y / 20.0 ** (m_count - m) for m in range(1, m_count + 1)]
-    return list(zip([0.0] + bounds[:-1], bounds))
+def _log_x(x: float | None, log_x: float | None, k: float) -> float:
+    """log x from exactly one of x and log_x, with 1 < x < inf and 2 <= k < inf checked.
 
-
-def build_params(x: float | None = None, *, log_x: float | None = None, k: float,
-                 c0: float, profile: str = "paper",
-                 j_values: tuple[int, ...] | list[int] | None = None,
-                 q: int | None = None) -> ProxyParams:
-    """Build the window chain for scale x (or log_x directly) and exponent k.
-
-    Paper profile: window count M is the unique value with 20^(M-1) inside
-    [ (log log y)^2, 20 (log log y)^2 ), depths are J_1 = ceil((log log y)^{3/2}),
-    J_M = ceil(C0/(10^5 k)), J_m = J_M + M - m in between, and the length
-    constraint prod_m y_m^{10^4 k J_m} < x must hold.  Desk profile: j_values
-    lists the J_m, one window each (default (2,)); when q is given the
-    cross-moment length guard x * prod_m y_m^{4 J_m} < q is enforced instead.
+    The comparisons are written so that a NaN fails them.
     """
     if (x is None) == (log_x is None):
         raise OutOfRange("pass exactly one of x, log_x")
     if log_x is None:
-        if x <= 1:
+        if not x > 1:
             raise OutOfRange("x must be > 1")
         log_x = math.log(x)
-    if k < 2:
-        raise OutOfRange("k must be >= 2")
-    if c0 <= 0:
+    if not 0 < log_x < math.inf:
+        raise OutOfRange(f"log x must be positive and finite, got {log_x}")
+    if not 2 <= k < math.inf:
+        raise OutOfRange(f"k must be >= 2 and finite, got {k}")
+    return log_x
+
+
+def _params(k: float, c0: float, log_x: float, log_y: float, js) -> ProxyParams:
+    """One window per depth in js, with log y_m = log_y / 20^(M-m); the lowest edge is 1."""
+    bounds = [log_y / 20.0 ** (len(js) - m) for m in range(1, len(js) + 1)]
+    levels = tuple(Level(lo, hi, int(j)) for lo, hi, j in zip([0.0] + bounds[:-1], bounds, js))
+    return ProxyParams(k=float(k), c0=float(c0), log_x=float(log_x), levels=levels)
+
+
+def paper_params(x: float | None = None, *, log_x: float | None = None, k: float,
+                 c0: float) -> ProxyParams:
+    """The paper's chain for scale x (or log_x directly), exponent k and y = x^(1/C0).
+
+    Window count M is the unique value with 20^(M-1) inside
+    [ (log log y)^2, 20 (log log y)^2 ), depths are J_1 = ceil((log log y)^{3/2}),
+    J_M = ceil(C0/(10^5 k)), J_m = J_M + M - m in between, and the length
+    constraint prod_m y_m^{10^4 k J_m} < x must hold.
+    """
+    log_x = _log_x(x, log_x, k)
+    if not c0 > 0:
         raise OutOfRange("C0 must be positive")
     log_y = log_x / c0
-    if log_y <= 0:
-        raise InfeasibleParams("y = x^(1/C0) must exceed 1")
-
-    if profile == "paper":
-        if log_y <= 1.0:
-            raise InfeasibleParams("log log y undefined: need y > e")
-        big_l = math.log(log_y)
-        l2 = big_l * big_l
-        if 20.0 * l2 < 1.0:
-            raise InfeasibleParams("window bracket for M is empty at this y")
-        m_count = 1 + max(0, math.ceil(math.log(l2) / _LOG20))
-        if not (l2 <= 20.0 ** (m_count - 1) < 20.0 * l2):
-            raise InfeasibleParams("window bracket for M is empty at this y")
-        j_top = math.ceil(c0 / (DEPTH_FACTOR * k))
-        j_bottom = math.ceil(big_l**1.5)
-        if m_count == 1:
-            js = [j_bottom]
-        else:
-            js = [j_bottom] + [j_top + m_count - m for m in range(2, m_count + 1)]
-        chain = _window_chain(log_y, m_count)
-        levels = tuple(Level(lo, hi, j) for (lo, hi), j in zip(chain, js))
-        budget = LENGTH_FACTOR * k * sum(lv.j * lv.log_hi for lv in levels)
-        if not budget < log_x:
-            raise InfeasibleParams(
-                f"length constraint fails: 10^4*k*sum J_m log y_m = {budget:.4g} "
-                f">= log x = {log_x:.4g}"
-            )
-    elif profile == "desk":
-        js = list(j_values) if j_values is not None else [2]
-        if not js or any(j < 1 for j in js):
-            raise InfeasibleParams("j_values must list one depth >= 1 per window")
-        chain = _window_chain(log_y, len(js))
-        levels = tuple(Level(lo, hi, int(j)) for (lo, hi), j in zip(chain, js))
-    else:
-        raise OutOfRange(f"unknown profile {profile!r}")
-
-    params = ProxyParams(k=float(k), c0=float(c0), log_x=float(log_x), levels=levels)
-    if q is not None and profile == "desk":
-        if not params.fits_modulus(log_x, q):
-            raise InfeasibleParams(
-                f"x * prod y_m^(4 J_m) >= q = {q}: weights too long for this modulus"
-            )
+    if log_y <= 1.0:
+        raise InfeasibleParams("log log y undefined: need y > e")
+    big_l = math.log(log_y)
+    l2 = big_l * big_l
+    if 20.0 * l2 < 1.0:
+        raise InfeasibleParams("window bracket for M is empty at this y")
+    m_count = 1 + max(0, math.ceil(math.log(l2) / _LOG20))
+    if not (l2 <= 20.0 ** (m_count - 1) < 20.0 * l2):
+        raise InfeasibleParams("window bracket for M is empty at this y")
+    j_top = math.ceil(c0 / (DEPTH_FACTOR * k))
+    js = [math.ceil(big_l**1.5)] + [j_top + m_count - m for m in range(2, m_count + 1)]
+    params = _params(k, c0, log_x, log_y, js)
+    budget = LENGTH_FACTOR * k * sum(lv.j * lv.log_hi for lv in params.levels)
+    if not budget < log_x:
+        raise InfeasibleParams(
+            f"length constraint fails: 10^4*k*sum J_m log y_m = {budget:.4g} "
+            f">= log x = {log_x:.4g}"
+        )
     return params
 
 
-def desk_params(x: float, y: float, k: float, j_values=None,
-                q: int | None = None) -> ProxyParams:
-    """Desk profile parametrized by outer window edge y instead of C0."""
-    if not (1 < y):
-        raise OutOfRange("need y > 1")
-    c0 = math.log(x) / math.log(y)
-    return build_params(x=x, k=k, c0=c0, profile="desk", j_values=j_values, q=q)
+def desk_params(x: float | None = None, *, y: float, k: float, j_values=None,
+                q: int | None = None, log_x: float | None = None) -> ProxyParams:
+    """The desk chain below y for scale x (or log_x directly) and exponent k.
+
+    j_values lists the J_m, one window each (default (2,)); C0 = log x / log y
+    is only reported.  When q is given, the cross-moment length guard
+    x * prod_m y_m^{4 J_m} < q is enforced.
+    """
+    log_x = _log_x(x, log_x, k)
+    if not 1 < y < math.inf:
+        raise OutOfRange(f"y must be > 1 and finite, got {y}")
+    js = list(j_values) if j_values is not None else [2]
+    if not js or any(j < 1 for j in js):
+        raise InfeasibleParams("j_values must list one depth >= 1 per window")
+    log_y = math.log(y)
+    params = _params(k, log_x / log_y, log_x, log_y, js)
+    if q is not None and not params.fits_modulus(log_x, q):
+        raise InfeasibleParams(
+            f"x * prod y_m^(4 J_m) >= q = {q}: weights too long for this modulus"
+        )
+    return params
 
 
 # ---------------------------------------------------------------------------

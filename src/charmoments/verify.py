@@ -441,8 +441,6 @@ def suite_euler(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
 
 
 def suite_proxy(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
-    if q < 3:  # the character sources need a non-principal index in [1, q - 2]
-        raise OutOfRange(f"suite proxy needs q >= 3, got q = {q}")
     rng = np.random.default_rng(seed)
     instances = [(float(rng.uniform(0.5, 2.5) * rng.choice([-1.0, 1.0])),
                   float(rng.uniform(2.0, 4.0)), int(rng.integers(1, 5)))
@@ -502,16 +500,24 @@ SUITES = {
     "holder": suite_holder,
 }
 
+# The smallest q each suite runs at: counting and euler read no modulus, so
+# the smallest prime; identities needs its length-5 polynomial below q, proxy
+# a character index in [1, q - 2], theta an odd prime, and holder its desk
+# chain with x 2^4 < q at x = 2.
+MIN_Q = {"identities": 7, "counting": 2, "euler": 2, "proxy": 3, "theta": 3, "holder": 37}
+
 
 def run_suite(name: str, q: int, seed: int, cal: Calibration | None = None) -> list[CheckReport]:
-    """Run one named suite (or 'full' for all) deterministically."""
+    """Run one named suite (or 'full' for all) deterministically.
+
+    Refuses a q below the suite's MIN_Q, or below the largest one for 'full'.
+    """
     cal = cal or Calibration()
-    if name == "full":
-        out = []
-        for fn in SUITES.values():
-            out.extend(fn(q, seed, cal))
-        return out
-    if name not in SUITES:
+    if name != "full" and name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from "
                           f"{sorted(SUITES) + ['full']}")
-    return SUITES[name](q, seed, cal)
+    names = list(SUITES) if name == "full" else [name]
+    least = max(MIN_Q[n] for n in names)
+    if q < least:
+        raise OutOfRange(f"suite {name} needs q >= {least}, got q = {q}")
+    return [r for n in names for r in SUITES[n](q, seed, cal)]

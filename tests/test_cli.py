@@ -126,6 +126,15 @@ def test_not_prime_exit_2(capsys):
     ("rmf-mc", "--x", "10", "--threads", "-2"),
     ("char-moment", "--q", "101", "--x", "30", "--threads", "0"),
     ("theta", "--q", "101", "--moment", "1", "--threads", "0"),
+    ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "4e5", "--y", "3"),
+    ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "4e5", "--j", "7"),
+    ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "4e5", "--q", "5"),
+    ("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--c0", "99"),
+    ("proxy", "--profile", "desk", "--x", "nan", "--y", "2", "--j", "1"),
+    ("proxy", "--profile", "desk", "--x", "6", "--y", "inf", "--j", "1"),
+    ("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--k", "inf"),
+    ("proxy", "--profile", "paper", "--log-x", "nan", "--c0", "4e5"),
+    ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "nan"),
 ])
 def test_invalid_input_exit_2(monkeypatch, capsys, argv):
     # refused before any Monte Carlo trial runs, --exact's k included
@@ -137,8 +146,13 @@ def test_invalid_input_exit_2(monkeypatch, capsys, argv):
     assert code == 2
     assert out == "" and err.startswith("error: ")
     if "paper" in argv and "--x" in argv:
-        # --x reaches build_params, which names the real reason
+        # --x reaches paper_params, which names the real reason
         assert "exactly one" not in err
+    for profile, options in (("paper", ("--y", "--j", "--q")), ("desk", ("--c0",))):
+        for option in options:
+            if profile in argv and option in argv:
+                # an option the profile ignores is refused, not written to config
+                assert err == f"error: {option} does not apply to the {profile} profile\n"
     if "-3" in argv:
         # refused by the package, not by numpy's array constructor
         assert "x = -3" in err
@@ -183,6 +197,17 @@ def test_too_large_exit_3(capsys):
     code, _, err = run(capsys, "rmf-mc", "--x", "1e6", "--k", "2",
                        "--trials", "10", "--exact")
     assert code == 3
+
+
+@pytest.mark.parametrize("log_x, c0", [
+    ("1.6e8", "4e5"),  # log y = 400: the sample would pass the sieve cap
+    ("1e9", "1e6"),    # log y = 1000: y itself would pass float range
+])
+def test_proxy_paper_weight_too_large_exit_3(capsys, log_x, c0):
+    code, out, err = run(capsys, "proxy", "--profile", "paper", "--log-x", log_x,
+                         "--c0", c0, "--weights-seed", "1")
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_suite_exit_0(capsys):
@@ -286,6 +311,13 @@ def test_verify_proxy_refuses_q_below_3(capsys):
     code, out, err = run(capsys, "verify", "--suite", "proxy", "--q", "2")
     assert code == 2
     assert out == "" and err == "error: suite proxy needs q >= 3, got q = 2\n"
+
+
+def test_verify_full_refuses_q_below_holder_bound(capsys):
+    # full takes the largest smallest q of its suites, the holder suite's 37
+    code, out, err = run(capsys, "verify", "--suite", "full", "--q", "31")
+    assert code == 2
+    assert out == "" and err == "error: suite full needs q >= 37, got q = 31\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from charmoments import proxy, rmf
+from charmoments import primes, proxy, rmf
 from charmoments.errors import InfeasibleParams, OutOfRange
 from charmoments.modarith import build_modulus
 
 
 def test_paper_profile_frozen_chain():
     # log y = 400: bracket picks M = 3; depths 15, 3, 2; windows 20:1 nested
-    p = proxy.build_params(log_x=1.6e8, k=2.0, c0=4e5, profile="paper")
+    p = proxy.paper_params(log_x=1.6e8, k=2.0, c0=4e5)
     assert p.m_count == 3
     assert [lv.log_hi for lv in p.levels] == pytest.approx([1.0, 20.0, 400.0])
     assert tuple(lv.j for lv in p.levels) == (15, 3, 2)
@@ -21,12 +21,12 @@ def test_paper_profile_frozen_chain():
 def test_paper_profile_length_constraint():
     # log y = 400 chain needs budget 2e4*(15+40+400) = 9.1e6 > log x = 4e6
     with pytest.raises(InfeasibleParams):
-        proxy.build_params(log_x=4.0e6, k=2.0, c0=1.0e4, profile="paper")
+        proxy.paper_params(log_x=4.0e6, k=2.0, c0=1.0e4)
 
 
 def test_paper_profile_needs_deep_y():
     with pytest.raises(InfeasibleParams):
-        proxy.build_params(log_x=100.0, k=2.0, c0=50.0, profile="paper")
+        proxy.paper_params(log_x=100.0, k=2.0, c0=50.0)
 
 
 def test_desk_profile_chain_and_guard():
@@ -42,7 +42,21 @@ def test_desk_profile_validation():
     with pytest.raises(OutOfRange):
         proxy.desk_params(x=6.0, y=0.9, k=2.0)
     with pytest.raises(OutOfRange):
-        proxy.build_params(x=10.0, k=1.5, c0=2.0, profile="desk")
+        proxy.desk_params(x=10.0, y=math.sqrt(10.0), k=1.5)
+
+
+@pytest.mark.parametrize("windows", [1, 2])
+@pytest.mark.parametrize("y", [5, 7, 19, 37, 89, 97, 2**20])
+def test_integer_edges_are_exact(y, windows):
+    # window m holds the p with p^(20^(M-m)) <= y < p^(20^(M-m+1)), as Python ints;
+    # exp(log y) < y at the primes 5, 7, 19, 37 and 89
+    d = proxy.desk_params(x=4.0, y=float(y), k=2.0, j_values=[1] * windows)
+    ps = primes.primes_up_to(y).tolist()
+    for m in range(1, windows + 1):
+        e = 20 ** (windows - m)
+        want = [p for p in ps if p**e <= y and (m == 1 or p ** (20 * e) > y)]
+        got, _, _ = proxy._window_coeffs(d, m, [0])
+        assert got.tolist() == want
 
 
 def test_penalty_exponent():

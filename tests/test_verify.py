@@ -3,7 +3,7 @@ import pytest
 
 from charmoments import euler, proxy, verify
 from charmoments.calibration import Calibration
-from charmoments.errors import DomainError, LengthViolation
+from charmoments.errors import DomainError, LengthViolation, OutOfRange
 from charmoments.modarith import build_modulus
 
 CAL = Calibration()
@@ -218,6 +218,21 @@ def test_full_suite_is_union():
     full = verify.run_suite("full", 101, 1)
     parts = sum(len(verify.run_suite(n, 101, 1)) for n in verify.SUITES)
     assert len(full) == parts
+
+
+@pytest.mark.parametrize("name, least, below", [
+    ("identities", 7, 5),  # "polynomial length 5 >= q" below
+    ("counting", 2, 1),
+    ("euler", 2, 1),
+    ("proxy", 3, 2),       # no character index in [1, q - 2] below
+    ("theta", 3, 2),       # "need an odd prime modulus" below
+    ("holder", 37, 31),    # InfeasibleParams from desk_params below
+    ("full", 37, 31),      # the largest bound of its suites
+])
+def test_suite_smallest_q(name, least, below):
+    assert all(r.passed for r in verify.run_suite(name, least, 0))
+    with pytest.raises(OutOfRange, match=f"^suite {name} needs q >= {least}, got q = {below}$"):
+        verify.run_suite(name, below, 0)
 
 
 def test_unknown_suite():
