@@ -12,7 +12,9 @@ Submodules:
     calibration calibrated slack constants, overridable from the environment
 
 Importing the package loads numpy but no scipy.  The one scipy import,
-scipy.fft, sits inside charsum.all_char_sums_fft; the quadratures are numpy.
+scipy.fft, sits inside charsum.all_char_sums_fft and runs only when q - 1 is
+a rough length of 2^12 or more (its largest prime factor p has p^2 > q - 1);
+every other transform and every quadrature is numpy.
 """
 
 __version__ = "0.1.0"

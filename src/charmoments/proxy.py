@@ -195,6 +195,8 @@ def desk_params(x: float | None = None, *, y: float, k: float, j_values=None,
     log_x = _log_x(x, log_x, k)
     if not 1 < y < math.inf:
         raise OutOfRange(f"y must be > 1 and finite, got {y}")
+    if q is not None and q < 2:
+        raise OutOfRange(f"q must be >= 2, got {q}")
     js = list(j_values) if j_values is not None else [2]
     if not js or any(j < 1 for j in js):
         raise InfeasibleParams("j_values must list one depth >= 1 per window")

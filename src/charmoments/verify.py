@@ -4,8 +4,9 @@ package relies on, phrased as dual-route checks with explicit tolerances.
 Each check computes one quantity along two independent routes (or an
 inequality's two sides) and returns a CheckReport.  Calibrated constants come
 from the calibration module and are recorded in each report's context, never
-hard-coded into pass conditions.  The quadratures behind the checks are numpy;
-the one scipy piece a check reaches is scipy.fft, through all_char_sums_fft.
+hard-coded into pass conditions.  The quadratures and transforms behind the
+checks are numpy; a check reaches scipy.fft only through all_char_sums_fft at
+a rough length q - 1 >= 2^12.
 """
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
+import contextlib
 import math
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.fft
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charmoments import charsum
@@ -151,6 +153,53 @@ def test_fft_matches_naive_random_primes(q, frac, a):
     s_bar = np.conj(mod.char_values(a, ns)).sum()
     assert abs(fast[-a % (q - 1)] - s_bar) <= atol
     assert abs(abs(s_bar) - abs(fast[a])) <= atol
+
+
+_PRIMES_TO_20000 = [int(p) for p in primes_up_to(20000)]
+
+
+def _largest_factor(n):
+    p, f = n, 2
+    while f * f <= n:
+        while n % f == 0:
+            p, n = f, n // f
+        f += 1
+    return n if n > 1 else p
+
+
+@contextlib.contextmanager
+def _rfft_calls():
+    """Record ("numpy" | "scipy", length) for each rfft call through either library."""
+    calls = []
+    libs = {"numpy": np.fft, "scipy": scipy.fft}
+    real = {name: lib.rfft for name, lib in libs.items()}
+    for name, lib in libs.items():
+        lib.rfft = lambda b, _name=name: calls.append((_name, b.size)) or real[_name](b)
+    try:
+        yield calls
+    finally:
+        for name, lib in libs.items():
+            lib.rfft = real[name]
+
+
+# 4,126 = 2 * 2,063 is rough (2,063^2 > 4,126); 4,128 = 2^5 * 3 * 43 is not
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(qx=st.sampled_from(_PRIMES_TO_20000).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(1, q))))
+@example(qx=(4127, 2000))
+@example(qx=(4129, 3000))
+def test_fft_library_choice_keeps_bits(qx):
+    q, x = qx
+    mod = build_modulus(q)
+    b = np.zeros(q - 1)
+    b[mod.dlog[1 : min(x, q - 1) + 1]] = 1.0
+    with _rfft_calls() as calls:
+        half = all_char_sums_fft(mod, x).half
+    n = q - 1
+    rough = n > 1 and _largest_factor(n) ** 2 > n
+    assert calls == [("scipy" if rough and n >= 4096 else "numpy", n)]
+    for rfft in (np.fft.rfft, scipy.fft.rfft):
+        assert half.tobytes() == np.conj(rfft(b)).tobytes()
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 101, 103, 499])

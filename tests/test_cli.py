@@ -135,6 +135,8 @@ def test_not_prime_exit_2(capsys):
     ("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--k", "inf"),
     ("proxy", "--profile", "paper", "--log-x", "nan", "--c0", "4e5"),
     ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "nan"),
+    ("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--q", "0"),
+    ("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--q", "-5"),
 ])
 def test_invalid_input_exit_2(monkeypatch, capsys, argv):
     # refused before any Monte Carlo trial runs, --exact's k included
@@ -156,6 +158,9 @@ def test_invalid_input_exit_2(monkeypatch, capsys, argv):
     if "-3" in argv:
         # refused by the package, not by numpy's array constructor
         assert "x = -3" in err
+    if "desk" in argv and "--q" in argv:
+        # refused by desk_params, not by math.log(q) in the length guard
+        assert err == f"error: q must be >= 2, got {argv[-1]}\n"
 
 
 def test_unexpected_exception_exit_4(monkeypatch, capsys):

@@ -12,6 +12,7 @@ from charmoments.calibration import Calibration
 from charmoments.errors import TooLarge
 
 MOD = modarith.build_modulus(101)
+ROUGH_MOD = modarith.build_modulus(4127)  # 4,126 = 2 * 2,063: a Bluestein length
 SAMPLE = rmf.sample(1, 1000)
 SEEDS = rmf.derive_trial_seeds(0, 3)
 SPEC = euler.EulerProductSpec(alpha=1.0, beta=1.0, sigma1=0.05, sigma2=0.1,
@@ -46,6 +47,10 @@ ROUTES = {
                            rmf.batch_nbytes(3, 1e4), [(rmf, "unit_values")]),
     "congruence_energy": (lambda: moments.congruence_energy(101, 30), 8 * 30 * 30,
                           [(moments.np, "arange")]),
+    "all_char_sums_fft": (lambda: charsum.all_char_sums_fft(MOD, 30), 32 * 100,
+                          [(charsum.np, "zeros")]),
+    "all_char_sums_fft_rough": (lambda: charsum.all_char_sums_fft(ROUGH_MOD, 30), 160 * 4126,
+                                [(charsum.np, "zeros")]),
     "weighted_char_sums": (lambda: charsum.weighted_char_sums(MOD, np.arange(1, 21),
                                                               np.ones((3, 20))),
                            32 * 3 * 100, [(charsum.np, "zeros")]),
