@@ -2,7 +2,11 @@
 
 Every subcommand emits a single machine-readable document (JSON by default,
 CSV on request) carrying the resolved configuration, the seed, the package
-version, and wall time, so runs can be replayed and diffed.
+version, and wall time, so runs can be replayed and diffed.  A subcommand
+takes only the options its handler reads, and --format: --seed belongs to
+rmf-mc and verify (the seed is null for the others, which sample nothing or
+take --weights-seed), --threads to rmf-mc, and --calibration, with the
+CHARMOMENTS_CALIBRATION file it defaults to, to verify.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
 3 resource limit refused, 4 internal error, 141 stdout closed before the
@@ -27,7 +31,7 @@ from .modarith import build_modulus
 
 SCHEMA = "charmoments/1"
 # parsed arguments that steer a run but are not its configuration
-_RUN_ARGS = ("command", "fn", "seed", "format", "threads", "calibration")
+_RUN_ARGS = ("command", "fn", "seed", "format", "threads")
 
 
 def _emit(doc: dict, fmt: str, stream) -> None:
@@ -70,10 +74,8 @@ def _jsonable(v):
     return v
 
 
-def _document(args, cal, results, started: float) -> dict:
+def _document(args, results, started: float) -> dict:
     config = {k: v for k, v in vars(args).items() if k not in _RUN_ARGS}
-    if args.command == "verify":
-        config["calibration"] = cal.as_dict()
     return {
         "schema": SCHEMA,
         "version": __version__,
@@ -88,7 +90,7 @@ def _document(args, cal, results, started: float) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_char_moment(args, cal) -> tuple[list | dict, int]:
+def _cmd_char_moment(args) -> tuple[list | dict, int]:
     mod = build_modulus(args.q)
     rows = []
     for x in args.x:
@@ -103,7 +105,9 @@ def _cmd_char_moment(args, cal) -> tuple[list | dict, int]:
     return rows, 0
 
 
-def _cmd_rmf_mc(args, cal) -> tuple[list | dict, int]:
+def _cmd_rmf_mc(args) -> tuple[list | dict, int]:
+    if args.threads is not None and args.threads < 1:
+        raise OutOfRange(f"--threads must be >= 1, got {args.threads}")
     # the exact moments first: a k or an x they refuse fails before any Monte Carlo
     exact = [rmf.exact_moment_2k(x, args.k) for x in args.x] if args.exact else []
     rows = []
@@ -118,12 +122,14 @@ def _cmd_rmf_mc(args, cal) -> tuple[list | dict, int]:
     return rows, 0
 
 
-def _cmd_verify(args, cal) -> tuple[list | dict, int]:
+def _cmd_verify(args) -> tuple[list | dict, int]:
+    cal = calibration.load(args.calibration)
+    args.calibration = cal.as_dict()  # the document records the values, not the path
     reports = verify.run_suite(args.suite, args.q, args.seed, cal)
     return [vars(r) for r in reports], (0 if all(r.passed for r in reports) else 1)
 
 
-def _cmd_theta(args, cal) -> tuple[list | dict, int]:
+def _cmd_theta(args) -> tuple[list | dict, int]:
     results = []
     for q in args.q:
         mod = build_modulus(q)
@@ -146,7 +152,7 @@ def _cmd_theta(args, cal) -> tuple[list | dict, int]:
     return results, 0
 
 
-def _cmd_proxy(args, cal) -> tuple[list | dict, int]:
+def _cmd_proxy(args) -> tuple[list | dict, int]:
     # an option only the other profile reads would be written to config unused
     for name in (("y", "j", "q") if args.profile == "paper" else ("c0",)):
         if getattr(args, name) is not None:
@@ -175,7 +181,7 @@ def _cmd_proxy(args, cal) -> tuple[list | dict, int]:
     return results, 0
 
 
-def _cmd_shape(args, cal) -> tuple[list | dict, int]:
+def _cmd_shape(args) -> tuple[list | dict, int]:
     mod = build_modulus(args.q)
     pts = []
     for x in args.x:
@@ -191,16 +197,6 @@ def _cmd_shape(args, cal) -> tuple[list | dict, int]:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=1, help="deterministic base seed")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=None,
-                   help="caps the worker threads of Monte Carlo runs "
-                        "(default: every usable CPU); never changes results")
-    p.add_argument("--calibration", default=None,
-                   help="path to a JSON calibration override")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="charmoments",
                                  description="moments of character sums and "
@@ -214,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--divisor", choices=("phi", "nontrivial"), default="phi")
     p.add_argument("--include-principal", action="store_true")
-    _add_common(p)
     p.set_defaults(fn=_cmd_char_moment)
 
     p = sub.add_parser("rmf-mc", help="Monte Carlo moments of random "
@@ -224,14 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--exact", action="store_true",
                    help="also compute the exact moment when feasible")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=1, help="deterministic base seed")
+    p.add_argument("--threads", type=int, default=None,
+                   help="caps the worker threads of Monte Carlo runs "
+                        "(default: every usable CPU); never changes results")
     p.set_defaults(fn=_cmd_rmf_mc)
 
     p = sub.add_parser("verify", help="run a dual-route verification suite")
     p.add_argument("--suite", default="full",
                    choices=sorted(verify.SUITES) + ["full"])
     p.add_argument("--q", type=int, default=101)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=1, help="deterministic base seed")
+    p.add_argument("--calibration", default=None,
+                   help="path to a JSON calibration override (default: the "
+                        f"{calibration.ENV_VAR} file, else the built-in values)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("theta", help="theta values and moments")
@@ -240,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute both parities' 2k-th moments instead of raw values")
     p.add_argument("--char", type=int, nargs="+", default=None,
                    help="character indices to report values for")
-    _add_common(p)
     p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("proxy", help="resolve proxy-weight parameters")
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--weights-seed", type=int, default=None,
                    help="evaluate the weight on one sampled source")
-    _add_common(p)
     p.set_defaults(fn=_cmd_proxy)
 
     p = sub.add_parser("shape", help="fit the growth exponent of moments "
@@ -262,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--x", type=float, nargs="+", required=True)
-    _add_common(p)
     p.set_defaults(fn=_cmd_shape)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     return ap
 
 
@@ -273,12 +273,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     started = time.monotonic()
     try:
-        # checked for every subcommand before any work, not only where MC runs
-        if args.threads is not None and args.threads < 1:
-            raise OutOfRange(f"--threads must be >= 1, got {args.threads}")
-        cal = calibration.load(args.calibration)
-        results, code = args.fn(args, cal)
-        doc = _document(args, cal, results, started)
+        results, code = args.fn(args)
+        doc = _document(args, results, started)
         _emit(doc, args.format, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:

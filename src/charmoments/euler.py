@@ -79,8 +79,9 @@ def error_bracket(spec: EulerProductSpec) -> float:
 
 
 # Angle quadrature: the trapezoid rule on [0, 2 pi) doubles its nodes from
-# 16 up to _ANGLE_NODES, over blocks of at most _ANGLE_ROWS primes.
-_ANGLE_NODES, _ANGLE_ROWS = 1 << 14, 64
+# 16 up to _ANGLE_NODES, over blocks of at most _ANGLE_ROWS primes, until two
+# estimates agree within _ANGLE_TOL.
+_ANGLE_NODES, _ANGLE_ROWS, _ANGLE_TOL = 1 << 14, 64, 1e-10
 
 
 def _angle_node_sums(theta, r1, r2, delta, alpha, beta) -> np.ndarray:
@@ -92,14 +93,15 @@ def _angle_node_sums(theta, r1, r2, delta, alpha, beta) -> np.ndarray:
 
 def pair_factor_expectation(p, alpha: float, sigma1: float,
                             beta: float = 0.0, sigma2: float = 0.0,
-                            dt: float = 0.0, tol: float = 1e-10):
+                            dt: float = 0.0):
     """Single-prime expectation by angle quadrature, at a prime or an array of them.
 
     E_theta |1 - r1 e^{i theta}|^{-2 alpha} |1 - r2 e^{i(theta+Delta)}|^{-2 beta}
     with r_j = p^{-1/2-sigma_j} and Delta = dt*log(p).  The integrand is
     periodic and analytic, so the trapezoid rule on N nodes errs by
-    O(max(r1, r2)^N): N doubles from 16 until two estimates agree within tol,
-    else QuadratureFailure.  Raises Divergent when a radius reaches 1.
+    O(max(r1, r2)^N): N doubles from 16 until two estimates agree within
+    _ANGLE_TOL, else QuadratureFailure.  Raises Divergent when a radius
+    reaches 1.
     Returns an array shaped like p (a float for one p).
     """
     # 16 B a prime, and 24 B a (row, node) cell of the largest block's newest
@@ -123,7 +125,7 @@ def pair_factor_expectation(p, alpha: float, sigma1: float,
             total += _angle_node_sums((2 * np.arange(n) + 1) * (math.pi / n), *args)
             n *= 2
             prev, est = est, total / n
-            if np.all(np.abs(est - prev) <= tol * np.maximum(1.0, est)):
+            if np.all(np.abs(est - prev) <= _ANGLE_TOL * np.maximum(1.0, est)):
                 break
         else:
             raise QuadratureFailure(f"angle quadrature unresolved at {n} nodes")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import primes, proxy, rmf
+from . import proxy, rmf
 from .charsum import abs_char_sums, mirror
 from .errors import Degenerate, DomainError, LengthViolation, OutOfRange, check_bytes
 from .modarith import PrimeModulus
@@ -101,8 +101,7 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     xf = int(math.floor(x))
 
     def make_per_batch():
-        ps = primes.primes_up_to(xf)
-        return lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x, ps), k)
+        return lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x), k)
 
     mean, stderr = rmf.mc_estimate(seed, trials, batch, make_per_batch,
                                    rmf.batch_nbytes(1, xf), 0, threads)

@@ -9,9 +9,9 @@ E f(n) conj(f(m)) = [n == m], which makes the exact 2k-th moment of the
 partial sum a pure counting problem: the number of 2k-tuples with
 n_1...n_k = n_{k+1}...n_{2k}.
 
-Two routes give sum_{n<=x} f(n).  The scalar one, values_upto and the Kahan
-partial_sum, sieves f(n) for every n <= x and is the oracle.  The batched
-one, partial_sums_batch, never forms f(n): it runs the floor-quotient
+Two routes give sum_{n<=x} f(n).  The scalar one, values_upto and the
+math.fsum partial_sum, sieves f(n) for every n <= x and is the oracle.  The
+batched one, partial_sums_batch, never forms f(n): it runs the floor-quotient
 (Lucy_Hedgehog / min_25) recursion over the about 2 sqrt(x) values
 floor(x/i), vectorised along the trial axis.  It takes one numpy step per
 prime power p^e with p^(e+1) <= x (108 at x = 10^5, for the 65 primes up to
@@ -217,16 +217,9 @@ def values_upto(s: RmfSample, x: float) -> np.ndarray:
 
 
 def partial_sum(s: RmfSample, x: float) -> complex:
-    """sum_{n <= x} f(n), accumulated with Kahan compensation."""
-    v = values_upto(s, x)
-    total = 0j
-    comp = 0j
-    for z in v[1:]:
-        y = z - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return complex(total)
+    """sum_{n <= x} f(n), its real and imaginary parts each correctly rounded."""
+    v = values_upto(s, x)[1:]
+    return complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
 
 
 def exact_moment_2k(x: float, k: int) -> int:
@@ -281,8 +274,7 @@ def batch_nbytes(rows: int, x: float) -> int:
     return 24 * int(rows) * (pi_bound + 2 * math.isqrt(xf))
 
 
-def partial_sums_batch(trial_seeds: np.ndarray, x: float,
-                       ps: np.ndarray | None = None) -> np.ndarray:
+def partial_sums_batch(trial_seeds: np.ndarray, x: float) -> np.ndarray:
     """Partial sums sum_{n<=x} f_t(n) for a batch of trial seeds at once.
 
     Equivalent to sample(seed_t, x) + partial_sum per trial: both draw f(p)
@@ -308,8 +300,7 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float,
     check_bytes(batch_nbytes(len(trial_seeds), xf), f"{len(trial_seeds)} trial rows at x = {xf}")
     if xf < 2:  # no prime: the sum is floor(x)
         return np.full(len(trial_seeds), float(xf), dtype=np.complex128)
-    if ps is None:
-        ps = primes.primes_up_to(xf)
+    ps = primes.primes_up_to(xf)
     r = math.isqrt(xf)
     m = int(np.searchsorted(ps, r, side="right"))  # the primes p <= sqrt(x)
     g = unit_values(trial_seeds, ps)

@@ -161,32 +161,32 @@ def _smooth_values(sample: RmfSample, y: float, cap: int) -> tuple[np.ndarray, n
     return ms, vals
 
 
-_MELLIN_STEP, _MELLIN_HALVINGS, _MELLIN_CELLS = 0.5, 8, 1 << 20
+_MELLIN_STEP, _MELLIN_HALVINGS, _MELLIN_CELLS, _MELLIN_TOL = 0.5, 8, 1 << 20, 1e-10
 
 
-def _mellin_grid(count: int, s: float, tol: float) -> tuple[float, int, int, int]:
+def _mellin_grid(count: int, s: float) -> tuple[float, int, int, int]:
     """(lower end, first step's intervals, nodes a block, bytes charged) of the
     trapezoid rule in w = log v for count unit coefficients.  Below w = -3 each
     term (m >= 1) is under exp(-pi e^6); past the upper end the tail integral
-    of count e^{-s w} is tol * 1e-6.  A block takes 8 B a (node, term) cell
-    and six node vectors, the terms and coefficients 24 B each, headers 4 KiB.
+    of count e^{-s w} is _MELLIN_TOL * 1e-6.  A block takes 8 B a (node, term)
+    cell and six node vectors, the terms and coefficients 24 B each, headers
+    4 KiB.
     """
-    hi = math.log(1e6 * max(count, 1) / (s * tol)) / s
+    hi = math.log(1e6 * max(count, 1) / (s * _MELLIN_TOL)) / s
     n = max(1, math.ceil((hi + 3.0) / _MELLIN_STEP))
     rows = max(1, min(n << (_MELLIN_HALVINGS - 1), _MELLIN_CELLS // max(count, 1)))
     return -3.0, n, rows, 8 * (rows * (count + 6) + 3 * count) + 4096
 
 
-def _mellin_numeric(ms: np.ndarray, cs: np.ndarray, s: float,
-                    tol: float = 1e-10) -> complex:
+def _mellin_numeric(ms: np.ndarray, cs: np.ndarray, s: float) -> complex:
     """integral_0^inf h(v) v^{-s-1} dv with h(v) = sum c_m exp(-pi m^2/v^2), |c_m| = 1.
 
     With v = e^w the integrand h(e^w) e^{-s w} is analytic in |Im w| < pi/4
     and decays at both ends of the line, so the trapezoid rule on the line
     errs by O(exp(-c/step)).  The step halves, reusing the earlier nodes,
-    until two estimates agree within tol, else QuadratureFailure.
+    until two estimates agree within _MELLIN_TOL, else QuadratureFailure.
     """
-    lo, n, rows, nbytes = _mellin_grid(cs.size, s, tol)
+    lo, n, rows, nbytes = _mellin_grid(cs.size, s)
     check_bytes(nbytes, f"the Mellin quadrature over {cs.size} terms")
     m2 = ms.astype(np.float64) ** 2
     coef = np.stack([cs.real, cs.imag], axis=1)
@@ -206,7 +206,7 @@ def _mellin_numeric(ms: np.ndarray, cs: np.ndarray, s: float,
         # the new nodes sit halfway between the old ones
         prev, est = est, 0.5 * (est + step * node_sum(step, 0.5, n))
         step, n = 0.5 * step, 2 * n
-        if abs(est - prev) <= tol * max(1.0, abs(est)):
+        if abs(est - prev) <= _MELLIN_TOL * max(1.0, abs(est)):
             return est
     raise QuadratureFailure(f"Mellin quadrature unresolved at step {step}")
 

@@ -98,7 +98,7 @@ def check_reflection(mod: PrimeModulus, x: float, cal: Calibration) -> CheckRepo
                    scale=scale, context={"q": mod.q, "x": x, "mirror": x_mirror})
 
 
-def check_fft_vs_naive(mod: PrimeModulus, x: float, cal: Calibration) -> CheckReport:
+def check_fft_vs_naive(mod: PrimeModulus, x: float) -> CheckReport:
     """Entrywise agreement of the DFT and direct prefix-sum evaluators."""
     fast = all_char_sums_fft(mod, x).values
     slow = all_char_sums_naive(mod, x).values
@@ -111,7 +111,7 @@ def check_fft_vs_naive(mod: PrimeModulus, x: float, cal: Calibration) -> CheckRe
 # ---------------------------------------------------------------------------
 # inequalities
 
-def check_bernoulli(xs, cal: Calibration) -> CheckReport:
+def check_bernoulli(xs) -> CheckReport:
     """prod(1 + x_i) >= 1 - sum |x_i| whenever every x_i >= -1."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size and xs.min() < -1.0:
@@ -405,7 +405,7 @@ def suite_identities(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
         check_orthogonality_correspondence(mod, _rand_coeffs(rng, size), cal),
         check_fourth_moment_count(mod, min(q - 1, 30), cal),
         check_reflection(mod, (q - 1) * 0.618, cal),
-        check_fft_vs_naive(mod, min(q - 1, 200), cal),
+        check_fft_vs_naive(mod, min(q - 1, 200)),
         check_parseval({1: 1.0 + 0j}, 0.5, cal, tol=cal.parseval_delta_tol),
         check_parseval({1: 1.0 + 0j}, 1.5, cal, tol=cal.parseval_delta_tol),
     ]
@@ -419,8 +419,8 @@ def suite_counting(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-0.4, 0.6, size=8)
     return [
-        check_bernoulli(xs, cal),
-        check_bernoulli([0.0], cal),
+        check_bernoulli(xs),
+        check_bernoulli([0.0]),
         check_rough_count(10, 20, 3, cal),
         check_rough_count(100, 1000, 5, cal),
         check_even_moment_ratio({1: 1.0 + 0j, 2: 0.5 - 0.5j, 3: 1j},

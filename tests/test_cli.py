@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import io
 import json
@@ -88,12 +90,12 @@ def test_csv_nested_cells_are_json(capsys, argv, column):
 @pytest.mark.parametrize("argv, config", [
     (("rmf-mc", "--x", "10", "--trials", "20", "--threads", "1"),
      {"x": [10.0], "k": 2.0, "trials": 20, "exact": False}),
-    (("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--seed", "3"),
+    (("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1"),
      {"profile": "desk", "k": 2.0, "c0": None, "log_x": None, "x": 6.0, "y": 2.0,
       "j": [1], "q": None, "weights_seed": None}),
 ])
 def test_config_is_the_parsed_arguments(capsys, argv, config):
-    # everything parsed except the run's own seed, format, threads and calibration
+    # everything parsed except the run's own seed, format and threads
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["config"] == config
@@ -124,8 +126,6 @@ def test_not_prime_exit_2(capsys):
     ("rmf-mc", "--x", "-3", "--k", "2", "--trials", "10"),
     ("rmf-mc", "--x", "10", "--threads", "0"),
     ("rmf-mc", "--x", "10", "--threads", "-2"),
-    ("char-moment", "--q", "101", "--x", "30", "--threads", "0"),
-    ("theta", "--q", "101", "--moment", "1", "--threads", "0"),
     ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "4e5", "--y", "3"),
     ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "4e5", "--j", "7"),
     ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "4e5", "--q", "5"),
@@ -164,7 +164,7 @@ def test_invalid_input_exit_2(monkeypatch, capsys, argv):
 
 
 def test_unexpected_exception_exit_4(monkeypatch, capsys):
-    def broken(args, cal):
+    def broken(args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "_cmd_char_moment", broken)
@@ -177,7 +177,7 @@ def test_unexpected_exception_exit_4(monkeypatch, capsys):
 
 def test_missing_calibration_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
-    code, out, err = run(capsys, "char-moment", "--q", "101", "--x", "30",
+    code, out, err = run(capsys, "verify", "--suite", "counting", "--q", "101",
                          "--calibration", missing)
     assert code == 2
     assert out == "" and err.startswith("error: ")
@@ -196,6 +196,52 @@ def test_malformed_calibration_exit_2(tmp_path, capsys, content):
                          "--calibration", str(p))
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+def test_calibration_environment_read_by_verify_only(tmp_path, monkeypatch, capsys):
+    # only verify reads a calibration: a bad file named by the environment
+    # fails it and no other subcommand
+    p = tmp_path / "bad.json"
+    p.write_text('{"orthogonality_tol": -1}')
+    monkeypatch.setenv(cli.calibration.ENV_VAR, str(p))
+    code, out, err = run(capsys, "verify", "--suite", "counting", "--q", "101")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert run(capsys, "char-moment", "--q", "101", "--x", "30")[0] == 0
+    assert run(capsys, "rmf-mc", "--x", "10", "--trials", "20")[0] == 0
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("char-moment", "--q", "101", "--x", "30", "--threads", "0"), "--threads"),
+    (("theta", "--q", "101", "--moment", "1", "--threads", "0"), "--threads"),
+    (("char-moment", "--q", "101", "--x", "30", "--calibration", "f.json"), "--calibration"),
+    (("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--seed", "3"),
+     "--seed"),
+])
+def test_option_of_another_subcommand_refused(capsys, argv, option):
+    # the parser refuses an option the subcommand does not read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_every_option_has_a_reader():
+    # each option but --format, which main reads, is read as args.<dest>
+    # by its subcommand's handler
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for command, parser in sub.choices.items():
+        read = {node.attr for node in ast.walk(handlers[parser.get_default("fn").__name__])
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"}
+        dests = {a.dest for a in parser._actions if a.option_strings} - {"help", "format"}
+        if dests - read:
+            unread[command] = sorted(dests - read)
+    assert unread == {}
 
 
 def test_too_large_exit_3(capsys):

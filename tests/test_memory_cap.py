@@ -67,7 +67,7 @@ ROUTES = {
                           [(euler.np, "empty"), (euler.np, "cos")]),
     "mellin_transform_check": (lambda: theta.mellin_transform_check(2.0, 1.5, SAMPLE,
                                                                     smooth_cap=10**4),
-                               theta._mellin_grid(MELLIN_TERMS, 1.5, 1e-10)[3],
+                               theta._mellin_grid(MELLIN_TERMS, 1.5)[3],
                                [(theta.np, "stack"), (theta.np, "exp")]),
     "poly_table": (lambda: proxy.poly_table(WINDOW, [proxy.OnesSource()] * 5),
                    32 * 5 * 3 * 8, [(proxy.np, "stack")]),

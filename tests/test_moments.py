@@ -214,7 +214,7 @@ def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, batch):
     monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
     seen = []
 
-    def fake_batch(chunk, x, ps):
+    def fake_batch(chunk, x):
         seen.append(len(chunk))
         return np.zeros(len(chunk), dtype=np.complex128)
 

@@ -268,8 +268,7 @@ def test_mc_estimate_chunk_error_propagates(monkeypatch):
 
 def test_batch_matches_scalar_path():
     seeds = rmf.derive_trial_seeds(3, 8)
-    ps = rmf.sample(0, 50).primes
-    batch = rmf.partial_sums_batch(seeds, 50.0, ps)
+    batch = rmf.partial_sums_batch(seeds, 50.0)
     for i, sd in enumerate(seeds):
         s = rmf.sample(int(sd), 50)
         assert batch[i] == pytest.approx(rmf.partial_sum(s, 50.0), abs=1e-10)
@@ -286,7 +285,7 @@ def test_batch_refuses_matrix_over_cap():
     # 200 rows x (10^7 + 1) complex entries is 32 GB: refused before allocating
     seeds = rmf.derive_trial_seeds(0, 200)
     with pytest.raises(TooLarge):
-        rmf.partial_sums_batch(seeds, 1e7, ps=np.array([2]))
+        rmf.partial_sums_batch(seeds, 1e7)
 
 
 def test_batch_memory_charge_admits_16_rows_at_1e7():
@@ -351,7 +350,7 @@ def test_negative_x_refused_before_allocating(monkeypatch):
 
 
 def _oracle_gap(x, seed):
-    # floor-quotient recursion against the multiplicative sieve plus Kahan sum
+    # floor-quotient recursion against the multiplicative sieve plus math.fsum
     got = rmf.partial_sums_batch(np.array([seed], dtype=np.uint64), x)[0]
     return abs(got - rmf.partial_sum(rmf.sample(seed, max(2.0, x)), x))
 
