@@ -51,8 +51,8 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
         raise DomainError(f"divisor must be 'phi' or 'nontrivial', got {divisor!r}")
     if divisor == "nontrivial" and mod.q < 3:
         raise DomainError(f"q = {mod.q} has no non-principal character to divide by")
-    if not k >= 0:
-        raise DomainError(f"k must be >= 0, got {k}")
+    if not 0 <= k < math.inf:
+        raise DomainError(f"k must be >= 0 and finite, got {k}")
     half = abs_char_sums(mod, x)
     powers = _abs_power_2k(half, k)
     # |S_{chi_{-a}}| = |S_{chi_a}|: each mirrored entry stands for two characters
@@ -92,8 +92,8 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     rmf.batch_nbytes.  Per-trial child seeds derive from (seed, trial index);
     identical inputs give bit-identical output for any batch and any threads.
     """
-    if not k >= 0:
-        raise DomainError(f"k must be >= 0, got {k}")
+    if not 0 <= k < math.inf:
+        raise DomainError(f"k must be >= 0 and finite, got {k}")
     if not math.isfinite(x):
         raise OutOfRange(f"x must be finite, got {x}")
     if x < 0:

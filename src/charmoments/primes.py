@@ -132,30 +132,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
         out.append((n, 1))
     return out
 
-
-def smooth_numbers(limit: int | float, y: int | float, max_count: int) -> np.ndarray:
-    """Sorted array of all y-smooth integers in [1, limit] (1 included).
-
-    Refuses with TooLarge as soon as more than max_count of them are found,
-    so an over-cap array is never built.
-    """
-    limit = int(math.floor(limit))
-    if limit < 1:
-        return np.empty(0, dtype=np.int64)
-    res = np.array([1], dtype=np.int64)
-    for p in primes_up_to(min(y, limit)):
-        p = int(p)
-        chunks = [res]
-        count = res.size
-        power = p
-        while power <= limit:
-            fit = res[res <= limit // power]
-            if fit.size == 0:
-                break
-            count += fit.size
-            if count > max_count:
-                raise TooLarge(f"more than {max_count} {y}-smooth integers up to {limit}")
-            chunks.append(fit * power)
-            power *= p
-        res = np.sort(np.concatenate(chunks))
-    return res

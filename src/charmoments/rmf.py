@@ -234,6 +234,8 @@ def exact_moment_2k(x: float, k: int) -> int:
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2, or 3")
     k = int(k)
+    if not math.isfinite(x):
+        raise OutOfRange(f"x must be finite, got {x}")
     xf = int(math.floor(x))
     if xf < 1:
         raise DomainError("x must be >= 1")

@@ -6,7 +6,8 @@ near sqrt(q); truncating at sqrt(q) (log q)^2 leaves a tail below the recorded
 majorant q^{1+kappa} exp(-pi * truncation^2 / q).  Folding n into residue
 classes turns the whole family into two weighted group DFTs, one per parity;
 a moment over one parity class needs only that class's DFT.  The Mellin
-identity's numeric side is a numpy trapezoid rule in log v.
+identity's numeric side is a numpy trapezoid rule in log v for one Gaussian
+term, times the Dirichlet sum of the smooth terms.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import DomainError, OutOfRange, QuadratureFailure, check_bytes
+from .errors import DomainError, OutOfRange, QuadratureFailure, TooLarge, check_bytes
 from .modarith import PrimeModulus
 from .moments import MomentEstimate, _abs_power_2k
 from .rmf import RmfSample
@@ -97,8 +98,8 @@ def theta_moment(mod: PrimeModulus, k: float, parity: str) -> MomentEstimate:
     """
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    if not k >= 0:
-        raise DomainError(f"k must be >= 0, got {k}")
+    if not 0 <= k < math.inf:
+        raise DomainError(f"k must be >= 0 and finite, got {k}")
     kappa = 0 if parity == "even" else 1
     # characters a = kappa (mod 2); the even class starts at 2, past the principal
     arr = _parity_dft(mod, truncation_point(mod.q), kappa)[2 - kappa :: 2]
@@ -147,58 +148,52 @@ _SMOOTH_COUNT_CAP = 500_000
 
 
 def _smooth_values(sample: RmfSample, y: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """y-smooth integers up to cap with their f-values; TooLarge past _SMOOTH_COUNT_CAP terms."""
-    ms = primes.smooth_numbers(cap, y, _SMOOTH_COUNT_CAP)
+    """The y-smooth m <= cap, sorted, with their f(m); TooLarge past _SMOOTH_COUNT_CAP terms.
+
+    Each prime p <= y extends the terms found so far by their multiples
+    m p^e <= cap, which carry f(m) f(p)^e, so no term is factored.  The count
+    is checked before each extension is built.
+    """
+    ms = np.ones(1 if cap >= 1 else 0, dtype=np.int64)
     vals = np.ones(ms.size, dtype=np.complex128)
-    rest = ms.copy()
     count = np.searchsorted(sample.primes, y, side="right")
     for p, fv in zip(sample.primes[:count].tolist(), sample.fp[:count]):
-        hit = np.flatnonzero(rest % p == 0)
-        while hit.size:
-            vals[hit] *= fv
-            rest[hit] //= p
-            hit = hit[rest[hit] % p == 0]
-    return ms, vals
+        ms_parts, val_parts, size = [ms], [vals], ms.size
+        power, fpow = p, fv
+        while power <= cap:
+            fit = ms <= cap // power
+            size += np.count_nonzero(fit)
+            if size > _SMOOTH_COUNT_CAP:
+                raise TooLarge(f"more than {_SMOOTH_COUNT_CAP} {y}-smooth integers up to {cap}")
+            ms_parts.append(ms[fit] * power)
+            val_parts.append(vals[fit] * fpow)
+            power, fpow = power * p, fpow * fv
+        ms, vals = np.concatenate(ms_parts), np.concatenate(val_parts)
+    order = np.argsort(ms)
+    return ms[order], vals[order]
 
 
-_MELLIN_STEP, _MELLIN_HALVINGS, _MELLIN_CELLS, _MELLIN_TOL = 0.5, 8, 1 << 20, 1e-10
+_MELLIN_STEP, _MELLIN_HALVINGS, _MELLIN_TOL = 0.5, 8, 1e-10
 
 
-def _mellin_grid(count: int, s: float) -> tuple[float, int, int, int]:
-    """(lower end, first step's intervals, nodes a block, bytes charged) of the
-    trapezoid rule in w = log v for count unit coefficients.  Below w = -3 each
-    term (m >= 1) is under exp(-pi e^6); past the upper end the tail integral
-    of count e^{-s w} is _MELLIN_TOL * 1e-6.  A block takes 8 B a (node, term)
-    cell and six node vectors, the terms and coefficients 24 B each, headers
-    4 KiB.
+def _mellin_unit(s: float) -> float:
+    """integral_0^inf exp(-pi/v^2) v^{-s-1} dv by the trapezoid rule in w = log v.
+
+    The integrand exp(-pi e^{-2w} - s w) is analytic in |Im w| < pi/4 and
+    decays at both ends of the line, so the rule errs by O(exp(-c/step)).
+    Below w = -3 it is under exp(-pi e^6); past the upper end its tail is
+    _MELLIN_TOL * 1e-6.  The step halves, reusing the earlier nodes, until
+    two estimates agree within _MELLIN_TOL, else QuadratureFailure.  The
+    last halving's nodes are charged 32 B each, the four node vectors alive
+    at once, and 4 KiB of headers.
     """
-    hi = math.log(1e6 * max(count, 1) / (s * _MELLIN_TOL)) / s
-    n = max(1, math.ceil((hi + 3.0) / _MELLIN_STEP))
-    rows = max(1, min(n << (_MELLIN_HALVINGS - 1), _MELLIN_CELLS // max(count, 1)))
-    return -3.0, n, rows, 8 * (rows * (count + 6) + 3 * count) + 4096
+    lo = -3.0
+    n = max(1, math.ceil((math.log(1e6 / (s * _MELLIN_TOL)) / s - lo) / _MELLIN_STEP))
+    check_bytes(32 * (n << (_MELLIN_HALVINGS - 1)) + 4096, f"the Mellin quadrature at s = {s}")
 
-
-def _mellin_numeric(ms: np.ndarray, cs: np.ndarray, s: float) -> complex:
-    """integral_0^inf h(v) v^{-s-1} dv with h(v) = sum c_m exp(-pi m^2/v^2), |c_m| = 1.
-
-    With v = e^w the integrand h(e^w) e^{-s w} is analytic in |Im w| < pi/4
-    and decays at both ends of the line, so the trapezoid rule on the line
-    errs by O(exp(-c/step)).  The step halves, reusing the earlier nodes,
-    until two estimates agree within _MELLIN_TOL, else QuadratureFailure.
-    """
-    lo, n, rows, nbytes = _mellin_grid(cs.size, s)
-    check_bytes(nbytes, f"the Mellin quadrature over {cs.size} terms")
-    m2 = ms.astype(np.float64) ** 2
-    coef = np.stack([cs.real, cs.imag], axis=1)
-
-    def node_sum(step: float, offset: float, nodes: int) -> complex:
-        out = np.zeros(2)  # the integrand summed at w = lo + step (k + offset), k < nodes
-        for k in range(0, nodes, rows):
-            w = lo + step * (np.arange(k, min(k + rows, nodes)) + offset)
-            e = np.multiply.outer(-math.pi * np.exp(-2.0 * w), m2)
-            out += np.exp(-s * w) @ (np.exp(e, out=e) @ coef)
-            del e  # before the next block is built
-        return complex(out[0], out[1])
+    def node_sum(step: float, offset: float, nodes: int) -> float:
+        w = lo + step * (np.arange(nodes) + offset)
+        return float(np.exp(-math.pi * np.exp(-2.0 * w) - s * w).sum())
 
     step = _MELLIN_STEP
     est = step * node_sum(step, 0.0, n + 1)
@@ -215,17 +210,19 @@ def mellin_transform_check(y_smooth: float, s: float, sample: RmfSample,
                            smooth_cap: int = 10**12) -> tuple[complex, complex]:
     """(numeric, closed-form) value of the Mellin transform of the smooth Gaussian sum.
 
-    Closed form: Gamma(s/2)/(2 pi^{s/2}) * prod_{p <= y} (1 - f(p) p^{-s})^{-1}.
-    The numeric side enumerates smooth terms up to smooth_cap; y_smooth = 1
-    reduces to the single term m = 1.  OutOfRange when y_smooth exceeds the
-    sample limit, since f is drawn only at the primes up to it.
+    h(v) = sum_{m y-smooth} f(m) exp(-pi m^2/v^2).  Closed form:
+    Gamma(s/2)/(2 pi^{s/2}) * prod_{p <= y} (1 - f(p) p^{-s})^{-1}.  Term m
+    is term 1 at v/m, so the numeric side is the quadrature of term 1 times
+    sum f(m) m^{-s} over the smooth m <= smooth_cap; y_smooth = 1 leaves
+    m = 1 alone.  OutOfRange when y_smooth exceeds the sample limit, since f
+    is drawn only at the primes up to it.
     """
-    if s <= 0:
-        raise DomainError("need Re(s) > 0")
+    if not 0 < s < math.inf:
+        raise DomainError(f"need 0 < s < inf, got s = {s}")
     if y_smooth > sample.limit:
         raise OutOfRange(f"y = {y_smooth} exceeds sample limit {sample.limit}")
     ms, cs = _smooth_values(sample, y_smooth, smooth_cap)
-    numeric = _mellin_numeric(ms, cs, s)
+    numeric = _mellin_unit(s) * complex(np.sum(cs * ms.astype(np.float64) ** -s))
     closed = math.gamma(s / 2.0) / (2.0 * math.pi ** (s / 2.0))
     for p in primes.primes_up_to(y_smooth).tolist():
         closed = closed / (1.0 - sample.values[p] * float(p) ** (-s))

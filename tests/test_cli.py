@@ -117,6 +117,12 @@ def test_not_prime_exit_2(capsys):
     ("char-moment", "--q", "101", "--x", "30", "--k", "nan"),
     ("theta", "--q", "101", "--moment", "nan"),
     ("rmf-mc", "--x", "10", "--k", "nan"),
+    ("char-moment", "--q", "101", "--x", "30", "--k", "inf"),
+    ("theta", "--q", "101", "--moment", "inf"),
+    ("rmf-mc", "--x", "10", "--k", "inf", "--trials", "20"),
+    ("shape", "--q", "20011", "--k", "inf", "--x", "100", "300", "1000", "3000"),
+    ("rmf-mc", "--x", "inf", "--exact"),
+    ("rmf-mc", "--x", "nan", "--exact"),
     ("proxy", "--profile", "desk", "--x", "6"),
     ("proxy", "--profile", "desk", "--y", "2"),
     ("proxy", "--profile", "paper", "--log-x", "100"),
@@ -158,6 +164,9 @@ def test_invalid_input_exit_2(monkeypatch, capsys, argv):
     if "-3" in argv:
         # refused by the package, not by numpy's array constructor
         assert "x = -3" in err
+    if "--exact" in argv and argv[argv.index("--x") + 1] in ("inf", "nan"):
+        # refused by exact_moment_2k, not by int() of a non-finite floor
+        assert err == f"error: x must be finite, got {argv[argv.index('--x') + 1]}\n"
     if "desk" in argv and "--q" in argv:
         # refused by desk_params, not by math.log(q) in the length guard
         assert err == f"error: q must be >= 2, got {argv[-1]}\n"

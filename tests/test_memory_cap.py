@@ -3,6 +3,8 @@
 Lowering it must lower it for every charged route: each runs with the cap at
 exactly its charge and refuses, before it allocates, one byte below.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ SEEDS = rmf.derive_trial_seeds(0, 3)
 SPEC = euler.EulerProductSpec(alpha=1.0, beta=1.0, sigma1=0.05, sigma2=0.1,
                               t1=0.0, t2=1.0, z=250.0, y=1500.0)
 EULER_PRIMES = primes.primes_in(249, 1500).size
-MELLIN_TERMS = primes.smooth_numbers(10**4, 2, 100).size  # 1, 2, 4, ..., 8192
 WINDOW = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[2])  # 3 shifts, 8 primes
 
 
@@ -27,6 +28,12 @@ def _angle_charge(count):
     # with one row more for the node vectors
     rows = min(count, euler._ANGLE_ROWS) + 1
     return 16 * count + 24 * rows * (euler._ANGLE_NODES >> 1)
+
+
+def _mellin_charge(s):
+    # 32 B per node of the last halving, and 4 KiB of headers
+    n = math.ceil((math.log(1e6 / (s * theta._MELLIN_TOL)) / s + 3.0) / theta._MELLIN_STEP)
+    return 32 * (n << (theta._MELLIN_HALVINGS - 1)) + 4096
 
 
 def _euler_charge(rows, trials):
@@ -67,8 +74,7 @@ ROUTES = {
                           [(euler.np, "empty"), (euler.np, "cos")]),
     "mellin_transform_check": (lambda: theta.mellin_transform_check(2.0, 1.5, SAMPLE,
                                                                     smooth_cap=10**4),
-                               theta._mellin_grid(MELLIN_TERMS, 1.5)[3],
-                               [(theta.np, "stack"), (theta.np, "exp")]),
+                               _mellin_charge(1.5), [(theta.np, "arange"), (theta.np, "exp")]),
     "poly_table": (lambda: proxy.poly_table(WINDOW, [proxy.OnesSource()] * 5),
                    32 * 5 * 3 * 8, [(proxy.np, "stack")]),
     # 24 B per value and pair i <= j <= 2 + 4

@@ -67,25 +67,6 @@ def test_factorize():
     assert primes.factorize(97) == [(97, 1)]
 
 
-def test_smooth_numbers():
-    got = primes.smooth_numbers(50, 3, 15)
-    assert list(got) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48]
-    assert list(primes.smooth_numbers(10, 1, 1)) == [1]
-    with pytest.raises(TooLarge):
-        primes.smooth_numbers(50, 3, 14)  # one more than the cap
-
-
-def test_smooth_numbers_refuses_before_building(monkeypatch):
-    # 7-smooth integers up to 10^12 number 14,672; none of the arrays
-    # sorted on the way may pass the cap of 100
-    sizes = []
-    sort = np.sort
-    monkeypatch.setattr(primes.np, "sort", lambda a: sizes.append(a.size) or sort(a))
-    with pytest.raises(TooLarge):
-        primes.smooth_numbers(10**12, 7, 100)
-    assert sizes and max(sizes) <= 100
-
-
 def test_rough_count_window():
     # integers in (a, b] with every prime factor > y, by trial division
     for a, b, y in ((100, 1000, 10), (100, 1000, 5), (10, 20, 3), (0, 50, 7),

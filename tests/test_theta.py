@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charmoments import errors, rmf, theta
-from charmoments.errors import DomainError, OutOfRange, TooLarge
+from charmoments.errors import DomainError, OutOfRange, QuadratureFailure, TooLarge
 from charmoments.modarith import build_modulus
 
 
@@ -124,32 +126,62 @@ def test_mellin_smooth_product():
     assert abs(numeric - closed) < 1e-6 * abs(closed)
 
 
+def _mellin_whole_sum(ms, cs, s):
+    """The trapezoid rule in w = log v with every smooth term at every node (reference).
+
+    The upper end leaves the tail of all ms.size terms at _MELLIN_TOL * 1e-6.
+    """
+    lo, step = -3.0, theta._MELLIN_STEP
+    n = math.ceil((math.log(1e6 * ms.size / (s * theta._MELLIN_TOL)) / s - lo) / step)
+
+    def node_sum(step, offset, nodes):
+        w = lo + step * (np.arange(nodes) + offset)
+        terms = np.exp(-math.pi * np.multiply.outer(np.exp(-2.0 * w), ms.astype(np.float64) ** 2))
+        return np.exp(-s * w) @ terms @ cs
+
+    est = step * node_sum(step, 0.0, n + 1)
+    for _ in range(theta._MELLIN_HALVINGS):
+        prev, est = est, 0.5 * (est + step * node_sum(step, 0.5, n))
+        step, n = 0.5 * step, 2 * n
+        if abs(est - prev) <= theta._MELLIN_TOL * max(1.0, abs(est)):
+            return est
+    raise AssertionError("the reference rule did not converge")
+
+
 @pytest.mark.parametrize("y", [2, 3, 5])
 @pytest.mark.parametrize("s", [0.5, 1.5, 2.0])
 def test_mellin_rule_matches_enumerated_terms(y, s):
-    # the numeric side integrates exactly the terms _smooth_values enumerated,
-    # so it equals their Mellin transforms summed, with no truncation error
+    # one quadrature times the Dirichlet sum equals the quadrature of the
+    # whole smooth sum, since term m is term 1 at v/m
     sample = rmf.sample(9, 10)
-    cap = 10**6
+    cap = 10**4
     numeric, _ = theta.mellin_transform_check(float(y), s, sample, smooth_cap=cap)
-    ms, cs = theta._smooth_values(sample, y, cap)
-    terms = complex(np.sum(cs * ms.astype(np.float64) ** -s))
-    assert numeric == pytest.approx(math.gamma(s / 2.0) / (2.0 * math.pi ** (s / 2.0)) * terms,
-                                    rel=1e-10)
+    want = _mellin_whole_sum(*theta._smooth_values(sample, y, cap), s)
+    assert abs(numeric - want) <= 1e-13 * abs(want)
 
 
-@pytest.mark.parametrize("y, cap", [(1, 10**12), (5, 10**6), (13, 10**8)])
-def test_mellin_peak_memory_within_charge(monkeypatch, y, cap):
-    ms, cs = theta._smooth_values(rmf.sample(2, 20), y, cap)
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0])
+def test_mellin_peak_memory_within_charge(monkeypatch, s):
+    # with every difference read as nan no two estimates agree, so every
+    # halving runs, the last on the nodes the charge is for
+    monkeypatch.setattr(theta, "abs", lambda z: math.nan, raising=False)
     tracemalloc.start()
     try:
-        theta._mellin_numeric(ms, cs, 1.5)
+        with pytest.raises(QuadratureFailure):
+            theta._mellin_unit(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", peak - 1)
     with pytest.raises(TooLarge):
-        theta._mellin_numeric(ms, cs, 1.5)
+        theta._mellin_unit(s)
+
+
+def test_mellin_refuses_s_outside_the_half_line():
+    sample = rmf.sample(1, 10)
+    for s in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="0 < s < inf"):
+            theta.mellin_transform_check(1.0, s, sample)
 
 
 def test_smooth_values_match_factorisation():
@@ -158,6 +190,47 @@ def test_smooth_values_match_factorisation():
     assert ms.size == 187  # 7-smooth integers up to 2000
     for m, v in zip(ms.tolist(), vals):
         assert v == pytest.approx(rmf.value_at(s, m), abs=1e-13)
+
+
+@given(seed=st.integers(0, 2**32), y=st.integers(1, 13), cap=st.integers(0, 10**4))
+@settings(derandomize=True, max_examples=25, database=None, deadline=None)
+def test_smooth_values_match_trial_division(seed, y, cap):
+    sample = rmf.sample(seed, 10**4)
+    small = [p for p in (2, 3, 5, 7, 11, 13) if p <= y]
+
+    def rough_part(m):
+        for p in small:
+            while m % p == 0:
+                m //= p
+        return m
+
+    ms, vals = theta._smooth_values(sample, y, cap)
+    assert ms.tolist() == [m for m in range(1, cap + 1) if rough_part(m) == 1]
+    for m, v in zip(ms.tolist(), vals):
+        assert abs(v - rmf.value_at(sample, m)) <= 1e-13
+
+
+def test_smooth_values():
+    ms, _ = theta._smooth_values(rmf.sample(1, 10), 3, 50)
+    assert ms.tolist() == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48]
+    assert theta._smooth_values(rmf.sample(1, 10), 1, 10)[0].tolist() == [1]
+
+
+def test_smooth_values_refuses_before_building(monkeypatch):
+    # one more than the 15 3-smooth integers up to 50 is refused; and 7-smooth
+    # integers up to 10^12 number 14,672, but no array joined on the way may
+    # pass a cap of 100
+    monkeypatch.setattr(theta, "_SMOOTH_COUNT_CAP", 14)
+    with pytest.raises(TooLarge):
+        theta._smooth_values(rmf.sample(1, 10), 3, 50)
+    sizes = []
+    concatenate = np.concatenate
+    monkeypatch.setattr(theta.np, "concatenate",
+                        lambda parts: sizes.append(sum(a.size for a in parts)) or concatenate(parts))
+    monkeypatch.setattr(theta, "_SMOOTH_COUNT_CAP", 100)
+    with pytest.raises(TooLarge):
+        theta._smooth_values(rmf.sample(1, 10), 7, 10**12)
+    assert sizes and max(sizes) <= 100
 
 
 def test_mellin_refuses_y_beyond_sample():
