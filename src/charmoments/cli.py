@@ -36,16 +36,15 @@ _RUN_ARGS = ("command", "fn", "seed", "format", "threads")
 
 def _emit(doc: dict, fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(doc, stream, indent=2, sort_keys=True, default=_jsonable)
-        stream.write("\n")
+        stream.write(_dumps(doc, indent=2) + "\n")
         return
     # CSV: flatten the result rows; config travels in a comment header
     rows = doc.get("results", [])
     if isinstance(rows, dict):
         rows = [rows]
     buf = io.StringIO()
-    stream.write(f"# schema={doc['schema']} version={doc['version']}\n")
-    stream.write(f"# config={json.dumps(doc['config'], sort_keys=True, default=_jsonable)}\n")
+    buf.write(f"# schema={doc['schema']} version={doc['version']}\n")
+    buf.write(f"# config={_dumps(doc['config'])}\n")
     if rows:
         keys = sorted({k for r in rows for k in r})
         writer = csv.DictWriter(buf, fieldnames=keys)
@@ -55,18 +54,25 @@ def _emit(doc: dict, fmt: str, stream) -> None:
     stream.write(buf.getvalue())
 
 
-def _cell(v):  # nested values as JSON text
+def _dumps(v, indent=None) -> str:
+    return json.dumps(v, indent=indent, sort_keys=True, default=_jsonable, allow_nan=False)
+
+
+def _cell(v):  # nested values as JSON text; null is an empty cell
     v = _jsonable(v)
-    return json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+    return _dumps(v) if isinstance(v, (dict, list)) else v
 
 
 def _jsonable(v):
+    """JSON-ready copy of v; a non-finite float (an overflowed value) becomes None."""
     if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+        v = v.item()
+    if isinstance(v, float) and not np.isfinite(v):
+        return None
     if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
+        return {"re": _jsonable(v.real), "im": _jsonable(v.imag)}
     if isinstance(v, np.ndarray):
-        return v.tolist()
+        return _jsonable(v.tolist())
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

@@ -1,11 +1,11 @@
-"""Moment computations: character averages, Monte Carlo estimates, cross
-moments against proxy weights, and growth-shape fits.
+"""Moment computations: character averages, Monte Carlo estimates, shape fits.
 
 The 2k-th character moment is (1/divisor) sum over non-principal chi of
 |S_chi(x)|^{2k}.  At k = 1 with divisor q - 1 it has the closed form
 floor(x) - floor(x)^2/(q-1).  The random multiplicative analogue is estimated
 by seeded Monte Carlo; agreement of the two at matched scales is the object
-of the verification checks rather than anything assumed here.
+of the verification checks rather than anything assumed here; verify also
+computes the cross moments against proxy weights.
 """
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import proxy, rmf
-from .charsum import abs_char_sums, mirror
-from .errors import Degenerate, DomainError, LengthViolation, OutOfRange, check_bytes
+from . import rmf
+from .charsum import abs_char_sums
+from .errors import Degenerate, DomainError, OutOfRange, check_bytes
 from .modarith import PrimeModulus
 
 
@@ -106,39 +106,6 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     mean, stderr = rmf.mc_estimate(seed, trials, batch, make_per_batch,
                                    rmf.batch_nbytes(1, xf), 0, threads)
     return MomentEstimate(value=mean, stderr=stderr, trials=trials, kind="mc-rmf")
-
-
-def cross_moment(mod: PrimeModulus, x: float, params: proxy.ProxyParams) -> float:
-    """(1/(q-1)) sum over non-principal chi of |S_chi(x)|^2 R(chi), exactly.
-
-    Refuses when x * prod_m y_m^{4 J_m} >= q: beyond that length the weighted
-    polynomial wraps around the character group and the diagonal identity
-    backing this average no longer holds.
-    """
-    if not params.fits_modulus(math.log(x), mod.q):
-        raise LengthViolation(
-            f"x * prod y_m^(4 J_m) >= q = {mod.q}: cross moment undefined at this length"
-        )
-    s = mirror(abs_char_sums(mod, x), mod.q)
-    w = proxy.proxy_weight_all_chars(mod, params)
-    contrib = (s ** 2) * w
-    return float(contrib[1:].sum() / (mod.q - 1))
-
-
-def cross_moment_exact_rmf(x: float, params: proxy.ProxyParams) -> float:
-    """E |sum_{n <= x} f(n)|^2 R(f) by exact diagonal counting (small sizes)."""
-    xf = int(math.floor(x))
-    s = proxy.FPoly({(n, 1): 1.0 + 0j for n in range(1, xf + 1)})
-    expr = s.abs2() * proxy.proxy_weight_fpoly(params)
-    val = expr.expectation()
-    return float(val.real)
-
-
-def proxy_power_moment(mod: PrimeModulus, params: proxy.ProxyParams) -> float:
-    """(1/(q-1)) sum over non-principal chi of R(chi)^{k/(k-1)}."""
-    w = proxy.proxy_weight_all_chars(mod, params)
-    p = params.k / (params.k - 1.0)
-    return float((w[1:] ** p).sum() / (mod.q - 1))
 
 
 @dataclass(frozen=True)

@@ -414,33 +414,21 @@ def subadditivity_split(params: ProxyParams, sources) -> list[tuple[float, float
 # ---------------------------------------------------------------------------
 # exact polynomial forms (diagonal-expectation oracle route)
 
-def level_poly_fpoly(params: ProxyParams, m: int, shift: int) -> FPoly:
-    """D_{m,l} as an exact polynomial in f."""
-    ps, first, second = _window_coeffs(params, m, [shift])
-    out = FPoly()
-    for p, a, b in zip(ps.tolist(), first[0], second[0]):
-        out = out + FPoly.var(p, a)
-        out = out + FPoly.var(p * p, b)
-    return out
-
-
-def level_factor_fpoly(params: ProxyParams, m: int, shift: int) -> FPoly:
-    """R_{m,l} as an exact polynomial in f and conj(f)."""
-    red = level_poly_fpoly(params, m, shift).real_part()
-    t = FPoly.const(1.0)
-    term = FPoly.const(1.0)
-    for j in range(1, params.levels[m - 1].j + 1):
-        term = term * red * ((params.k - 1.0) / j)
-        t = t + term
-    return t * t
-
-
 def proxy_weight_fpoly(params: ProxyParams) -> FPoly:
-    """The full proxy weight as an exact polynomial (desk sizes only)."""
+    """The full proxy weight as an exact polynomial (desk sizes only): sum_l prod_m R_{m,l}."""
     total = FPoly()
     for l in params.shift_values():
         prod = FPoly.const(1.0)
-        for m in range(1, params.m_count + 1):
-            prod = prod * level_factor_fpoly(params, m, int(l))
+        for m, lv in enumerate(params.levels, start=1):
+            ps, first, second = _window_coeffs(params, m, [int(l)])
+            d = FPoly()
+            for p, a, b in zip(ps.tolist(), first[0], second[0]):
+                d = d + FPoly.var(p, a) + FPoly.var(p * p, b)
+            red = d.real_part()
+            t = term = FPoly.const(1.0)
+            for j in range(1, lv.j + 1):
+                term = term * red * ((params.k - 1.0) / j)
+                t = t + term
+            prod = prod * (t * t)
         total = total + prod
     return total

@@ -188,8 +188,12 @@ def _mellin_unit(s: float) -> float:
     at once, and 4 KiB of headers.
     """
     lo = -3.0
-    n = max(1, math.ceil((math.log(1e6 / (s * _MELLIN_TOL)) / s - lo) / _MELLIN_STEP))
-    check_bytes(32 * (n << (_MELLIN_HALVINGS - 1)) + 4096, f"the Mellin quadrature at s = {s}")
+    what = f"the Mellin quadrature at s = {s}"
+    scaled = s * _MELLIN_TOL  # a tiny s gives an infinite count, charged before ceil
+    nodes = (math.log(1e6 / scaled) / s - lo) / _MELLIN_STEP if scaled else math.inf
+    check_bytes(32 * 2.0 ** (_MELLIN_HALVINGS - 1) * nodes, what)
+    n = max(1, math.ceil(nodes))
+    check_bytes(32 * (n << (_MELLIN_HALVINGS - 1)) + 4096, what)
 
     def node_sum(step: float, offset: float, nodes: int) -> float:
         w = lo + step * (np.arange(nodes) + offset)
@@ -214,13 +218,15 @@ def mellin_transform_check(y_smooth: float, s: float, sample: RmfSample,
     Gamma(s/2)/(2 pi^{s/2}) * prod_{p <= y} (1 - f(p) p^{-s})^{-1}.  Term m
     is term 1 at v/m, so the numeric side is the quadrature of term 1 times
     sum f(m) m^{-s} over the smooth m <= smooth_cap; y_smooth = 1 leaves
-    m = 1 alone.  OutOfRange when y_smooth exceeds the sample limit, since f
-    is drawn only at the primes up to it.
+    m = 1 alone.  OutOfRange unless 1 <= y_smooth <= the sample limit, since f
+    is drawn only at the primes up to it, or when smooth_cap >= 2^63 (int64).
     """
     if not 0 < s < math.inf:
         raise DomainError(f"need 0 < s < inf, got s = {s}")
-    if y_smooth > sample.limit:
-        raise OutOfRange(f"y = {y_smooth} exceeds sample limit {sample.limit}")
+    if not 1 <= y_smooth <= sample.limit:
+        raise OutOfRange(f"y = {y_smooth} must lie in [1, sample limit {sample.limit}]")
+    if smooth_cap >= 2**63:
+        raise OutOfRange(f"smooth_cap = {smooth_cap} must be below 2^63")
     ms, cs = _smooth_values(sample, y_smooth, smooth_cap)
     numeric = _mellin_unit(s) * complex(np.sum(cs * ms.astype(np.float64) ** -s))
     closed = math.gamma(s / 2.0) / (2.0 * math.pi ** (s / 2.0))

@@ -4,9 +4,9 @@ package relies on, phrased as dual-route checks with explicit tolerances.
 Each check computes one quantity along two independent routes (or an
 inequality's two sides) and returns a CheckReport.  Calibrated constants come
 from the calibration module and are recorded in each report's context, never
-hard-coded into pass conditions.  The quadratures and transforms behind the
-checks are numpy; a check reaches scipy.fft only through all_char_sums_fft at
-a rough length q - 1 >= 2^12.
+hard-coded into pass conditions.  The proxy cross moments are computed by the
+two checks that compare them.  Quadratures and transforms are numpy; a check
+reaches scipy.fft only through all_char_sums_fft at a rough q - 1 >= 2^12.
 """
 from __future__ import annotations
 
@@ -176,8 +176,10 @@ def check_rough_count(a: float, b: float, y: float, cal: Calibration) -> CheckRe
     expected = (b - a) / math.log(y) if y >= 2 else (b - a)
     ratio = count / expected if expected > 0 else math.inf
     passed = cal.sieve_ratio_lo <= ratio <= cal.sieve_ratio_hi
+    below = ratio < cal.sieve_ratio_lo  # reported against the window's lower end
     return CheckReport(name="rough-count-ratio", lhs=float(ratio),
-                       rhs=float(cal.sieve_ratio_hi), relation="le",
+                       rhs=float(cal.sieve_ratio_lo if below else cal.sieve_ratio_hi),
+                       relation="ge" if below else "le",
                        tolerance=0.0, passed=passed,
                        context={"count": count, "expected": expected,
                                 "window_lo": cal.sieve_ratio_lo,
@@ -322,33 +324,38 @@ def check_subadditivity(params: proxy.ProxyParams, sources, cal: Calibration) ->
                    scale=1.0, context={"sources": len(list(sources))})
 
 
+def _weighted_table(mod: PrimeModulus, x: float, params: proxy.ProxyParams):
+    """|S_chi(x)| and R(chi) over every chi; LengthViolation unless x prod_m y_m^{4 J_m} < q,
+    the length up to which the character group resolves every index pair of |S|^2 R."""
+    if not params.fits_modulus(math.log(x), mod.q):
+        raise LengthViolation(f"x * prod y_m^(4 J_m) >= q = {mod.q}: weights too long")
+    return mirror(abs_char_sums(mod, x), mod.q), proxy.proxy_weight_all_chars(mod, params)
+
+
 def check_holder_chain(mod: PrimeModulus, x: float, params: proxy.ProxyParams,
                        cal: Calibration) -> CheckReport:
-    """Cross moment <= (2k-th moment)^{1/k} * (power moment of R)^{(k-1)/k}."""
+    """Cross moment <= M_2k^{1/k} (power moment of R)^{(k-1)/k}, and the bound it puts on M_2k."""
     k = params.k
-    cross = moments.cross_moment(mod, x, params)
+    s, w = _weighted_table(mod, x, params)
+    cross = float(((s ** 2) * w)[1:].sum() / (mod.q - 1))
     m2k = moments.char_moment(mod, x, k).value
-    mr = moments.proxy_power_moment(mod, params)
+    mr = float((w[1:] ** (k / (k - 1.0))).sum() / (mod.q - 1))
     rhs = m2k ** (1.0 / k) * mr ** ((k - 1.0) / k)
+    lower = cross ** k / mr ** (k - 1.0)
     return _report("holder-chain", cross, rhs, "le", cal.chain_slack,
-                   context={"q": mod.q, "x": x, "k": k,
-                            "moment_2k": m2k, "weight_power_moment": mr})
+                   context={"q": mod.q, "x": x, "k": k, "moment_2k": m2k,
+                            "weight_power_moment": mr, "lower_bound": lower,
+                            "slack": m2k / lower if lower else math.inf})
 
 
 def check_weighted_correspondence(mod: PrimeModulus, x: float,
                                  params: proxy.ProxyParams,
                                  cal: Calibration) -> CheckReport:
-    """Character average of |S(x)|^2 R(chi) against the exact diagonal expectation.
-
-    Valid when x * prod_m y_m^{4 J_m} < q, so every index pair met by the
-    expansion is resolved exactly by the character group.
-    """
-    if not params.fits_modulus(math.log(x), mod.q):
-        raise LengthViolation("weights too long for this modulus")
-    s = mirror(abs_char_sums(mod, x), mod.q)
-    w = proxy.proxy_weight_all_chars(mod, params)
+    """Character average of |S(x)|^2 R(chi) against the exact diagonal expectation."""
+    s, w = _weighted_table(mod, x, params)
     lhs = float(((s ** 2) * w).sum() / (mod.q - 1))
-    rhs = moments.cross_moment_exact_rmf(x, params)
+    big_s = FPoly({(n, 1): 1.0 + 0j for n in range(1, math.floor(x) + 1)})
+    rhs = (big_s.abs2() * proxy.proxy_weight_fpoly(params)).expectation().real
     return _report("weighted-correspondence", lhs, rhs, "eq",
                    cal.orthogonality_tol, scale=max(abs(rhs), 1e-300),
                    context={"q": mod.q, "x": x})

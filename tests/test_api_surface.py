@@ -164,3 +164,19 @@ def _unused_imports(path):
 def test_no_unused_imports():
     unused = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unused_imports(path)]
     assert not unused, "imports nothing uses: " + ", ".join(unused)
+
+
+def test_moments_imports_no_proxy_or_verify_layer():
+    # moments computes moments; the checks that compare them against proxy
+    # weights live in verify
+    tree = ast.parse((PACKAGE / "moments.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "charmoments"):
+            imported |= {alias.name for alias in node.names}  # from . import mod
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.removeprefix("charmoments.").split(".")[0])
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.removeprefix("charmoments.").split(".")[0]
+                         for alias in node.names}
+    assert not imported & {"proxy", "fpoly", "verify", "cli"}

@@ -73,6 +73,34 @@ def test_csv_format(capsys):
     assert len(lines) == 5  # two data rows
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv, path", [
+    (("char-moment", "--q", "101", "--x", "30", "--k", "400"), (0, "moment")),
+    (("theta", "--q", "101", "--moment", "400"), (0, "even_moment")),
+    (("rmf-mc", "--x", "100", "--k", "400", "--trials", "10"), (0, "estimate")),
+    (("shape", "--q", "20011", "--k", "400", "--x", "100", "300", "1000", "3000"),
+     ("exponent",)),
+])
+def test_overflowed_values_are_strict_json_null(capsys, argv, path):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    value = json.loads(out, parse_constant=_refuse_constant)["results"]
+    for key in path:
+        value = value[key]
+    assert value is None
+
+
+def test_overflowed_value_is_an_empty_csv_cell(capsys):
+    code, out, _ = run(capsys, "char-moment", "--q", "101", "--x", "30", "--k", "400",
+                       "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out.split("\n", 2)[2]))
+    assert row["moment"] == ""
+
+
 @pytest.mark.parametrize("argv, column", [
     (("verify", "--suite", "counting", "--q", "101"), "context"),
     (("theta", "--q", "101", "--char", "1", "2"), "value"),

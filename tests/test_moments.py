@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmoments import charsum, errors, moments, proxy, rmf, verify
+from charmoments import errors, moments, rmf
 from charmoments.calibration import Calibration
-from charmoments.errors import Degenerate, LengthViolation, TooLarge
+from charmoments.errors import Degenerate, TooLarge
 from charmoments.modarith import build_modulus
 from charmoments.primes import primes_up_to
 
@@ -124,42 +124,6 @@ def test_rmf_mc_second_moment():
     assert est.trials == 3000
 
 
-def test_cross_moment_constant_weight(mod101):
-    # empty prime windows force R to a constant; cross moment factorizes
-    d = proxy.desk_params(x=6.0, y=1.5, k=2.0, j_values=[1])
-    r_const = proxy.proxy_weight(d, proxy.OnesSource())
-    got = moments.cross_moment(mod101, 6, d)
-    want = r_const * moments.char_moment(mod101, 6, 1.0).value
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_cross_moment_exact_rmf_route(mod101):
-    d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1], q=101)
-    diag = moments.cross_moment_exact_rmf(6, d)
-    # all-character average (principal included) equals the diagonal expectation;
-    # subtracting the principal term recovers the reported cross moment
-    from charmoments.charsum import all_char_sums_fft
-    s0 = abs(all_char_sums_fft(mod101, 6).values[0]) ** 2
-    r0 = proxy.proxy_weight(d, proxy.OnesSource())
-    got = moments.cross_moment(mod101, 6, d)
-    assert got == pytest.approx(diag - s0 * r0 / 100.0, rel=1e-10)
-
-
-def test_cross_moment_length_guard(mod101):
-    d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[2])
-    with pytest.raises(LengthViolation):
-        moments.cross_moment(mod101, 6, d)
-
-
-def test_proxy_power_moment_constant(mod101):
-    # empty windows: R is the same constant at every character; the phi
-    # normalization over q-2 non-principal terms leaves the (q-2)/(q-1) factor
-    d = proxy.desk_params(x=6.0, y=1.5, k=3.0, j_values=[1])
-    r_const = proxy.proxy_weight(d, proxy.OnesSource())
-    got = moments.proxy_power_moment(mod101, d)
-    assert got == pytest.approx(r_const ** (3.0 / 2.0) * 99.0 / 100.0, rel=1e-12)
-
-
 def test_shape_fit_planted_exponent():
     k = 2.0
     xs = np.array([100.0, 1000.0, 10000.0, 100000.0, 1e6])
@@ -240,20 +204,6 @@ def test_rmf_mc_thread_invariant(monkeypatch, threads):
     finally:
         sys.setswitchinterval(interval)
     assert got == want
-
-
-def test_magnitude_readers_share_one_transform(monkeypatch):
-    calls = []
-    fft = charsum.all_char_sums_fft
-    monkeypatch.setattr(charsum, "all_char_sums_fft",
-                        lambda mod, x: calls.append(x) or fft(mod, x))
-    mod = build_modulus(101)
-    params = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1], q=101)
-    moments.char_moment(mod, 6, 1.0)
-    moments.char_moment(mod, 6, 2.0)
-    moments.cross_moment(mod, 6, params)
-    assert verify.check_weighted_correspondence(mod, 6, params, Calibration()).passed
-    assert calls == [6]
 
 
 @pytest.fixture(scope="module")

@@ -239,6 +239,18 @@ def test_mellin_refuses_y_beyond_sample():
         theta.mellin_transform_check(20.0, 1.0, rmf.sample(1, 10), smooth_cap=10**4)
 
 
+@pytest.mark.parametrize("y, s, cap, error, name", [
+    (1.0, 1e-300, 10**12, TooLarge, "s = 1e-300"),   # an infinite node count
+    (1.0, 1e-320, 10**12, TooLarge, "s = 1e-320"),   # s * tol underflows to 0
+    (math.nan, 1.0, 10**12, OutOfRange, "y = nan"),
+    (0.5, 1.0, 10**12, OutOfRange, "y = 0.5"),
+    (1.0, 1.0, 10**19, OutOfRange, "smooth_cap = 10000000000000000000"),
+])
+def test_mellin_refuses_with_package_errors(y, s, cap, error, name):
+    with pytest.raises(error, match=name):
+        theta.mellin_transform_check(y, s, rmf.sample(1, 10), smooth_cap=cap)
+
+
 def test_mellin_smooth_count_cap(monkeypatch):
     monkeypatch.setattr(theta, "_SMOOTH_COUNT_CAP", 20)
     with pytest.raises(TooLarge):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charmoments import euler, proxy, verify
+from charmoments import charsum, euler, moments, proxy, verify
 from charmoments.calibration import Calibration
 from charmoments.errors import DomainError, LengthViolation, OutOfRange
 from charmoments.modarith import build_modulus
@@ -115,10 +115,19 @@ def test_even_moment_ratio_exact_j0_case():
 def test_rough_count_window():
     r = verify.check_rough_count(100, 1000, 5, CAL)
     assert r.passed
+    assert (r.relation, r.rhs) == ("le", CAL.sieve_ratio_hi)
     # y < 2: no sieve condition; expected = plain length
     r2 = verify.check_rough_count(10, 110, 1.5, CAL)
     assert r2.context["expected"] == pytest.approx(100.0)
     assert r2.passed
+
+
+def test_rough_count_below_window_reports_lower_end():
+    # 240 numbers in (100, 1000] are 5-rough against 900/log 5 = 559: ratio 0.429 < 0.5
+    cal = Calibration(sieve_ratio_lo=0.5)
+    r = verify.check_rough_count(100, 1000, 5, cal)
+    assert r.lhs == pytest.approx(0.429, abs=1e-3)
+    assert (r.relation, r.rhs, r.passed) == ("ge", 0.5, False)
 
 
 def test_series_consistency_check():
@@ -204,6 +213,81 @@ def test_weighted_correspondence_guard(mod101):
     params = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[2])
     with pytest.raises(LengthViolation):
         verify.check_weighted_correspondence(mod101, 6.0, params, CAL)
+
+
+def test_holder_cross_moment_constant_weight(mod101):
+    # empty prime windows force R to a constant; the cross moment factorizes
+    d = proxy.desk_params(x=6.0, y=1.5, k=2.0, j_values=[1])
+    r_const = proxy.proxy_weight(d, proxy.OnesSource())
+    got = verify.check_holder_chain(mod101, 6, d, CAL).lhs
+    want = r_const * moments.char_moment(mod101, 6, 1.0).value
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_holder_cross_moment_matches_exact_route(mod101):
+    d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1], q=101)
+    # the diagonal expectation equals the all-character average, principal
+    # included; subtracting the principal term recovers the cross moment
+    diag = verify.check_weighted_correspondence(mod101, 6, d, CAL).rhs
+    s0 = abs(charsum.all_char_sums_fft(mod101, 6).values[0]) ** 2
+    r0 = proxy.proxy_weight(d, proxy.OnesSource())
+    got = verify.check_holder_chain(mod101, 6, d, CAL).lhs
+    assert got == pytest.approx(diag - s0 * r0 / 100.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("check", [verify.check_holder_chain,
+                                   verify.check_weighted_correspondence],
+                         ids=["holder", "correspondence"])
+def test_cross_moment_length_guard(mod101, check):
+    d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[2])
+    with pytest.raises(LengthViolation):
+        check(mod101, 6, d, CAL)
+
+
+def test_holder_weight_power_moment_constant(mod101):
+    # empty windows: R is the same constant at every character; the phi
+    # normalization over q-2 non-principal terms leaves the (q-2)/(q-1) factor
+    d = proxy.desk_params(x=6.0, y=1.5, k=3.0, j_values=[1])
+    r_const = proxy.proxy_weight(d, proxy.OnesSource())
+    got = verify.check_holder_chain(mod101, 6, d, CAL).context["weight_power_moment"]
+    assert got == pytest.approx(r_const ** (3.0 / 2.0) * 99.0 / 100.0, rel=1e-12)
+
+
+def test_magnitude_readers_share_one_transform(monkeypatch):
+    calls = []
+    fft = charsum.all_char_sums_fft
+    monkeypatch.setattr(charsum, "all_char_sums_fft",
+                        lambda mod, x: calls.append(x) or fft(mod, x))
+    mod = build_modulus(101)
+    params = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1], q=101)
+    moments.char_moment(mod, 6, 1.0)
+    moments.char_moment(mod, 6, 2.0)
+    assert verify.check_holder_chain(mod, 6, params, CAL).passed
+    assert verify.check_weighted_correspondence(mod, 6, params, CAL).passed
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("q, seed, holder_rhs, correspondence_rhs", [
+    (101, 3, "0x1.de3bf2e298935p+3", "0x1.a6bc2d33dad3bp+3"),
+    (499, 10, "0x1.045ca80bc23f9p+4", "0x1.a6bc2d33dad3bp+3"),
+])
+def test_holder_suite_rhs_bits(q, seed, holder_rhs, correspondence_rhs):
+    # recorded when the cross moments still lived in moments
+    rhs = {r.name: r.rhs.hex() for r in verify.run_suite("holder", q, seed)}
+    assert rhs["holder-chain"] == holder_rhs
+    assert rhs["weighted-correspondence"] == correspondence_rhs
+
+
+@pytest.mark.parametrize("q, x, y, k", [(101, 6.0, 2.0, 2.0), (499, 6.0, 2.0, 2.5),
+                                        (1009, 30.0, 2.0, 3.0), (101, 1.0, 1.5, 2.0)])
+def test_holder_lower_bound_under_moment(q, x, y, k):
+    mod = build_modulus(q)
+    params = proxy.desk_params(x=6.0, y=y, k=k, j_values=[1], q=q)
+    ctx = verify.check_holder_chain(mod, x, params, CAL).context
+    assert 0.0 < ctx["lower_bound"] <= ctx["moment_2k"] * (1 + 1e-12)
+    assert ctx["slack"] == ctx["moment_2k"] / ctx["lower_bound"]
+    if x == 1.0:  # |S| and R constant: the equality case
+        assert ctx["slack"] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_suites_all_pass(mod101):
