@@ -13,6 +13,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 ENV_VAR = "CHARMOMENTS_CALIBRATION"
 
 
@@ -48,9 +50,9 @@ class Calibration:
 def load(path: str | None = None) -> Calibration:
     """Calibration from a JSON file, the environment override, or defaults.
 
-    An unreadable file, malformed JSON, a top level that is not an object, an
-    unknown key, a value that is not a finite real number >= 0, or
-    sieve_ratio_lo > sieve_ratio_hi raises ValueError.
+    An unreadable file, text that is not UTF-8 JSON, a top level that is not
+    an object, an unknown key, a value that is not a finite real number >= 0,
+    or sieve_ratio_lo > sieve_ratio_hi raises DomainError.
     """
     if path is None:
         path = os.environ.get(ENV_VAR)
@@ -60,20 +62,22 @@ def load(path: str | None = None) -> Calibration:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read calibration file: {exc}") from exc
+        raise DomainError(f"cannot read calibration file: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DomainError(f"calibration file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ValueError(f"calibration file must hold a JSON object, got {type(data).__name__}")
+        raise DomainError(f"calibration file must hold a JSON object, got {type(data).__name__}")
     known = {f.name for f in dataclasses.fields(Calibration)}
     unknown = set(data) - known
     if unknown:
-        raise ValueError(f"unknown calibration keys: {sorted(unknown)}")
+        raise DomainError(f"unknown calibration keys: {sorted(unknown)}")
     for key, value in data.items():
         # a JSON integer may exceed every float; NaN fails both comparisons
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not 0 <= value <= sys.float_info.max):
-            raise ValueError(f"calibration {key} must be a finite number >= 0, got {value!r}")
+            raise DomainError(f"calibration {key} must be a finite number >= 0, got {value!r}")
     cal = Calibration(**data)
     if cal.sieve_ratio_lo > cal.sieve_ratio_hi:
-        raise ValueError(f"calibration sieve_ratio_lo = {cal.sieve_ratio_lo} exceeds "
+        raise DomainError(f"calibration sieve_ratio_lo = {cal.sieve_ratio_lo} exceeds "
                          f"sieve_ratio_hi = {cal.sieve_ratio_hi}")
     return cal

@@ -8,9 +8,9 @@ rmf-mc and verify (the seed is null for the others, which sample nothing or
 take --weights-seed), --threads to rmf-mc, and --calibration, with the
 CHARMOMENTS_CALIBRATION file it defaults to, to verify.
 
-Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
-3 resource limit refused, 4 internal error, 141 stdout closed before the
-document was written (as 128 + SIGPIPE from a shell, e.g. piped into head).
+Exit codes: 0 success, 1 a verification check failed, 2 invalid input (a
+package error), 3 resource limit refused, 4 internal error, 141 stdout closed
+before the document was written (128 + SIGPIPE, e.g. piped into head).
 """
 from __future__ import annotations
 
@@ -194,10 +194,14 @@ def _cmd_shape(args) -> tuple[list | dict, int]:
         est = moments.char_moment(mod, x, args.k)
         pts.append((x, est.value))
     fit = moments.shape_fit(pts, args.k)
+    try:
+        reference = (args.k - 1.0) ** 2
+    except OverflowError:  # written as null, like every other overflowed value
+        reference = np.inf
     results = {"points": [{"x": x, "moment": m} for x, m in pts],
                "exponent": fit.exponent, "exponent_stderr": fit.exponent_stderr,
                "intercept": fit.intercept, "residual": fit.residual,
-               "reference_exponent": (args.k - 1.0) ** 2}
+               "reference_exponent": reference}
     return results, 0
 
 
@@ -290,7 +294,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CharmomentsError, ValueError) as exc:
+    except CharmomentsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Every guard in the library raises one of these rather than a bare ValueError,
-so callers (and the CLI exit-code mapping) can tell validation problems apart
-from resource refusals.  Every byte budget is charged by check_bytes, which
-reads DEFAULT_MEMORY_CAP when called: lowering it lowers the whole package's.
+Every guard in the library, calibration.load and primes.factorize included,
+raises one of these rather than a bare ValueError.  The CLI exits 2 on these
+alone (3 on TooLarge), so a ValueError from a bug reads as an internal error.
+Every byte budget is charged by check_bytes, which reads DEFAULT_MEMORY_CAP
+when called: lowering it lowers the whole package's.
 """
 
 DEFAULT_MEMORY_CAP = 2 << 30

@@ -10,15 +10,18 @@ parameters alpha, beta, sigma_1, sigma_2 >= 0, t_1, t_2 real, with
                    + 2 alpha beta cos((t_2 - t_1) log p)/p^{1+sigma_1+sigma_2} ]
            + O(max(alpha, alpha^3, beta, beta^3)/sqrt(z)) ),
 
-with the sum over the same primes as the product.  The O(.) bracket is
-surfaced as data (error_bracket), never silently added to the main term.
+with the sum over the same primes as the product.  An EulerProductSpec is
+built only where that hypothesis holds, with every field finite, and its
+product_primes feed the exponent, the quadrature and the Monte Carlo mean.
+The O(.) bracket is surfaced as data (error_bracket), never silently added
+to the main term.
 pair_product_quad checks the closed form by a numpy trapezoid rule in the
 angle at each prime.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +33,7 @@ HYPOTHESIS_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class EulerProductSpec:
-    """Parameter bundle for the two-factor expected Euler product."""
+    """Two-factor Euler product parameters; HypothesisViolated off the closed form's hypothesis."""
 
     alpha: float
     beta: float
@@ -41,35 +44,34 @@ class EulerProductSpec:
     z: float
     y: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(value := getattr(self, f.name)):
+                raise HypothesisViolated(f"{f.name} must be finite, got {value}")
         if min(self.alpha, self.beta, self.sigma1, self.sigma2) < 0:
             raise HypothesisViolated("alpha, beta, sigma1, sigma2 must be >= 0")
-        need = HYPOTHESIS_FACTOR * (1.0 + max(self.alpha**2, self.beta**2))
+        # a product, not **, so a huge alpha gives need = inf and no OverflowError
+        need = HYPOTHESIS_FACTOR * (1.0 + max(self.alpha * self.alpha, self.beta * self.beta))
         if not (need <= self.z < self.y):
-            raise HypothesisViolated(
-                f"need {need:.6g} <= z < y, got z = {self.z}, y = {self.y}"
-            )
+            raise HypothesisViolated(f"need {need:.6g} <= z < y, got z = {self.z}, y = {self.y}")
 
-
-def prime_sum_exponent(alpha: float, beta: float, sigma1: float, sigma2: float,
-                       dt: float, p_lo: float, p_hi: float) -> float:
-    """sum over primes p in [p_lo, p_hi] of the three closed-form terms."""
-    ps = primes.primes_up_to(p_hi)
-    ps = ps[ps >= p_lo].astype(np.float64)
-    if ps.size == 0:
-        return 0.0
-    lp = np.log(ps)
-    s = (alpha**2 * np.power(ps, -(1.0 + 2.0 * sigma1))
-         + beta**2 * np.power(ps, -(1.0 + 2.0 * sigma2))
-         + 2.0 * alpha * beta * np.cos(dt * lp) * np.power(ps, -(1.0 + sigma1 + sigma2)))
-    return float(math.fsum(s.tolist()))
+    @property
+    def product_primes(self) -> np.ndarray:
+        """The primes z <= p <= y, a read-only view of the shared table."""
+        ps = primes.primes_up_to(self.y)
+        return ps[np.searchsorted(ps, self.z) :]
 
 
 def expected_product_exponent(spec: EulerProductSpec) -> float:
-    """Main-term exponent, summed over the product's prime range [z, y]."""
-    spec.validate()
-    return prime_sum_exponent(spec.alpha, spec.beta, spec.sigma1, spec.sigma2,
-                              spec.t2 - spec.t1, spec.z, spec.y)
+    """Main-term exponent: the three closed-form terms summed over the product's primes."""
+    ps = spec.product_primes.astype(np.float64)
+    alpha, beta, sigma1, sigma2 = spec.alpha, spec.beta, spec.sigma1, spec.sigma2
+    lp = np.log(ps)
+    s = (alpha**2 * np.power(ps, -(1.0 + 2.0 * sigma1))
+         + beta**2 * np.power(ps, -(1.0 + 2.0 * sigma2))
+         + 2.0 * alpha * beta * np.cos((spec.t2 - spec.t1) * lp)
+         * np.power(ps, -(1.0 + sigma1 + sigma2)))
+    return float(math.fsum(s.tolist()))
 
 
 def error_bracket(spec: EulerProductSpec) -> float:
@@ -139,10 +141,8 @@ def pair_product_quad(spec: EulerProductSpec) -> float:
     Independent of the closed-form exponent; verify's euler-product-quadrature
     check holds the two within the suppressed error term.
     """
-    spec.validate()
-    ps = primes.primes_up_to(spec.y)
-    means = pair_factor_expectation(ps[np.searchsorted(ps, spec.z) :], spec.alpha,
-                                    spec.sigma1, spec.beta, spec.sigma2, spec.t2 - spec.t1)
+    means = pair_factor_expectation(spec.product_primes, spec.alpha, spec.sigma1,
+                                    spec.beta, spec.sigma2, spec.t2 - spec.t1)
     return math.exp(float(np.log(means).sum()))
 
 
@@ -159,9 +159,7 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
     rows).  The two weight arrays take a row's worth, and are built only
     after rmf.mc_estimate has charged both and not refused the run.
     """
-    spec.validate()
-    ps = primes.primes_up_to(spec.y)
-    ps = ps[np.searchsorted(ps, spec.z) :]
+    ps = spec.product_primes
 
     def make_products():
         lp = np.log(ps.astype(np.float64))

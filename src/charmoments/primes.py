@@ -1,4 +1,4 @@
-"""The shared prime table, deterministic primality testing, and factorization helpers.
+"""The shared prime table, deterministic primality testing, and factorization by its primes.
 
 Every prime list is a read-only int64 view of one (limit, primes) table that
 only grows and is replaced as a whole.  At SIEVE_CAP it holds pi(10^8) =
@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import DomainError, TooLarge
 
 # Sieving refuses beyond this point; callers get an explicit error instead of
 # a silently partial prime list.
@@ -106,29 +106,23 @@ def primes_in(lo: float, hi: float) -> np.ndarray:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a list of (p, exponent) pairs."""
+    """Prime factorization of n >= 1 as (p, exponent) pairs, by the table's primes p <= sqrt(n)."""
     if n < 1:
-        raise ValueError("factorize expects n >= 1")
+        raise DomainError(f"factorize expects n >= 1, got {n}")
+    r = math.isqrt(n)
+    if r > SIEVE_CAP:
+        raise TooLarge(f"factorizing {n} needs primes up to {r}, cap is {SIEVE_CAP}")
+    ps = _grown(r)  # not primes_up_to, so a traced run counts only outside calls
     out = []
-    for p in (2, 3):
+    for p in ps[: np.searchsorted(ps, r, side="right")].tolist():
+        if p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
-    # trial division by 6k+-1
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-        f += 6
     if n > 1:
         out.append((n, 1))
     return out
-

@@ -112,8 +112,9 @@ class ProxyParams:
         return 2 * math.ceil(200.0 * self.k * self.levels[m - 1].j)
 
     def shift_values(self) -> np.ndarray:
-        """Integer shifts l with |l| <= floor(log(y)/2)."""
+        """Integer shifts l with |l| <= floor(log(y)/2), 8 B each."""
         lmax = int(math.floor(self.log_y / 2.0))
+        check_bytes(8 * (2 * lmax + 1), f"{2 * lmax + 1} shifts")
         return np.arange(-lmax, lmax + 1, dtype=np.int64)
 
     def poly_length_log(self) -> float:
@@ -332,7 +333,11 @@ def exp_weight_total(params: ProxyParams, source) -> float:
     """Untruncated analogue of the proxy weight: sum_l exp(2(k-1) Re sum_m D_{m,l})."""
     logs = 2.0 * (params.k - 1.0) * poly_table(params, [source])[0].real.sum(axis=1)
     peak = logs.max()
-    return float(math.exp(peak) * np.exp(logs - peak).sum())
+    try:
+        scale = math.exp(peak)
+    except OverflowError:  # the peak term alone overflows
+        return math.inf
+    return float(scale * np.exp(logs - peak).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -122,17 +122,6 @@ def check_bernoulli(xs) -> CheckReport:
                    context={"count": int(xs.size)})
 
 
-def _restricted_divisors(n: int, pset: tuple[int, ...]) -> int:
-    count = 1
-    for p in pset:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        count *= e + 1
-    return count
-
-
 def check_even_moment_ratio(c: dict[int, complex], pset: tuple[int, ...],
                             ap: dict[int, complex], ap2: dict[int, complex],
                             j: int, cal: Calibration) -> CheckReport:
@@ -154,7 +143,8 @@ def check_even_moment_ratio(c: dict[int, complex], pset: tuple[int, ...],
     lhs = expr.expectation().real
     base = sum(2.0 * abs(ap.get(p, 0)) ** 2 / p + 6.0 * abs(ap2.get(p, 0)) ** 2 / p**2
                for p in pset)
-    rhs = sum(_restricted_divisors(n, pset) * abs(v) ** 2 for n, v in c.items())
+    rhs = sum(math.prod(e + 1 for p, e in primes.factorize(n) if p in pset) * abs(v) ** 2
+              for n, v in c.items())
     rhs *= math.factorial(j) * base**j
     ratio = lhs / rhs if rhs > 0 else math.inf
     return _report("even-moment-ratio", ratio, cal.lemma_ratio_max, "le", 0.0,
@@ -518,9 +508,11 @@ MIN_Q = {"identities": 7, "counting": 2, "euler": 2, "proxy": 3, "theta": 3, "ho
 def run_suite(name: str, q: int, seed: int, cal: Calibration | None = None) -> list[CheckReport]:
     """Run one named suite (or 'full' for all) deterministically.
 
-    Refuses a q below the suite's MIN_Q, or below the largest one for 'full'.
+    Refuses a negative seed, and a q below the suite's MIN_Q (the largest one for 'full').
     """
     cal = cal or Calibration()
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
     if name != "full" and name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from "
                           f"{sorted(SUITES) + ['full']}")

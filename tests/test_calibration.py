@@ -3,6 +3,7 @@ import json
 import pytest
 
 from charmoments import calibration
+from charmoments.errors import DomainError
 
 
 def test_defaults_when_unset(monkeypatch):
@@ -33,7 +34,7 @@ def test_explicit_path_beats_env(tmp_path, monkeypatch):
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"not_a_knob": 1.0}))
-    with pytest.raises(ValueError, match="not_a_knob"):
+    with pytest.raises(DomainError, match="not_a_knob"):
         calibration.load(str(p))
 
 
@@ -61,8 +62,22 @@ def test_json_round_trip(tmp_path):
 def test_malformed_values_rejected(tmp_path, content):
     p = tmp_path / "bad.json"
     p.write_text(content)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         calibration.load(str(p))
+
+
+@pytest.mark.parametrize("content", [b"", b"{", b'{"chain_slack": 1e-9,}', b"\xff\xfe{}"])
+def test_undecodable_file_rejected(tmp_path, content):
+    # malformed JSON and bytes that are not UTF-8 are refused as the package's error
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    with pytest.raises(DomainError, match="not UTF-8 JSON"):
+        calibration.load(str(p))
+
+
+def test_unreadable_file_rejected(tmp_path):
+    with pytest.raises(DomainError, match="cannot read"):
+        calibration.load(str(tmp_path / "missing.json"))
 
 
 def test_zero_and_integer_values_accepted(tmp_path):

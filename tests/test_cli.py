@@ -83,6 +83,10 @@ def _refuse_constant(name):
     (("rmf-mc", "--x", "100", "--k", "400", "--trials", "10"), (0, "estimate")),
     (("shape", "--q", "20011", "--k", "400", "--x", "100", "300", "1000", "3000"),
      ("exponent",)),
+    (("shape", "--q", "101", "--k", "1e300", "--x", "5", "6", "7", "8"),
+     ("reference_exponent",)),
+    (("proxy", "--profile", "desk", "--log-x", "1e-300", "--y", "2", "--k", "1e300",
+      "--weights-seed", "0"), ("exp_weight_total",)),
 ])
 def test_overflowed_values_are_strict_json_null(capsys, argv, path):
     code, out, _ = run(capsys, *argv)
@@ -212,6 +216,24 @@ def test_unexpected_exception_exit_4(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+def test_value_error_from_a_handler_exit_4(monkeypatch, capsys):
+    # only a package error reads as invalid input; a bare ValueError is a bug
+    def broken(args):
+        raise ValueError("bad shape")
+
+    monkeypatch.setattr(cli, "_cmd_char_moment", broken)
+    code, out, err = run(capsys, "char-moment", "--q", "101", "--x", "30")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "ValueError: bad shape" in err
+
+
+def test_verify_negative_seed_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "euler", "--seed", "-1")
+    assert code == 2
+    assert out == "" and err == "error: seed must be >= 0, got -1\n"
+
+
 def test_missing_calibration_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     code, out, err = run(capsys, "verify", "--suite", "counting", "--q", "101",
@@ -290,6 +312,7 @@ def test_too_large_exit_3(capsys):
 @pytest.mark.parametrize("log_x, c0", [
     ("1.6e8", "4e5"),  # log y = 400: the sample would pass the sieve cap
     ("1e9", "1e6"),    # log y = 1000: y itself would pass float range
+    ("1e300", "4e5"),  # log y = 2.5e294: the shift array would pass the memory cap
 ])
 def test_proxy_paper_weight_too_large_exit_3(capsys, log_x, c0):
     code, out, err = run(capsys, "proxy", "--profile", "paper", "--log-x", log_x,

@@ -18,15 +18,28 @@ def make_spec(**kw):
 
 
 def test_hypothesis_gate():
-    make_spec().validate()
+    make_spec()
     with pytest.raises(HypothesisViolated):
-        make_spec(z=50.0).validate()
+        make_spec(z=50.0)
     with pytest.raises(HypothesisViolated):
-        make_spec(alpha=2.0, z=250.0).validate()  # needs z >= 500
+        make_spec(alpha=2.0, z=250.0)  # needs z >= 500
     with pytest.raises(HypothesisViolated):
-        make_spec(alpha=-1.0).validate()
+        make_spec(alpha=-1.0)
     with pytest.raises(HypothesisViolated):
-        make_spec(y=200.0).validate()  # z < y required
+        make_spec(y=200.0)  # z < y required
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta", "sigma1", "sigma2", "t1", "t2", "z", "y"])
+def test_non_finite_field_refused(name, value):
+    # min and max skip a NaN that is not their first argument; the check names the field
+    with pytest.raises(HypothesisViolated, match=f"^{name} must be finite"):
+        make_spec(**{name: value})
+
+
+def test_huge_alpha_refused_without_overflow():
+    with pytest.raises(HypothesisViolated, match="need inf"):
+        make_spec(alpha=1e200, z=1e300, y=1e301)
 
 
 def test_exponent_term_by_term():
@@ -41,9 +54,9 @@ def test_exponent_term_by_term():
 
 
 def test_prime_sum_harmonic_example():
-    # 4 * sum_{p <= 100} 1/p at alpha=beta=1, sigmas=0, t-difference 0
-    got = euler.prime_sum_exponent(1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 100.0)
-    harmonic = sum(1.0 / p for p in primes.primes_up_to(100))
+    # 4 * sum_{250 <= p <= 1500} 1/p at alpha=beta=1, sigmas=0, t-difference 0
+    got = euler.expected_product_exponent(make_spec(sigma1=0.0, sigma2=0.0, t2=0.0))
+    harmonic = sum(1.0 / p for p in primes.primes_in(249, 1500))
     assert got == pytest.approx(4.0 * harmonic, rel=1e-12)
 
 

@@ -67,6 +67,41 @@ def test_factorize():
     assert primes.factorize(97) == [(97, 1)]
 
 
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(n=st.integers(1, 2**31 - 1))
+@example(n=1)
+@example(n=2)
+@example(n=1_000_002)
+@example(n=2**31 - 2)
+@example(n=46337**2)  # a prime square at the top of the range
+def test_factorize_property(n):
+    # trial division by the table's primes p <= sqrt(n); the cofactor left is prime
+    factors = primes.factorize(n)
+    ps = [p for p, _ in factors]
+    assert ps == sorted(set(ps))
+    assert all(primes.is_prime(p) and e >= 1 for p, e in factors)
+    assert math.prod(p**e for p, e in factors) == n
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**40)])
+def test_factorize_refuses_n_below_1(n):
+    with pytest.raises(errors.DomainError):
+        primes.factorize(n)
+
+
+def test_factorize_reads_the_table_directly(monkeypatch):
+    # a traced run counts only the primes_up_to calls made from outside primes
+    monkeypatch.setattr(primes, "primes_up_to", lambda n: pytest.fail("factorize called it"))
+    assert primes.factorize(2**31 - 2) == [(2, 1), (3, 2), (7, 1), (11, 1), (31, 1),
+                                           (151, 1), (331, 1)]
+
+
+def test_factorize_refuses_past_the_sieve_cap():
+    # sqrt(n) > SIEVE_CAP would need primes the table never holds
+    with pytest.raises(TooLarge):
+        primes.factorize((primes.SIEVE_CAP + 1) ** 2)
+
+
 def test_rough_count_window():
     # integers in (a, b] with every prime factor > y, by trial division
     for a, b, y in ((100, 1000, 10), (100, 1000, 5), (10, 20, 3), (0, 50, 7),
