@@ -176,7 +176,7 @@ def _cmd_proxy(args) -> tuple[list | dict, int]:
                "penalty_exp": params.penalty_exp(i + 1)}
               for i, lv in enumerate(params.levels)]
     results = {"k": params.k, "c0": params.c0, "log_x": params.log_x,
-               "levels": levels, "shift_count": len(params.shift_values()),
+               "levels": levels, "shift_count": params.shift_count,
                "poly_length_log": params.poly_length_log()}
     if args.weights_seed is not None:
         # a sample needs a limit of 2 or more, even below an empty window

@@ -8,6 +8,10 @@ when called: lowering it lowers the whole package's.
 """
 
 DEFAULT_MEMORY_CAP = 2 << 30
+# What numpy may hold beside the arrays a charge names: the iteration buffers
+# of a ufunc or einsum, at most 8192 entries of 8 B for each of two operands,
+# and 4 KiB of array headers.
+NUMPY_BUFFER_BYTES = 2 * 8 * 8192 + 4096
 
 
 class CharmomentsError(Exception):

@@ -77,7 +77,10 @@ def expected_product_exponent(spec: EulerProductSpec) -> float:
 def error_bracket(spec: EulerProductSpec) -> float:
     """Size of the suppressed error term: max(alpha, alpha^3, beta, beta^3)/sqrt(z)."""
     a, b = spec.alpha, spec.beta
-    return max(a, a**3, b, b**3) / math.sqrt(spec.z)
+    try:
+        return max(a, a**3, b, b**3) / math.sqrt(spec.z)
+    except OverflowError:  # a cube past the float range (alpha or beta above 5.6e102)
+        return math.inf  # a bound that still holds
 
 
 # Angle quadrature: the trapezoid rule on [0, 2 pi) doubles its nodes from

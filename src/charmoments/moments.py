@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rmf
 from .charsum import abs_char_sums
-from .errors import Degenerate, DomainError, OutOfRange, check_bytes
+from .errors import NUMPY_BUFFER_BYTES, Degenerate, DomainError, OutOfRange, check_bytes
 from .modarith import PrimeModulus
 
 
@@ -72,14 +72,26 @@ def second_moment_closed_form(q: int, x: float) -> float:
 
 
 def congruence_energy(q: int, x: float) -> int:
-    """Exact count of quadruples n_i <= x with n_1 n_2 = n_3 n_4 (mod q)."""
-    xf = int(math.floor(x))
-    check_bytes(8 * xf * xf, f"the product table at x = {xf}")
-    ns = np.arange(1, xf + 1, dtype=np.int64)
-    residues = np.multiply.outer(ns, ns)
-    residues %= q
-    counts = np.bincount(residues.ravel(), minlength=q)
-    return int(np.sum(counts.astype(np.int64) ** 2))
+    """Exact count of quadruples n_i <= x with n_1 n_2 = n_3 n_4 (mod q).
+
+    That is sum_r c_q(r)^2, with c_q(r) the number of pairs n_1, n_2 <= x
+    whose product is r mod q: the uint16 pair histogram c of rmf.pair_counts
+    folded onto the residues, c_q(r) = sum_{m = r (mod q)} c(m), in uint32
+    (c_q(r) <= x^2).  No table of products is formed, and below q = x^2 + 1
+    nothing needs folding.  Refuses, before allocating, when the histograms
+    exceed errors.DEFAULT_MEMORY_CAP.
+    """
+    xf = max(0, int(math.floor(x)))
+    x2 = xf * xf
+    check_bytes(2 * (x2 + 1) + (4 * q if q <= x2 else 0) + NUMPY_BUFFER_BYTES,
+                f"the pair histogram at x = {xf}, folded mod {q}")
+    c = rmf.pair_counts(xf, np.uint16)
+    if q <= x2:
+        whole = (x2 + 1) // q * q
+        folded = c[:whole].reshape(-1, q).sum(axis=0, dtype=np.uint32)
+        folded[: x2 + 1 - whole] += c[whole:]
+        c = folded
+    return int(np.einsum("i,i->", c, c, dtype=np.int64))
 
 
 def rmf_moment_mc(x: float, k: float, trials: int, seed: int,

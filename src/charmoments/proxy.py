@@ -111,11 +111,16 @@ class ProxyParams:
         """Even exponent a_m = 2*ceil(200*k*J_m) attached to window m (1-based)."""
         return 2 * math.ceil(200.0 * self.k * self.levels[m - 1].j)
 
+    @property
+    def shift_count(self) -> int:
+        """How many integer shifts l have |l| <= floor(log(y)/2)."""
+        return 2 * math.floor(self.log_y / 2.0) + 1
+
     def shift_values(self) -> np.ndarray:
-        """Integer shifts l with |l| <= floor(log(y)/2), 8 B each."""
-        lmax = int(math.floor(self.log_y / 2.0))
-        check_bytes(8 * (2 * lmax + 1), f"{2 * lmax + 1} shifts")
-        return np.arange(-lmax, lmax + 1, dtype=np.int64)
+        """The shift_count integer shifts, -floor(log(y)/2) to floor(log(y)/2), 8 B each."""
+        count = self.shift_count
+        check_bytes(8 * count, f"{count} shifts")
+        return np.arange(-(count // 2), count // 2 + 1, dtype=np.int64)
 
     def poly_length_log(self) -> float:
         """log of the largest index reachable by any level factor: sum 4*J_m*log(y_m)."""

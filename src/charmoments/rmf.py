@@ -41,6 +41,8 @@ _C2 = 0x94D049BB133111EB
 _TRIAL_SALT = 0xA5A5A5A55A5A5A5A
 
 EXACT_MOMENT_CAP = 10**8
+# int64 entries of the window in which exact_moment_2k counts triple products
+_WINDOW = 1 << 18
 
 # Bytes per trial mc_estimate holds itself: the trial's seed, its sample and,
 # while the standard error is taken, its deviation from the mean
@@ -222,14 +224,33 @@ def partial_sum(s: RmfSample, x: float) -> complex:
     return complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
 
 
+def pair_counts(xf: int, dtype) -> np.ndarray:
+    """c with c[m] the number of pairs n1, n2 <= xf with n1 n2 = m, for 0 <= m <= xf^2.
+
+    Each n1 adds one to its xf multiples n1, 2 n1, ..., xf n1.  A pair with
+    product m is fixed by n1, a divisor of m, so c(m) <= d(m): at most 768
+    for m <= EXACT_MOMENT_CAP (at 73,513,440) and 1,344 for m <= 2^30 (at
+    735,134,400), so uint16 holds c wherever 2 B an entry fits the 2 GiB cap.
+    """
+    c = np.zeros(xf * xf + 1, dtype=dtype)
+    for n in range(1, xf + 1):
+        c[n : n * xf + 1 : n] += 1
+    return c
+
+
 def exact_moment_2k(x: float, k: int) -> int:
     """E |sum_{n<=x} f(n)|^{2k} exactly: the count of 2k-tuples with equal k-fold products.
 
     That count is sum_m c(m)^2, with c(m) the number of k-tuples of n <= x
-    whose product is m.  For k = 2, c is the bincount of the x^2 products
-    n1 n2; for k = 3, each n <= x adds that histogram into every n-th entry
-    of a dense x^3 + 1 histogram.  Refuses before allocating when the product
-    table and the histograms alive with it exceed errors.DEFAULT_MEMORY_CAP.
+    whose product is m.  No table of products is formed.  For k = 2, c is
+    the uint16 pair histogram of pair_counts, 2 B an entry (c(m) <= d(m) <=
+    768 for m <= EXACT_MOMENT_CAP), which einsum widens to int64 in its
+    buffers as it sums the squares.  For k = 3, c(m) is the sum of p(m / n)
+    over the divisors n <= x of m, with p the int64 pair histogram.  It is
+    made over 0..x^3 one window of _WINDOW int64 entries at a time, and each
+    window's squares are summed before the next is made.  Refuses, before
+    allocating, when these arrays and errors.NUMPY_BUFFER_BYTES exceed
+    errors.DEFAULT_MEMORY_CAP.
     """
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2, or 3")
@@ -243,16 +264,28 @@ def exact_moment_2k(x: float, k: int) -> int:
         raise TooLarge(f"floor(x)^k = {xf**k} exceeds cap {EXACT_MOMENT_CAP}")
     if k == 1:
         return xf
-    # int64 entries: the x^2 table with the pair histogram, then that
-    # histogram with the dense histogram of k-fold products
-    check_bytes(8 * (xf * xf + xf**k + 2), f"the product tables at x = {xf}, k = {k}")
-    ns = np.arange(1, xf + 1, dtype=np.int64)
-    counts = np.bincount(np.multiply.outer(ns, ns).ravel())
-    if k == 3:
-        pairs, counts = counts, np.zeros(xf**3 + 1, dtype=np.int64)
-        for n in range(1, xf + 1):
-            counts[: n * (pairs.size - 1) + 1 : n] += pairs
-    return int(np.dot(counts, counts))
+    x2 = xf * xf
+    if k == 2:
+        check_bytes(2 * (x2 + 1) + errors.NUMPY_BUFFER_BYTES, f"the pair histogram at x = {xf}")
+        c = pair_counts(xf, np.uint16)
+        return int(np.einsum("i,i->", c, c, dtype=np.int64))
+    size = xf**3 + 1  # the windows cover each m in 0..x^3 once
+    check_bytes(8 * (x2 + 1 + min(_WINDOW, size)) + errors.NUMPY_BUFFER_BYTES,
+                f"the pair histogram and a window of triple products at x = {xf}")
+    pairs = pair_counts(xf, np.int64)
+    buf = np.empty(min(_WINDOW, size), dtype=np.int64)
+    total = 0
+    for lo in range(0, size, buf.size):
+        hi = min(lo + buf.size, size)
+        window = buf[: hi - lo]
+        window.fill(0)
+        # each n adds p(j) at n j, for the j <= x^2 with lo <= n j < hi
+        for n in range(max(1, -(-lo // x2)), min(xf, hi - 1) + 1):
+            j0, j1 = max(1, -(-lo // n)), min(x2, (hi - 1) // n)
+            if j0 <= j1:
+                window[n * j0 - lo : n * j1 - lo + 1 : n] += pairs[j0 : j1 + 1]
+        total += int(np.dot(window, window))
+    return total
 
 
 # ---------------------------------------------------------------------------

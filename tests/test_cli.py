@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from charmoments import cli
+from charmoments import cli, errors
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -312,7 +312,7 @@ def test_too_large_exit_3(capsys):
 @pytest.mark.parametrize("log_x, c0", [
     ("1.6e8", "4e5"),  # log y = 400: the sample would pass the sieve cap
     ("1e9", "1e6"),    # log y = 1000: y itself would pass float range
-    ("1e300", "4e5"),  # log y = 2.5e294: the shift array would pass the memory cap
+    ("1e300", "4e5"),  # log y = 2.5e294: the sample's window edge would pass the sieve cap
 ])
 def test_proxy_paper_weight_too_large_exit_3(capsys, log_x, c0):
     code, out, err = run(capsys, "proxy", "--profile", "paper", "--log-x", log_x,
@@ -367,6 +367,15 @@ def test_proxy_paper_dump(capsys):
     res = json.loads(out)["results"]
     assert [lv["j_m"] for lv in res["levels"]] == [15, 3, 2]
     assert [lv["log_y_m"] for lv in res["levels"]] == [1.0, 20.0, 400.0]
+
+
+def test_proxy_shift_count_without_the_shifts(capsys, monkeypatch):
+    # log y = 2.5e8: 250,000,001 shifts, 2.0 GB as int64, counted under a 1 MiB cap
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", 1 << 20)
+    code, out, _ = run(capsys, "proxy", "--profile", "paper",
+                       "--log-x", "1e14", "--c0", "4e5", "--k", "2")
+    assert code == 0
+    assert json.loads(out)["results"]["shift_count"] == 250_000_001
 
 
 def test_proxy_desk_log_scale(capsys):

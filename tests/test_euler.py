@@ -67,6 +67,12 @@ def test_error_bracket_shape():
         pytest.approx(1.5**3 / math.sqrt(650.0))
 
 
+def test_error_bracket_past_float_range_is_inf():
+    # alpha^3 passes the float range: a bound of inf, not an OverflowError
+    spec = make_spec(alpha=1e103, z=1e300, y=2e300)
+    assert euler.error_bracket(spec) == math.inf
+
+
 def test_single_factor_quadrature_vs_geometric():
     # alpha = 1 has the exact closed form 1/(1 - p^{-1-2 sigma})
     for p, sigma in ((2.0, 0.3), (5.0, 0.1), (101.0, 0.0)):

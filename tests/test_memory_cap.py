@@ -48,12 +48,16 @@ ROUTES = {
     "build_modulus": (lambda: modarith.build_modulus(101), 28 * 101,
                       [(modarith.np, "full"), (modarith, "_primitive_root")]),
     "values_upto": (lambda: rmf.values_upto(SAMPLE, 999), 16 * 1000, [(rmf.np, "ones")]),
-    "exact_moment_2k": (lambda: rmf.exact_moment_2k(12, 3), 8 * (12**2 + 12**3 + 2),
-                        [(rmf.np, "bincount")]),
+    # the int64 pair histogram and one window over 0..12^3, with numpy's buffers
+    "exact_moment_2k": (lambda: rmf.exact_moment_2k(12, 3),
+                        8 * (12**2 + 1 + 12**3 + 1) + errors.NUMPY_BUFFER_BYTES,
+                        [(rmf.np, "zeros"), (rmf.np, "empty")]),
     "partial_sums_batch": (lambda: rmf.partial_sums_batch(SEEDS, 1e4),
                            rmf.batch_nbytes(3, 1e4), [(rmf, "unit_values")]),
-    "congruence_energy": (lambda: moments.congruence_energy(101, 30), 8 * 30 * 30,
-                          [(moments.np, "arange")]),
+    # the uint16 pair histogram over 0..30^2, folded onto 101 uint32 residues
+    "congruence_energy": (lambda: moments.congruence_energy(101, 30),
+                          2 * (30 * 30 + 1) + 4 * 101 + errors.NUMPY_BUFFER_BYTES,
+                          [(rmf.np, "zeros")]),
     "all_char_sums_fft": (lambda: charsum.all_char_sums_fft(MOD, 30), 32 * 100,
                           [(charsum.np, "zeros")]),
     "all_char_sums_fft_rough": (lambda: charsum.all_char_sums_fft(ROUGH_MOD, 30), 160 * 4126,

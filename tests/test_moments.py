@@ -82,6 +82,20 @@ def test_congruence_energy_brute():
     assert moments.congruence_energy(q, x) == count
 
 
+def _residue_table_count(q, x):
+    # the count from the whole x^2 table of residues n1 n2 mod q
+    ns = np.arange(1, x + 1, dtype=np.int64)
+    counts = np.bincount((np.multiply.outer(ns, ns) % q).ravel(), minlength=q)
+    return int(np.dot(counts, counts))
+
+
+@settings(derandomize=True, max_examples=80, database=None, deadline=None)
+@given(q=st.integers(1, 5000), x=st.floats(0.0, 60.999))
+def test_congruence_energy_matches_residue_table(q, x):
+    # q <= x^2 folds the pair histogram onto the residues, with a partial last fold
+    assert moments.congruence_energy(q, x) == _residue_table_count(q, math.floor(x))
+
+
 def test_real_k_zero_guard(mod101):
     # k = 0 averages |S|^0 = 1 without log(0) issues
     est = moments.char_moment(mod101, 50, 0.0, divisor="nontrivial")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmoments import errors, moments, rmf
+from charmoments import errors, moments, primes, rmf
 from charmoments.errors import DomainError, OutOfRange, TooLarge
 
 
@@ -142,13 +142,91 @@ def test_exact_moment_matches_tuple_enumeration(x, k):
 
 @pytest.mark.parametrize("x, k", [(12, 2), (12, 3)])
 def test_exact_moment_refuses_tables_over_lowered_cap(monkeypatch, x, k):
-    # the x^2 product table and the histograms alive with it, 8 B an entry
-    need = 8 * (x * x + x**k + 2)
+    # the pair histogram, 2 B an entry at k = 2 and 8 B at k = 3, the k = 3
+    # window over 0..x^3, and numpy's buffers
+    need = (2 * (x * x + 1) if k == 2 else 8 * (x * x + 1 + x**3 + 1)) + errors.NUMPY_BUFFER_BYTES
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", need)
     assert rmf.exact_moment_2k(x, k) == _tuple_count(x, k)  # exactly at the cap
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", need - 1)
     with pytest.raises(TooLarge):
         rmf.exact_moment_2k(x, k)
+
+
+def _product_table_count(x, k):
+    # the count from the whole table of products: bincount of the x^2 products
+    # n1 n2, and for k = 3 that histogram added into every n-th entry of a
+    # dense x^3 + 1 histogram
+    ns = np.arange(1, x + 1, dtype=np.int64)
+    counts = np.bincount(np.multiply.outer(ns, ns).ravel())
+    if k == 3:
+        pairs, counts = counts, np.zeros(x**3 + 1, dtype=np.int64)
+        for n in range(1, x + 1):
+            counts[: n * (pairs.size - 1) + 1 : n] += pairs
+    return int(np.dot(counts, counts))
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(case=st.one_of(st.tuples(st.just(2), st.integers(1, 60)),
+                      st.tuples(st.just(3), st.integers(1, 25))),
+       window=st.integers(16, 2000))
+def test_exact_moment_matches_product_table(case, window):
+    # a small window puts window edges inside 0..x^3
+    k, x = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rmf, "_WINDOW", window)
+        assert rmf.exact_moment_2k(x, k) == _product_table_count(x, k)
+
+
+@pytest.mark.parametrize("x, k, want", [(1000, 2, 7_899_760), (3000, 2, 83_066_592),
+                                        (100, 3, 68_077_048), (200, 3, 815_238_056),
+                                        (464, 3, 15_900_294_992)])
+def test_exact_moment_pins(x, k, want):
+    # counts of the product-table route at the benchmark's sizes and beyond,
+    # (464, 3) being the largest x the cap admits at k = 3
+    assert rmf.exact_moment_2k(x, k) == want
+
+
+def _divisor_count(m):
+    return math.prod(e + 1 for _, e in primes.factorize(m))
+
+
+def test_pair_counts_fit_uint16():
+    # c(m) <= d(m): 73,513,440 has the most divisors of any m <= 10^8, the
+    # next highly composite number lying past the cap, and 735,134,400 the
+    # most of any m <= 2^30, past which 2 B an entry passes the 2 GiB cap
+    assert _divisor_count(73_513_440) == 768 and _divisor_count(110_270_160) == 800
+    assert rmf.EXACT_MOMENT_CAP < 110_270_160
+    assert _divisor_count(735_134_400) == 1344 and 2**30 < 1_102_701_600
+    assert 2 * 2**30 >= errors.DEFAULT_MEMORY_CAP
+    assert np.array_equal(rmf.pair_counts(4, np.uint16),
+                          [0, 1, 2, 2, 3, 0, 2, 0, 2, 1, 0, 0, 2, 0, 0, 0, 1])
+
+
+def _charged_and_traced(monkeypatch, module, call):
+    # (the bytes module charges, the traced peak of call)
+    charges = []
+    monkeypatch.setattr(module, "check_bytes", lambda nbytes, what: charges.append(nbytes))
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sum(charges), peak
+
+
+@pytest.mark.parametrize("x, k", [(1000, 2), (100, 3)])
+def test_exact_moment_charge_covers_traced_peak(monkeypatch, x, k):
+    charge, peak = _charged_and_traced(monkeypatch, rmf, lambda: rmf.exact_moment_2k(x, k))
+    assert peak <= charge <= 4 << 20
+
+
+@pytest.mark.parametrize("q, x", [(101, 30), (995_329, 1000), (1_000_003, 1000),
+                                  (10_000_019, 10)])
+def test_congruence_energy_charge_covers_traced_peak(monkeypatch, q, x):
+    charge, peak = _charged_and_traced(monkeypatch, moments,
+                                       lambda: moments.congruence_energy(q, x))
+    assert peak <= charge
 
 
 def _splitmix(z):
