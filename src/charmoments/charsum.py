@@ -128,17 +128,19 @@ def weighted_char_sums(mod: PrimeModulus, ns: np.ndarray, ws: np.ndarray) -> np.
 
     The weights are folded onto discrete logs, coeffs[..., dlog(n)] += w (terms
     with q | n dropped), and values[..., a] = sum_j coeffs[..., j] e^{2 pi i a j/(q-1)}.
-    Leading axes of ws are kept; its last axis runs along ns.  Each row holds
-    its coefficients and their transform, 32 B per residue (tracemalloc reads
-    32.0-32.5 B at q = 262,657), refused above errors.DEFAULT_MEMORY_CAP.
+    Leading axes of ws are kept; its last axis runs along ns.  Charged per
+    residue 56 B a row (coefficients, transform, rescaled copy) and once 20 B,
+    or 140 B at a rough length, for pocketfft's plan and scratch (peak RSS
+    growth of 1 and 3 theta-weight rows: 69.4 and 171.3 B at length 995,328,
+    165.1 and 283.5 B at 1,000,002), refused above errors.DEFAULT_MEMORY_CAP.
     """
     ns = np.asarray(ns, dtype=np.int64) % mod.q
     ws = np.asarray(ws, dtype=np.complex128)
     if ws.shape[-1:] != ns.shape:
         raise OutOfRange(f"weights of shape {ws.shape} do not run along {ns.size} integers")
-    rows = math.prod(ws.shape[:-1])
-    check_bytes(32 * rows * (mod.q - 1), f"{rows} transforms of length {mod.q - 1}")
+    rows, n = math.prod(ws.shape[:-1]), mod.q - 1
+    check_bytes((56 * rows + (140 if _is_rough(n) else 20)) * n, f"{rows} transforms of length {n}")
     keep = ns != 0
-    coeffs = np.zeros(ws.shape[:-1] + (mod.q - 1,), dtype=np.complex128)
+    coeffs = np.zeros(ws.shape[:-1] + (n,), dtype=np.complex128)
     np.add.at(coeffs, (..., mod.dlog[ns[keep]]), ws[..., keep])
-    return np.fft.ifft(coeffs) * (mod.q - 1)
+    return np.fft.ifft(coeffs) * n

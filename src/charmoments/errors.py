@@ -1,11 +1,12 @@
 """Exception types shared across the package.
 
-Every guard in the library, calibration.load and primes.factorize included,
-raises one of these rather than a bare ValueError.  The CLI exits 2 on these
+Every guard in the library raises one of these rather than a bare ValueError;
+at_least checks every real argument with a lower end.  The CLI exits 2 on these
 alone (3 on TooLarge), so a ValueError from a bug reads as an internal error.
 Every byte budget is charged by check_bytes, which reads DEFAULT_MEMORY_CAP
 when called: lowering it lowers the whole package's.
 """
+import math
 
 DEFAULT_MEMORY_CAP = 2 << 30
 # What numpy may hold beside the arrays a charge names: the iteration buffers
@@ -34,6 +35,15 @@ def check_bytes(nbytes: int, what: str) -> None:
 
 class OutOfRange(CharmomentsError):
     """An argument lies outside the domain an object was built for."""
+
+
+def at_least(value, least, what: str):
+    """value; OutOfRange when NaN, infinite or below least (compared, so a huge int is exact)."""
+    if not -math.inf < value < math.inf:
+        raise OutOfRange(f"{what} must be finite, got {value}")
+    if value < least:
+        raise OutOfRange(f"{what} = {value} must be >= {least}")
+    return value
 
 
 class HypothesisViolated(CharmomentsError):

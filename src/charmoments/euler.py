@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import primes, rmf
-from .errors import Divergent, HypothesisViolated, QuadratureFailure, check_bytes
+from .errors import Divergent, HypothesisViolated, QuadratureFailure, at_least, check_bytes
 
 HYPOTHESIS_FACTOR = 100.0
 
@@ -210,9 +210,7 @@ def cosine_sum(t: float, y: float) -> CosineSumResult:
     log(1/|t|); |t| >= 10 like log log |t|.  The O(1) slack on each branch is
     an empirical calibration constant, reported by the verification checks.
     """
-    if y < 2:
-        raise HypothesisViolated("y must be >= 2")
-    ps = primes.primes_up_to(y).astype(np.float64)
+    ps = primes.primes_up_to(at_least(y, 2, "y")).astype(np.float64)
     value = float(math.fsum((np.cos(t * np.log(ps)) / ps).tolist()))
     at = abs(t)
     ly = math.log(y)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import primes
-from .errors import NotPrime, TooLarge, check_bytes
+from .errors import NotPrime, TooLarge, at_least, check_bytes
 
 # A modulus holds 28 bytes per residue: the int64 discrete-log table (8 B),
 # the lazily built complex128 root-of-unity table (16 B) and the memoised
@@ -71,10 +71,11 @@ def _primitive_root(q: int) -> int:
 def build_modulus(q: int) -> PrimeModulus:
     """Construct the discrete-log table for prime q.
 
-    Raises NotPrime for composite q, TooLarge when q exceeds 2^31 or the
-    tables would exceed errors.DEFAULT_MEMORY_CAP bytes.
+    Raises OutOfRange for a negative or non-finite q, NotPrime for composite
+    q, TooLarge when q exceeds 2^31 or the tables would exceed
+    errors.DEFAULT_MEMORY_CAP bytes.
     """
-    q = int(q)
+    q = int(at_least(q, 0, "q"))
     if q >= Q_CAP:
         raise TooLarge(f"q = {q} exceeds the 2^31 cap")
     check_bytes(q * _BYTES_PER_RESIDUE, f"the tables for q = {q}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rmf
 from .charsum import abs_char_sums
-from .errors import NUMPY_BUFFER_BYTES, Degenerate, DomainError, OutOfRange, check_bytes
+from .errors import NUMPY_BUFFER_BYTES, Degenerate, DomainError, at_least, check_bytes
 from .modarith import PrimeModulus
 
 
@@ -51,8 +51,7 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
         raise DomainError(f"divisor must be 'phi' or 'nontrivial', got {divisor!r}")
     if divisor == "nontrivial" and mod.q < 3:
         raise DomainError(f"q = {mod.q} has no non-principal character to divide by")
-    if not 0 <= k < math.inf:
-        raise DomainError(f"k must be >= 0 and finite, got {k}")
+    at_least(k, 0, "k")
     half = abs_char_sums(mod, x)
     powers = _abs_power_2k(half, k)
     # |S_{chi_{-a}}| = |S_{chi_a}|: each mirrored entry stands for two characters
@@ -66,8 +65,8 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
 
 
 def second_moment_closed_form(q: int, x: float) -> float:
-    """k = 1, divisor q - 1: floor(x) - floor(x)^2/(q - 1)."""
-    xf = math.floor(x)
+    """k = 1, divisor q - 1: r - r^2/(q - 1), r = floor(x) mod q (a full period adds 0)."""
+    xf = math.floor(at_least(x, 0, "x")) % q
     return xf - xf * xf / (q - 1)
 
 
@@ -81,7 +80,7 @@ def congruence_energy(q: int, x: float) -> int:
     nothing needs folding.  Refuses, before allocating, when the histograms
     exceed errors.DEFAULT_MEMORY_CAP.
     """
-    xf = max(0, int(math.floor(x)))
+    xf = int(math.floor(at_least(x, 0, "x")))
     x2 = xf * xf
     check_bytes(2 * (x2 + 1) + (4 * q if q <= x2 else 0) + NUMPY_BUFFER_BYTES,
                 f"the pair histogram at x = {xf}, folded mod {q}")
@@ -104,13 +103,8 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     rmf.batch_nbytes.  Per-trial child seeds derive from (seed, trial index);
     identical inputs give bit-identical output for any batch and any threads.
     """
-    if not 0 <= k < math.inf:
-        raise DomainError(f"k must be >= 0 and finite, got {k}")
-    if not math.isfinite(x):
-        raise OutOfRange(f"x must be finite, got {x}")
-    if x < 0:
-        raise OutOfRange(f"x = {x} must be >= 0")
-    xf = int(math.floor(x))
+    at_least(k, 0, "k")
+    xf = int(math.floor(at_least(x, 0, "x")))
 
     def make_per_batch():
         return lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x), k)

@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, TooLarge
+from .errors import DomainError, TooLarge, at_least
 
 # Sieving refuses beyond this point; callers get an explicit error instead of
 # a silently partial prime list.
@@ -92,7 +92,7 @@ def primes_up_to(n: int | float) -> np.ndarray:
 
     Refuses n > SIEVE_CAP with TooLarge, leaving the table as it was.
     """
-    n = int(math.floor(n))
+    n = int(math.floor(at_least(n, -math.inf, "n")))  # any finite n: below 2 there is no prime
     if n > SIEVE_CAP:
         raise TooLarge(f"sieve limit {n} exceeds cap {SIEVE_CAP}")
     ps = _grown(n)

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import InfeasibleParams, OutOfRange, TooLarge, check_bytes
+from .errors import InfeasibleParams, OutOfRange, TooLarge, at_least, check_bytes
 from .fpoly import FPoly
 from .modarith import PrimeModulus
 from .rmf import RmfSample
@@ -49,6 +49,7 @@ from .rmf import RmfSample
 _LOG20 = math.log(20.0)
 LENGTH_FACTOR = 10**4  # paper-profile short-polynomial constraint factor
 DEPTH_FACTOR = 10**5   # paper-profile J_M = ceil(C0/(10^5 k))
+_SERIES_TERMS = 60     # truncation_error_series sums depth < j <= depth + 60
 
 
 def _edge(log_e: float) -> int:
@@ -144,8 +145,7 @@ def _log_x(x: float | None, log_x: float | None, k: float) -> float:
         log_x = math.log(x)
     if not 0 < log_x < math.inf:
         raise OutOfRange(f"log x must be positive and finite, got {log_x}")
-    if not 2 <= k < math.inf:
-        raise OutOfRange(f"k must be >= 2 and finite, got {k}")
+    at_least(k, 2, "k")
     return log_x
 
 
@@ -354,11 +354,11 @@ def truncation_error_direct(d: float, k: float, depth: int) -> float:
     return math.exp(2.0 * (k - 1.0) * d) - t * t
 
 
-def truncation_error_series(d, k, depth, extra: int = 60):
+def truncation_error_series(d, k, depth):
     """Same quantity as the explicit double series over max(j1, j2) > depth,
     elementwise over scalars or arrays d, k and depth."""
     d, k, depth = np.broadcast_arrays(d, k, depth)
-    cap = int(depth.max()) + extra
+    cap = int(depth.max()) + _SERIES_TERMS
     # two gathers of c and their product, one float per instance and pair i <= j
     check_bytes(12 * d.size * (cap + 1) * (cap + 2), f"the truncation series of {d.size} values")
     c = np.ones(d.shape + (cap + 1,))  # c_0 = 1
@@ -370,10 +370,10 @@ def truncation_error_series(d, k, depth, extra: int = 60):
     # diagonal enters once, doubled; fsum is correctly rounded, so neither that
     # nor the order of the terms moves the sum
     terms = (c[..., i] * c[..., j] * np.where(i < j, 2.0, 1.0)).reshape(-1, i.size)
-    # the pairs with depth < j <= depth + extra: run j starts at j (j + 1) / 2;
+    # the pairs with depth < j <= depth + _SERIES_TERMS: run j starts at j (j + 1) / 2;
     # a memoryview hands fsum Python floats without building a list
     lo = ((depth + 1) * (depth + 2) // 2).ravel().tolist()
-    hi = ((depth + extra + 1) * (depth + extra + 2) // 2).ravel().tolist()
+    hi = ((depth + _SERIES_TERMS + 1) * (depth + _SERIES_TERMS + 2) // 2).ravel().tolist()
     return np.reshape([math.fsum(memoryview(t[a:b])) for t, a, b in zip(terms, lo, hi)],
                       d.shape)[()]
 
@@ -396,7 +396,7 @@ def surrogate_log_at(d, k: float, j: int, a: int):
     |d/W|^a while W <= 100 k j; and (2 (k-1)^j (2W)^j / j!)^{2/(k-1)} |d/W|^a beyond.
     """
     d = np.asarray(d, dtype=np.complex128)
-    t0 = j / (100.0 * k)
+    t0 = j / (100.0 * at_least(k, 2, "k"))
     n = _bin_of(np.abs(d.real), t0)
     w = t0 * 2.0 ** (n - 1)
     with np.errstate(divide="ignore"):

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import errors, primes
-from .errors import DomainError, OutOfRange, TooLarge, check_bytes
+from .errors import DomainError, OutOfRange, TooLarge, at_least, check_bytes
 
 _M64 = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -175,9 +175,7 @@ class RmfSample:
 
 def sample(seed: int, limit: int) -> RmfSample:
     """Draw a sample covering all primes up to limit."""
-    limit = int(limit)
-    if limit < 2:
-        raise OutOfRange("limit must be at least 2")
+    limit = int(at_least(limit, 2, "limit"))
     ps = primes.primes_up_to(limit)
     fp = unit_values(int(seed) & _M64, ps)
     return RmfSample(seed=int(seed), limit=limit, primes=ps, fp=fp)
@@ -185,9 +183,9 @@ def sample(seed: int, limit: int) -> RmfSample:
 
 def value_at(s: RmfSample, n: int) -> complex:
     """f(n) by factorization; OutOfRange when n exceeds the sample limit."""
-    n = int(n)
-    if n < 1 or n > s.limit:
-        raise OutOfRange(f"n = {n} outside [1, limit = {s.limit}]")
+    n = int(at_least(n, 1, "n"))
+    if n > s.limit:
+        raise OutOfRange(f"n = {n} exceeds sample limit {s.limit}")
     out = 1 + 0j
     for p, e in primes.factorize(n):
         out *= s.values[p] ** e
@@ -201,7 +199,7 @@ def values_upto(s: RmfSample, x: float) -> np.ndarray:
     residue class by one extra factor of f(p), so v[n] ends up as
     prod f(p)^{v_p(n)}.  Refuses an array above errors.DEFAULT_MEMORY_CAP.
     """
-    xf = int(math.floor(x))
+    xf = int(math.floor(at_least(x, 0, "x")))
     if xf > s.limit:
         raise OutOfRange(f"x = {x} exceeds sample limit {s.limit}")
     check_bytes(16 * (xf + 1), f"the value array up to x = {xf}")
@@ -255,11 +253,7 @@ def exact_moment_2k(x: float, k: int) -> int:
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2, or 3")
     k = int(k)
-    if not math.isfinite(x):
-        raise OutOfRange(f"x must be finite, got {x}")
-    xf = int(math.floor(x))
-    if xf < 1:
-        raise DomainError("x must be >= 1")
+    xf = int(math.floor(at_least(x, 1, "x")))
     if xf**k > EXACT_MOMENT_CAP:
         raise TooLarge(f"floor(x)^k = {xf**k} exceeds cap {EXACT_MOMENT_CAP}")
     if k == 1:
@@ -302,7 +296,7 @@ def batch_nbytes(rows: int, x: float) -> int:
     taken as its bound 1.25506 x / log x (Rosser and Schoenfeld), so the
     charge needs no sieve and no prime list.
     """
-    xf = int(math.floor(x))
+    xf = int(math.floor(at_least(x, 0, "x")))
     if xf < 2:
         return 0
     pi_bound = int(1.25506 * xf / math.log(xf)) + 1
@@ -329,9 +323,7 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float) -> np.ndarray:
     p <= sqrt(x).  Refuses, before drawing any value, when batch_nbytes of
     these rows is above errors.DEFAULT_MEMORY_CAP.
     """
-    xf = int(math.floor(x))
-    if xf < 0:
-        raise OutOfRange(f"x = {x} must be >= 0")
+    xf = int(math.floor(at_least(x, 0, "x")))
     check_bytes(batch_nbytes(len(trial_seeds), xf), f"{len(trial_seeds)} trial rows at x = {xf}")
     if xf < 2:  # no prime: the sum is floor(x)
         return np.full(len(trial_seeds), float(xf), dtype=np.complex128)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import DomainError, OutOfRange, QuadratureFailure, TooLarge, check_bytes
+from .errors import DomainError, OutOfRange, QuadratureFailure, TooLarge, at_least, check_bytes
 from .modarith import PrimeModulus
 from .moments import MomentEstimate, _abs_power_2k
 from .rmf import RmfSample
@@ -56,7 +56,9 @@ def truncation_point(q: int) -> float:
 
 
 def _folded_weights(mod: PrimeModulus, trunc: float) -> tuple[np.ndarray, np.ndarray]:
-    ns = np.arange(1, int(math.floor(trunc)) + 1, dtype=np.int64)
+    n = int(math.floor(at_least(trunc, 0, "trunc")))
+    check_bytes(80 * n, f"{n} theta terms")  # tracemalloc reads 73 B a term in theta_all
+    ns = np.arange(1, n + 1, dtype=np.int64)
     w = np.exp(-math.pi * ns.astype(np.float64) ** 2 / mod.q)
     return ns, w
 
@@ -98,8 +100,7 @@ def theta_moment(mod: PrimeModulus, k: float, parity: str) -> MomentEstimate:
     """
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    if not 0 <= k < math.inf:
-        raise DomainError(f"k must be >= 0 and finite, got {k}")
+    at_least(k, 0, "k")
     kappa = 0 if parity == "even" else 1
     # characters a = kappa (mod 2); the even class starts at 2, past the principal
     arr = _parity_dft(mod, truncation_point(mod.q), kappa)[2 - kappa :: 2]

@@ -19,7 +19,7 @@ from . import euler, moments, primes, proxy, rmf, theta
 from .calibration import Calibration
 from .charsum import (abs_char_sums, all_char_sums_fft, all_char_sums_naive, mirror,
                       weighted_char_sums)
-from .errors import DomainError, LengthViolation, OutOfRange, check_bytes
+from .errors import DomainError, LengthViolation, OutOfRange, at_least, check_bytes
 from .fpoly import FPoly
 from .modarith import PrimeModulus, build_modulus
 
@@ -90,7 +90,7 @@ def check_reflection(mod: PrimeModulus, x: float, cal: Calibration) -> CheckRepo
     """|S_chi(x)| = |S_chi(q-1-floor(x))| for every non-principal chi."""
     # the half spectrum holds every |S_chi| once: chi_{-a} has the modulus of chi_a
     left = abs_char_sums(mod, x)[1:]
-    x_mirror = mod.q - 1 - math.floor(x)
+    x_mirror = mod.q - 1 - math.floor(at_least(x, 1, "x"))
     right = abs_char_sums(mod, x_mirror)[1:]
     dev = float(np.max(np.abs(left - right)))
     scale = float(max(1.0, np.max(left)))
@@ -103,7 +103,7 @@ def check_fft_vs_naive(mod: PrimeModulus, x: float) -> CheckReport:
     fast = all_char_sums_fft(mod, x).values
     slow = all_char_sums_naive(mod, x).values
     dev = float(np.max(np.abs(fast - slow)))
-    allowance = 1e-8 * math.sqrt(max(1.0, math.floor(x)))
+    allowance = 1e-8 * math.sqrt(math.floor(at_least(x, 1, "x")))
     return _report("fft-vs-naive", dev, 0.0, "eq", allowance, scale=1.0,
                    context={"q": mod.q, "x": x})
 
@@ -157,10 +157,10 @@ def check_rough_count(a: float, b: float, y: float, cal: Calibration) -> CheckRe
 
     Only the window is sieved, by the primes p <= y, one byte a number.
     """
-    lo, hi = int(math.floor(a)) + 1, int(math.floor(b))
+    lo, hi = int(math.floor(at_least(a, 0, "a"))) + 1, int(math.floor(at_least(b, a, "b")))
     check_bytes(hi - lo + 1, f"the sieve window ({a}, {b}]")
     rough = np.ones(max(0, hi - lo + 1), dtype=bool)
-    for p in primes.primes_up_to(min(y, hi)).tolist():
+    for p in primes.primes_up_to(min(at_least(y, 0, "y"), hi)).tolist():
         rough[-lo % p :: p] = False
     count = int(rough.sum())
     expected = (b - a) / math.log(y) if y >= 2 else (b - a)
@@ -278,8 +278,7 @@ def check_surrogate_domination(params: proxy.ProxyParams, sources,
                    0.0, scale=1.0, context={"comparisons": table.size})
 
 
-def check_surrogate_grid(cal: Calibration, ks=(2.0, 2.5, 3.0),
-                         js=(1, 2, 3, 4)) -> CheckReport:
+def check_surrogate_grid(cal: Calibration) -> CheckReport:
     """Branch-complete domination sweep on synthetic polynomial values.
 
     Re d runs from deep inside bin 0 out past the 100 k j branch change, with
@@ -288,6 +287,7 @@ def check_surrogate_grid(cal: Calibration, ks=(2.0, 2.5, 3.0),
     """
     needed = 0.0
     count = 0
+    ks, js = (2.0, 2.5, 3.0), (1, 2, 3, 4)
     for k in ks:
         for j in js:
             a = 2 * math.ceil(200.0 * k * j)
@@ -326,7 +326,7 @@ def check_holder_chain(mod: PrimeModulus, x: float, params: proxy.ProxyParams,
                        cal: Calibration) -> CheckReport:
     """Cross moment <= M_2k^{1/k} (power moment of R)^{(k-1)/k}, and the bound it puts on M_2k."""
     k = params.k
-    s, w = _weighted_table(mod, x, params)
+    s, w = _weighted_table(mod, at_least(x, 1, "x"), params)
     cross = float(((s ** 2) * w)[1:].sum() / (mod.q - 1))
     m2k = moments.char_moment(mod, x, k).value
     mr = float((w[1:] ** (k / (k - 1.0))).sum() / (mod.q - 1))
@@ -342,7 +342,7 @@ def check_weighted_correspondence(mod: PrimeModulus, x: float,
                                  params: proxy.ProxyParams,
                                  cal: Calibration) -> CheckReport:
     """Character average of |S(x)|^2 R(chi) against the exact diagonal expectation."""
-    s, w = _weighted_table(mod, x, params)
+    s, w = _weighted_table(mod, at_least(x, 1, "x"), params)
     lhs = float(((s ** 2) * w).sum() / (mod.q - 1))
     big_s = FPoly({(n, 1): 1.0 + 0j for n in range(1, math.floor(x) + 1)})
     rhs = (big_s.abs2() * proxy.proxy_weight_fpoly(params)).expectation().real

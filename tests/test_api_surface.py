@@ -180,3 +180,28 @@ def test_moments_imports_no_proxy_or_verify_layer():
             imported |= {alias.name.removeprefix("charmoments.").split(".")[0]
                          for alias in node.names}
     assert not imported & {"proxy", "fpoly", "verify", "cli"}
+
+
+def _unchecked_floors(path):
+    """Public functions that apply int or math.floor to a float parameter never given to at_least.
+
+    int(nan) and math.floor(inf) raise a bare ValueError or OverflowError;
+    errors.at_least refuses both, and a value below its range, as OutOfRange.
+    """
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        floats = {a.arg for a in params if a.annotation and "float" in ast.unparse(a.annotation)}
+        seen = {"at_least": set(), "int": set(), "math.floor": set()}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name)
+                    and ast.unparse(node.func) in seen):
+                seen[ast.unparse(node.func)].add(node.args[0].id)
+        for name in sorted((seen["int"] | seen["math.floor"]) & floats - seen["at_least"]):
+            yield f"{path.name}:{fn.lineno} {fn.name}({name})"
+
+
+def test_float_parameters_floored_only_through_at_least():
+    unchecked = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unchecked_floors(path)]
+    assert not unchecked, "floored without errors.at_least: " + ", ".join(unchecked)

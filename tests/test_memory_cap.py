@@ -62,9 +62,13 @@ ROUTES = {
                           [(charsum.np, "zeros")]),
     "all_char_sums_fft_rough": (lambda: charsum.all_char_sums_fft(ROUGH_MOD, 30), 160 * 4126,
                                 [(charsum.np, "zeros")]),
+    # 56 B per row per residue, and the plan's 20 B at length 100 or 140 B at 4,126
     "weighted_char_sums": (lambda: charsum.weighted_char_sums(MOD, np.arange(1, 21),
                                                               np.ones((3, 20))),
-                           32 * 3 * 100, [(charsum.np, "zeros")]),
+                           (56 * 3 + 20) * 100, [(charsum.np, "zeros")]),
+    "weighted_char_sums_rough": (lambda: charsum.weighted_char_sums(ROUGH_MOD, np.arange(1, 21),
+                                                                    np.ones(20)),
+                                 (56 + 140) * 4126, [(charsum.np, "zeros")]),
     "mc_estimate": (lambda: rmf.mc_estimate(1, 50, 10, lambda: lambda c: np.zeros(c.size), 7, 100),
                     10 * 7 + 100 + rmf.TRIAL_BYTES * 50, [(rmf, "derive_trial_seeds")]),
     "rmf_moment_mc": (lambda: moments.rmf_moment_mc(100.0, 2.0, trials=50, seed=1, batch=10),
@@ -81,10 +85,12 @@ ROUTES = {
                                _mellin_charge(1.5), [(theta.np, "arange"), (theta.np, "exp")]),
     "poly_table": (lambda: proxy.poly_table(WINDOW, [proxy.OnesSource()] * 5),
                    32 * 5 * 3 * 8, [(proxy.np, "stack")]),
-    # 24 B per value and pair i <= j <= 2 + 4
+    # 24 B per value and pair i <= j <= 2 + 60
     "truncation_error_series": (
-        lambda: proxy.truncation_error_series([1.0, 1.0, 1.0], 2.0, 2, 4),
-        24 * 3 * 28, [(proxy.np, "ones")]),
+        lambda: proxy.truncation_error_series([1.0, 1.0, 1.0], 2.0, 2),
+        24 * 3 * (63 * 64 // 2), [(proxy.np, "ones")]),
+    # 80 B per theta term n <= trunc
+    "theta_naive": (lambda: theta.theta_naive(MOD, 3, 50.0), 80 * 50, [(theta.np, "arange")]),
     "check_rough_count": (lambda: verify.check_rough_count(100, 1000, 5, Calibration()),
                           900, [(verify.np, "ones")]),
 }

@@ -259,5 +259,17 @@ def test_fourth_moment_three_routes(q, frac):
     count = moments.congruence_energy(q, x)
     assert abs(lhs - count) <= tol * count
     if q > x * x:
-        assert count == rmf.exact_moment_2k(x, 2)
+        # at q > x^2, n1 n2 = n3 n4 (mod q) forces n1 n2 = n3 n4.  Writing
+        # n1 = g a, n3 = g c with a, c coprime gives n2 = c t, n4 = a t, so the
+        # count is sum over coprime a, c of floor(x / max(a, c))^2.  max(a, c) = m
+        # for 2 phi(m) pairs (one at m = 1):
+        # E|S|^4 = 2 sum_{m <= x} phi(m) floor(x/m)^2 - floor(x)^2, with no histogram
+        xf = math.floor(x)
+        phi = list(range(xf + 1))
+        for p in range(2, xf + 1):
+            if phi[p] == p:  # untouched so far: p is prime
+                for m in range(p, xf + 1, p):
+                    phi[m] -= phi[m] // p
+        totient_route = 2 * sum(phi[m] * (xf // m) ** 2 for m in range(1, xf + 1)) - xf * xf
+        assert count == rmf.exact_moment_2k(x, 2) == totient_route
         assert abs(lhs - count) <= tol * count

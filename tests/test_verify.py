@@ -136,7 +136,7 @@ def test_series_consistency_check():
 
 
 def test_surrogate_grid_check():
-    r = verify.check_surrogate_grid(CAL, ks=(2.0, 2.5), js=(1, 2))
+    r = verify.check_surrogate_grid(CAL)
     assert r.passed
     assert r.lhs < CAL.surrogate_slack
 
