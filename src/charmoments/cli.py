@@ -112,8 +112,6 @@ def _cmd_char_moment(args) -> tuple[list | dict, int]:
 
 
 def _cmd_rmf_mc(args) -> tuple[list | dict, int]:
-    if args.threads is not None and args.threads < 1:
-        raise OutOfRange(f"--threads must be >= 1, got {args.threads}")
     # the exact moments first: a k or an x they refuse fails before any Monte Carlo
     exact = [rmf.exact_moment_2k(x, args.k) for x in args.x] if args.exact else []
     rows = []

@@ -1,12 +1,14 @@
 """Exception types shared across the package.
 
 Every guard in the library raises one of these rather than a bare ValueError;
-at_least checks every real argument with a lower end.  The CLI exits 2 on these
-alone (3 on TooLarge), so a ValueError from a bug reads as an internal error.
-Every byte budget is charged by check_bytes, which reads DEFAULT_MEMORY_CAP
-when called: lowering it lowers the whole package's.
+at_least checks every real argument with a lower end, whole every integer one.
+The CLI exits 2 on these alone (3 on TooLarge), so a ValueError from a bug reads
+as an internal error.  Every byte budget is charged by check_bytes, which reads
+DEFAULT_MEMORY_CAP when called: lowering it lowers the whole package's.
 """
 import math
+import numbers
+from decimal import Decimal
 
 DEFAULT_MEMORY_CAP = 2 << 30
 # What numpy may hold beside the arrays a charge names: the iteration buffers
@@ -30,7 +32,9 @@ class TooLarge(CharmomentsError):
 def check_bytes(nbytes: int, what: str) -> None:
     """Refuse with TooLarge when what would take more than DEFAULT_MEMORY_CAP bytes."""
     if nbytes > DEFAULT_MEMORY_CAP:
-        raise TooLarge(f"{what} would take {nbytes} bytes, cap is {DEFAULT_MEMORY_CAP}")
+        size = Decimal(nbytes)  # exact, past the float range too
+        raise TooLarge(f"{what} would take {size:.3e} bytes ({size / 2**20:.3e} MiB), "
+                       f"cap is {DEFAULT_MEMORY_CAP}")
 
 
 class OutOfRange(CharmomentsError):
@@ -44,6 +48,19 @@ def at_least(value, least, what: str):
     if value < least:
         raise OutOfRange(f"{what} = {value} must be >= {least}")
     return value
+
+
+def whole(value, least, what: str) -> int:
+    """value as an exact int; OutOfRange for a bool, NaN, inf, a fraction or a value below least.
+
+    An int or numpy integer passes as it is, a float only with an integral
+    value (--k 2.0 is k = 2); least is compared as in at_least.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfRange(f"{what} must be a whole number, got {value}")
+    if not isinstance(value, numbers.Integral) and at_least(value, -math.inf, what) % 1:
+        raise OutOfRange(f"{what} must be a whole number, got {value}")
+    return at_least(int(value), least, what)
 
 
 class HypothesisViolated(CharmomentsError):

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import math
 
+from .errors import TooLarge, whole
+
+POWER_CAP = 64  # an exact oracle at desk sizes: verify raises to j <= 4
+
 
 class FPoly:
     """Finite polynomial in f and conj(f), keyed by index pairs."""
@@ -26,7 +30,7 @@ class FPoly:
     @classmethod
     def var(cls, n: int, coeff: complex = 1.0) -> "FPoly":
         """coeff * f(n)."""
-        return cls({(int(n), 1): complex(coeff)})
+        return cls({(whole(n, 1, "n"), 1): complex(coeff)})
 
     def conj(self) -> "FPoly":
         return FPoly({(m, n): c.conjugate() for (n, m), c in self.terms.items()})
@@ -59,6 +63,9 @@ class FPoly:
         return self * self.conj()
 
     def power(self, j: int) -> "FPoly":
+        j = whole(j, 0, "j")
+        if j > POWER_CAP:
+            raise TooLarge(f"power {j} exceeds cap {POWER_CAP}")
         out = FPoly.const(1.0)
         for _ in range(j):
             out = out * self

@@ -10,13 +10,14 @@ where dlog(n) is the discrete logarithm of n base g.  Everything downstream
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import primes
-from .errors import NotPrime, TooLarge, at_least, check_bytes
+from .errors import NotPrime, TooLarge, check_bytes, whole
 
 # A modulus holds 28 bytes per residue: the int64 discrete-log table (8 B),
 # the lazily built complex128 root-of-unity table (16 B) and the memoised
@@ -47,7 +48,7 @@ class PrimeModulus:
 
     def char_values(self, a: int, ns: np.ndarray) -> np.ndarray:
         """chi_a at an integer array (vectorized; zeros where q | n)."""
-        a = int(a) % (self.q - 1)
+        a = whole(a, -math.inf, "a") % (self.q - 1)
         ns = np.asarray(ns, dtype=np.int64) % self.q
         out = np.zeros(ns.shape, dtype=np.complex128)
         ok = ns != 0
@@ -71,11 +72,11 @@ def _primitive_root(q: int) -> int:
 def build_modulus(q: int) -> PrimeModulus:
     """Construct the discrete-log table for prime q.
 
-    Raises OutOfRange for a negative or non-finite q, NotPrime for composite
+    Raises OutOfRange for a q that is negative or not a whole number, NotPrime for composite
     q, TooLarge when q exceeds 2^31 or the tables would exceed
     errors.DEFAULT_MEMORY_CAP bytes.
     """
-    q = int(at_least(q, 0, "q"))
+    q = whole(q, 0, "q")
     if q >= Q_CAP:
         raise TooLarge(f"q = {q} exceeds the 2^31 cap")
     check_bytes(q * _BYTES_PER_RESIDUE, f"the tables for q = {q}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rmf
 from .charsum import abs_char_sums
-from .errors import NUMPY_BUFFER_BYTES, Degenerate, DomainError, at_least, check_bytes
+from .errors import NUMPY_BUFFER_BYTES, Degenerate, DomainError, at_least, check_bytes, whole
 from .modarith import PrimeModulus
 
 
@@ -66,6 +66,7 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
 
 def second_moment_closed_form(q: int, x: float) -> float:
     """k = 1, divisor q - 1: r - r^2/(q - 1), r = floor(x) mod q (a full period adds 0)."""
+    q = whole(q, 2, "q")
     xf = math.floor(at_least(x, 0, "x")) % q
     return xf - xf * xf / (q - 1)
 
@@ -80,15 +81,16 @@ def congruence_energy(q: int, x: float) -> int:
     nothing needs folding.  Refuses, before allocating, when the histograms
     exceed errors.DEFAULT_MEMORY_CAP.
     """
+    q = whole(q, 1, "q")
     xf = int(math.floor(at_least(x, 0, "x")))
     x2 = xf * xf
     check_bytes(2 * (x2 + 1) + (4 * q if q <= x2 else 0) + NUMPY_BUFFER_BYTES,
                 f"the pair histogram at x = {xf}, folded mod {q}")
     c = rmf.pair_counts(xf, np.uint16)
     if q <= x2:
-        whole = (x2 + 1) // q * q
-        folded = c[:whole].reshape(-1, q).sum(axis=0, dtype=np.uint32)
-        folded[: x2 + 1 - whole] += c[whole:]
+        full = (x2 + 1) // q * q
+        folded = c[:full].reshape(-1, q).sum(axis=0, dtype=np.uint32)
+        folded[: x2 + 1 - full] += c[full:]
         c = folded
     return int(np.einsum("i,i->", c, c, dtype=np.int64))
 
@@ -105,6 +107,7 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     """
     at_least(k, 0, "k")
     xf = int(math.floor(at_least(x, 0, "x")))
+    trials = whole(trials, 2, "trials")
 
     def make_per_batch():
         return lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x), k)
@@ -127,11 +130,11 @@ class ShapeFit:
 def shape_fit(points: list[tuple[float, float]], k: float) -> ShapeFit:
     """Fit moment ~ C * scale^k * (log scale)^e and return e with an error bar.
 
-    Needs at least 4 points with distinct scales > e.
+    Needs at least 4 points with distinct finite scales > e; an infinite moment gives a NaN fit.
     """
     if len(points) < 4:
         raise Degenerate("need at least 4 points")
-    xs = np.array([p[0] for p in points], dtype=np.float64)
+    xs = np.array([at_least(p[0], -math.inf, "scale") for p in points], dtype=np.float64)
     ms = np.array([p[1] for p in points], dtype=np.float64)
     if np.unique(xs).size != xs.size:
         raise Degenerate("scales must be distinct")

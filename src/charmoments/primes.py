@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, TooLarge, at_least
+from .errors import TooLarge, at_least, whole
 
 # Sieving refuses beyond this point; callers get an explicit error instead of
 # a silently partial prime list.
@@ -30,6 +30,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    n = whole(n, -math.inf, "n")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -107,8 +108,7 @@ def primes_in(lo: float, hi: float) -> np.ndarray:
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (p, exponent) pairs, by the table's primes p <= sqrt(n)."""
-    if n < 1:
-        raise DomainError(f"factorize expects n >= 1, got {n}")
+    n = whole(n, 1, "n")
     r = math.isqrt(n)
     if r > SIEVE_CAP:
         raise TooLarge(f"factorizing {n} needs primes up to {r}, cap is {SIEVE_CAP}")

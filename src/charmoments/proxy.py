@@ -41,7 +41,7 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import InfeasibleParams, OutOfRange, TooLarge, at_least, check_bytes
+from .errors import InfeasibleParams, OutOfRange, TooLarge, at_least, check_bytes, whole
 from .fpoly import FPoly
 from .modarith import PrimeModulus
 from .rmf import RmfSample
@@ -50,6 +50,8 @@ _LOG20 = math.log(20.0)
 LENGTH_FACTOR = 10**4  # paper-profile short-polynomial constraint factor
 DEPTH_FACTOR = 10**5   # paper-profile J_M = ceil(C0/(10^5 k))
 _SERIES_TERMS = 60     # truncation_error_series sums depth < j <= depth + 60
+_LOG_FLOAT_MAX = float(np.log(np.finfo(np.float64).max))  # math.exp overflows above it
+DEPTH_CAP = 10**6      # truncated_exp makes one pass over d per term
 
 
 def _edge(log_e: float) -> int:
@@ -110,7 +112,7 @@ class ProxyParams:
 
     def penalty_exp(self, m: int) -> int:
         """Even exponent a_m = 2*ceil(200*k*J_m) attached to window m (1-based)."""
-        return 2 * math.ceil(200.0 * self.k * self.levels[m - 1].j)
+        return 2 * math.ceil(200.0 * self.k * self.levels[whole(m, 1, "m") - 1].j)
 
     @property
     def shift_count(self) -> int:
@@ -129,7 +131,7 @@ class ProxyParams:
 
     def fits_modulus(self, log_x: float, q: int) -> bool:
         """x * prod_m y_m^{4 J_m} < q: every index of |S(x)|^2 R stays below q."""
-        return self.poly_length_log() + log_x < math.log(q)
+        return self.poly_length_log() + log_x < math.log(whole(q, 2, "q"))
 
 
 def _log_x(x: float | None, log_x: float | None, k: float) -> float:
@@ -152,7 +154,7 @@ def _log_x(x: float | None, log_x: float | None, k: float) -> float:
 def _params(k: float, c0: float, log_x: float, log_y: float, js) -> ProxyParams:
     """One window per depth in js, with log y_m = log_y / 20^(M-m); the lowest edge is 1."""
     bounds = [log_y / 20.0 ** (len(js) - m) for m in range(1, len(js) + 1)]
-    levels = tuple(Level(lo, hi, int(j)) for lo, hi, j in zip([0.0] + bounds[:-1], bounds, js))
+    levels = tuple(Level(lo, hi, j) for lo, hi, j in zip([0.0] + bounds[:-1], bounds, js))
     return ProxyParams(k=float(k), c0=float(c0), log_x=float(log_x), levels=levels)
 
 
@@ -201,10 +203,9 @@ def desk_params(x: float | None = None, *, y: float, k: float, j_values=None,
     log_x = _log_x(x, log_x, k)
     if not 1 < y < math.inf:
         raise OutOfRange(f"y must be > 1 and finite, got {y}")
-    if q is not None and q < 2:
-        raise OutOfRange(f"q must be >= 2, got {q}")
-    js = list(j_values) if j_values is not None else [2]
-    if not js or any(j < 1 for j in js):
+    q = None if q is None else whole(q, 2, "q")
+    js = [whole(j, 1, "j") for j in j_values] if j_values is not None else [2]
+    if not js:
         raise InfeasibleParams("j_values must list one depth >= 1 per window")
     log_y = math.log(y)
     params = _params(k, log_x / log_y, log_x, log_y, js)
@@ -297,7 +298,10 @@ def poly_table(params: ProxyParams, sources) -> np.ndarray:
 
 
 def truncated_exp(d, depth: int, coef: float):
-    """sum_{j <= depth} (coef * d)^j / j!, elementwise over a scalar or array d."""
+    """sum_{j <= depth <= DEPTH_CAP} (coef * d)^j / j!, elementwise over a scalar or array d."""
+    depth = whole(depth, 0, "depth")
+    if depth > DEPTH_CAP:
+        raise TooLarge(f"depth {depth} exceeds cap {DEPTH_CAP}")
     d = np.asarray(d, dtype=np.float64)
     acc = term = np.ones_like(d)
     for j in range(1, depth + 1):
@@ -338,27 +342,31 @@ def exp_weight_total(params: ProxyParams, source) -> float:
     """Untruncated analogue of the proxy weight: sum_l exp(2(k-1) Re sum_m D_{m,l})."""
     logs = 2.0 * (params.k - 1.0) * poly_table(params, [source])[0].real.sum(axis=1)
     peak = logs.max()
-    try:
-        scale = math.exp(peak)
-    except OverflowError:  # the peak term alone overflows
+    if not peak <= _LOG_FLOAT_MAX:  # the peak term alone overflows
         return math.inf
-    return float(scale * np.exp(logs - peak).sum())
+    return float(math.exp(peak) * np.exp(logs - peak).sum())
 
 
 # ---------------------------------------------------------------------------
 # truncation error: direct difference and explicit double-tail series
 
 def truncation_error_direct(d: float, k: float, depth: int) -> float:
-    """exp(2(k-1)d) - (truncated exponential)^2."""
+    """exp(2(k-1)d) - (truncated exponential)^2; inf where exp(2(k-1)d) overflows."""
+    grow = 2.0 * (at_least(k, -math.inf, "k") - 1.0) * at_least(d, -math.inf, "d")
     t = float(truncated_exp(d, depth, k - 1.0))
-    return math.exp(2.0 * (k - 1.0) * d) - t * t
+    return math.exp(grow) - t * t if grow <= _LOG_FLOAT_MAX else math.inf
 
 
 def truncation_error_series(d, k, depth):
     """Same quantity as the explicit double series over max(j1, j2) > depth,
-    elementwise over scalars or arrays d, k and depth."""
+    elementwise over scalars or arrays d, k and depth.  OutOfRange for a
+    non-finite d or k, and where a sum leaves the float range."""
     d, k, depth = np.broadcast_arrays(d, k, depth)
-    cap = int(depth.max()) + _SERIES_TERMS
+    for dv, kv in zip(d.ravel().tolist(), k.ravel().tolist()):
+        at_least(dv, -math.inf, "d")
+        at_least(kv, -math.inf, "k")
+    depths = [whole(j, 0, "depth") for j in depth.ravel().tolist()]
+    cap = max(depths, default=0) + _SERIES_TERMS
     # two gathers of c and their product, one float per instance and pair i <= j
     check_bytes(12 * d.size * (cap + 1) * (cap + 2), f"the truncation series of {d.size} values")
     c = np.ones(d.shape + (cap + 1,))  # c_0 = 1
@@ -372,10 +380,13 @@ def truncation_error_series(d, k, depth):
     terms = (c[..., i] * c[..., j] * np.where(i < j, 2.0, 1.0)).reshape(-1, i.size)
     # the pairs with depth < j <= depth + _SERIES_TERMS: run j starts at j (j + 1) / 2;
     # a memoryview hands fsum Python floats without building a list
-    lo = ((depth + 1) * (depth + 2) // 2).ravel().tolist()
-    hi = ((depth + _SERIES_TERMS + 1) * (depth + _SERIES_TERMS + 2) // 2).ravel().tolist()
-    return np.reshape([math.fsum(memoryview(t[a:b])) for t, a, b in zip(terms, lo, hi)],
-                      d.shape)[()]
+    spans = [((j + 1) * (j + 2) // 2, (j + _SERIES_TERMS + 1) * (j + _SERIES_TERMS + 2) // 2)
+             for j in depths]
+    try:
+        sums = [math.fsum(memoryview(t[a:b])) for t, (a, b) in zip(terms, spans)]
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        raise OutOfRange("the truncation series overflows the float range") from None
+    return np.reshape(sums, d.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +407,7 @@ def surrogate_log_at(d, k: float, j: int, a: int):
     |d/W|^a while W <= 100 k j; and (2 (k-1)^j (2W)^j / j!)^{2/(k-1)} |d/W|^a beyond.
     """
     d = np.asarray(d, dtype=np.complex128)
+    j, a = whole(j, 1, "j"), whole(a, 0, "a")
     t0 = j / (100.0 * at_least(k, 2, "k"))
     n = _bin_of(np.abs(d.real), t0)
     w = t0 * 2.0 ** (n - 1)

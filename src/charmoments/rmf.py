@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import errors, primes
-from .errors import DomainError, OutOfRange, TooLarge, at_least, check_bytes
+from .errors import OutOfRange, TooLarge, at_least, check_bytes, whole
 
 _M64 = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -84,8 +84,10 @@ def unit_values(seeds, ps: np.ndarray) -> np.ndarray:
 
 
 def derive_trial_seeds(seed: int, trials: int) -> np.ndarray:
-    """Independent child seeds for Monte Carlo trials, as a uint64 array."""
-    key = _mix_array(np.array([(int(seed) ^ _TRIAL_SALT) & _M64], dtype=np.uint64))
+    """Independent child seeds for Monte Carlo trials, as a uint64 array (16 B a trial at peak)."""
+    seed, trials = whole(seed, -math.inf, "seed"), whole(trials, 0, "trials")
+    check_bytes(16 * trials, f"{trials} trial seeds")
+    key = _mix_array(np.array([(seed ^ _TRIAL_SALT) & _M64], dtype=np.uint64))
     return _mix_array(key ^ np.arange(trials, dtype=np.uint64))
 
 
@@ -103,16 +105,11 @@ def mc_plan(trials: int, batch: int, threads: int | None = None) -> tuple[int, i
     At most min(batch, trials) trial rows are in flight: each of the workers
     holds one chunk of min(batch, trials) // workers rows.  workers is the
     least of threads (None: no limit), the usable CPUs and min(batch, trials).
+    A standard error needs at least 2 trials.
     """
-    if trials < 2:
-        raise DomainError("need at least 2 trials for a standard error")
-    if batch < 1:
-        raise DomainError(f"batch must be >= 1, got {batch}")
-    if threads is not None and threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    alive = min(whole(trials, 2, "trials"), whole(batch, 1, "batch"))
     cpus = usable_cpus()
-    alive = min(batch, trials)
-    workers = min(alive, cpus if threads is None else min(threads, cpus))
+    workers = min(alive, cpus if threads is None else min(whole(threads, 1, "threads"), cpus))
     return alive // workers, workers
 
 
@@ -133,6 +130,7 @@ def mc_estimate(seed: int, trials: int, batch: int | None, make_per_batch,
     flight, shared_bytes once, and TRIAL_BYTES per trial.  Only then does
     make_per_batch() build what the rows share and return per_batch.
     """
+    seed, trials = whole(seed, -math.inf, "seed"), whole(trials, 2, "trials")
     if batch is None:
         row = max(1, row_bytes)
         admitted = (errors.DEFAULT_MEMORY_CAP - shared_bytes - TRIAL_BYTES * trials) // row
@@ -173,17 +171,18 @@ class RmfSample:
         return {int(p): complex(v) for p, v in zip(self.primes, self.fp)}
 
 
-def sample(seed: int, limit: int) -> RmfSample:
+def sample(seed: int, limit: float) -> RmfSample:
     """Draw a sample covering all primes up to limit."""
-    limit = int(at_least(limit, 2, "limit"))
+    seed = whole(seed, -math.inf, "seed")
+    limit = math.floor(at_least(limit, 2, "limit"))
     ps = primes.primes_up_to(limit)
-    fp = unit_values(int(seed) & _M64, ps)
-    return RmfSample(seed=int(seed), limit=limit, primes=ps, fp=fp)
+    fp = unit_values(seed & _M64, ps)
+    return RmfSample(seed=seed, limit=limit, primes=ps, fp=fp)
 
 
 def value_at(s: RmfSample, n: int) -> complex:
     """f(n) by factorization; OutOfRange when n exceeds the sample limit."""
-    n = int(at_least(n, 1, "n"))
+    n = whole(n, 1, "n")
     if n > s.limit:
         raise OutOfRange(f"n = {n} exceeds sample limit {s.limit}")
     out = 1 + 0j
@@ -230,6 +229,8 @@ def pair_counts(xf: int, dtype) -> np.ndarray:
     for m <= EXACT_MOMENT_CAP (at 73,513,440) and 1,344 for m <= 2^30 (at
     735,134,400), so uint16 holds c wherever 2 B an entry fits the 2 GiB cap.
     """
+    xf = whole(xf, 0, "x")
+    check_bytes(np.dtype(dtype).itemsize * (xf * xf + 1), f"the pair histogram at x = {xf}")
     c = np.zeros(xf * xf + 1, dtype=dtype)
     for n in range(1, xf + 1):
         c[n : n * xf + 1 : n] += 1
@@ -250,9 +251,9 @@ def exact_moment_2k(x: float, k: int) -> int:
     allocating, when these arrays and errors.NUMPY_BUFFER_BYTES exceed
     errors.DEFAULT_MEMORY_CAP.
     """
-    if k not in (1, 2, 3):
-        raise DomainError("k must be 1, 2, or 3")
-    k = int(k)
+    k = whole(k, 1, "k")
+    if k > 3:
+        raise OutOfRange(f"k = {k} must be 1, 2, or 3")
     xf = int(math.floor(at_least(x, 1, "x")))
     if xf**k > EXACT_MOMENT_CAP:
         raise TooLarge(f"floor(x)^k = {xf**k} exceeds cap {EXACT_MOMENT_CAP}")
@@ -296,11 +297,12 @@ def batch_nbytes(rows: int, x: float) -> int:
     taken as its bound 1.25506 x / log x (Rosser and Schoenfeld), so the
     charge needs no sieve and no prime list.
     """
+    rows = whole(rows, 0, "rows")
     xf = int(math.floor(at_least(x, 0, "x")))
     if xf < 2:
         return 0
     pi_bound = int(1.25506 * xf / math.log(xf)) + 1
-    return 24 * int(rows) * (pi_bound + 2 * math.isqrt(xf))
+    return 24 * rows * (pi_bound + 2 * math.isqrt(xf))
 
 
 def partial_sums_batch(trial_seeds: np.ndarray, x: float) -> np.ndarray:

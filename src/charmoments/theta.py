@@ -18,7 +18,8 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import DomainError, OutOfRange, QuadratureFailure, TooLarge, at_least, check_bytes
+from .errors import (DomainError, OutOfRange, QuadratureFailure, TooLarge, at_least, check_bytes,
+                     whole)
 from .modarith import PrimeModulus
 from .moments import MomentEstimate, _abs_power_2k
 from .rmf import RmfSample
@@ -83,9 +84,9 @@ def theta_all(mod: PrimeModulus, trunc: float | None = None) -> ThetaTable:
 
 def theta_naive(mod: PrimeModulus, a: int, trunc: float | None = None) -> complex:
     """Direct summation for one character (reference route)."""
+    kappa = whole(a, -math.inf, "a") % 2
     trunc = truncation_point(mod.q) if trunc is None else float(trunc)
     ns, w = _folded_weights(mod, trunc)
-    kappa = a % 2
     cv = mod.char_values(a, ns)
     if kappa == 1:
         w = ns * w
@@ -114,8 +115,8 @@ def even_char_orthogonality(mod: PrimeModulus, n: int, m: int) -> float:
 
     Equals 1 exactly when n = +-m (mod q) and both are units, else 0.
     """
-    n %= mod.q
-    m %= mod.q
+    n = whole(n, -math.inf, "n") % mod.q
+    m = whole(m, -math.inf, "m") % mod.q
     if n == 0 or m == 0:
         return 0.0
     delta = (int(mod.dlog[n]) - int(mod.dlog[m])) % (mod.q - 1)
@@ -226,6 +227,7 @@ def mellin_transform_check(y_smooth: float, s: float, sample: RmfSample,
         raise DomainError(f"need 0 < s < inf, got s = {s}")
     if not 1 <= y_smooth <= sample.limit:
         raise OutOfRange(f"y = {y_smooth} must lie in [1, sample limit {sample.limit}]")
+    smooth_cap = whole(smooth_cap, 0, "smooth_cap")
     if smooth_cap >= 2**63:
         raise OutOfRange(f"smooth_cap = {smooth_cap} must be below 2^63")
     ms, cs = _smooth_values(sample, y_smooth, smooth_cap)

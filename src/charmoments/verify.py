@@ -19,7 +19,7 @@ from . import euler, moments, primes, proxy, rmf, theta
 from .calibration import Calibration
 from .charsum import (abs_char_sums, all_char_sums_fft, all_char_sums_naive, mirror,
                       weighted_char_sums)
-from .errors import DomainError, LengthViolation, OutOfRange, at_least, check_bytes
+from .errors import DomainError, LengthViolation, OutOfRange, at_least, check_bytes, whole
 from .fpoly import FPoly
 from .modarith import PrimeModulus, build_modulus
 
@@ -132,6 +132,7 @@ def check_even_moment_ratio(c: dict[int, complex], pset: tuple[int, ...],
     dr(n) counting divisors supported on pset.  The ratio stays below the
     calibrated ceiling.
     """
+    j = whole(j, 0, "j")
     sc = FPoly({(n, 1): complex(v) for n, v in c.items()})
     q_poly = FPoly()
     for p in pset:
@@ -446,9 +447,9 @@ def suite_proxy(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     mod = build_modulus(q)
     wide = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[2])
     skew = proxy.desk_params(x=4.0, y=20.0, k=3.0, j_values=[2])
-    sources = [proxy.SampleSource(rmf.sample(int(s), 25))
+    sources = [proxy.SampleSource(rmf.sample(s, 25))
                for s in rng.integers(0, 2**62, size=40)]
-    char_sources = [proxy.CharSource(mod, int(a))
+    char_sources = [proxy.CharSource(mod, a)
                     for a in rng.integers(1, mod.q - 1, size=10)]
     sub_params = proxy.desk_params(x=4.0, y=8.0, k=2.5, j_values=[1])
     return [
@@ -479,7 +480,7 @@ def suite_holder(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     x = 6 if q >= 101 else 2
     params = proxy.desk_params(x=x, y=2.0, k=2.0, j_values=[1], q=q)
     rng = np.random.default_rng(seed)
-    sources = [proxy.SampleSource(rmf.sample(int(s), 25))
+    sources = [proxy.SampleSource(rmf.sample(s, 25))
                for s in rng.integers(0, 2**62, size=20)]
     sub_params = proxy.desk_params(x=4.0, y=8.0, k=2.5, j_values=[1])
     return [
@@ -511,13 +512,13 @@ def run_suite(name: str, q: int, seed: int, cal: Calibration | None = None) -> l
     Refuses a negative seed, and a q below the suite's MIN_Q (the largest one for 'full').
     """
     cal = cal or Calibration()
-    if seed < 0:
-        raise OutOfRange(f"seed must be >= 0, got {seed}")
+    seed = whole(seed, 0, "seed")
     if name != "full" and name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from "
                           f"{sorted(SUITES) + ['full']}")
     names = list(SUITES) if name == "full" else [name]
     least = max(MIN_Q[n] for n in names)
+    q = whole(q, -math.inf, "q")
     if q < least:
         raise OutOfRange(f"suite {name} needs q >= {least}, got q = {q}")
     return [r for n in names for r in SUITES[n](q, seed, cal)]

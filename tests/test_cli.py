@@ -201,7 +201,7 @@ def test_invalid_input_exit_2(monkeypatch, capsys, argv):
         assert err == f"error: x must be finite, got {argv[argv.index('--x') + 1]}\n"
     if "desk" in argv and "--q" in argv:
         # refused by desk_params, not by math.log(q) in the length guard
-        assert err == f"error: q must be >= 2, got {argv[-1]}\n"
+        assert err == f"error: q = {argv[-1]} must be >= 2\n"
 
 
 def test_unexpected_exception_exit_4(monkeypatch, capsys):
@@ -228,10 +228,18 @@ def test_value_error_from_a_handler_exit_4(monkeypatch, capsys):
     assert "Traceback" in err and "ValueError: bad shape" in err
 
 
+def test_huge_refusal_is_one_short_line(capsys):
+    # the byte count in scientific notation and MiB, not 299 digits
+    code, out, err = run(capsys, "rmf-mc", "--x", "1e300", "--k", "2", "--trials", "4")
+    assert code == 3 and out == ""
+    assert err == ("error: a run of 4 trials in batches of 1 would take 4.361e+298 bytes "
+                   "(4.159e+292 MiB), cap is 2147483648\n")
+
+
 def test_verify_negative_seed_exit_2(capsys):
     code, out, err = run(capsys, "verify", "--suite", "euler", "--seed", "-1")
     assert code == 2
-    assert out == "" and err == "error: seed must be >= 0, got -1\n"
+    assert out == "" and err == "error: seed = -1 must be >= 0\n"
 
 
 def test_missing_calibration_exit_2(tmp_path, capsys):

@@ -137,3 +137,11 @@ def test_euler_default_batch_follows_lowered_cap(monkeypatch):
     assert max(rows) == 3 and sum(rows) == 3000  # two workers of 3 rows
     monkeypatch.undo()
     assert got == euler.mc_product_estimate(SPEC, 3000, seed=4, batch=4, threads=1)
+
+
+def test_refusal_gives_the_size_in_scientific_notation():
+    # a size past the float range, in bytes and MiB rather than 401 digits
+    with pytest.raises(TooLarge) as info:
+        errors.check_bytes(10**400, "the table")
+    assert str(info.value) == ("the table would take 1.000e+400 bytes (9.537e+393 MiB), "
+                               f"cap is {errors.DEFAULT_MEMORY_CAP}")

@@ -273,3 +273,10 @@ def test_fourth_moment_three_routes(q, frac):
         totient_route = 2 * sum(phi[m] * (xf // m) ** 2 for m in range(1, xf + 1)) - xf * xf
         assert count == rmf.exact_moment_2k(x, 2) == totient_route
         assert abs(lhs - count) <= tol * count
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_shape_fit_refuses_a_non_finite_scale(capfd, bad):
+    with pytest.raises(errors.OutOfRange, match=f"^scale must be finite, got {bad}$"):
+        moments.shape_fit([(bad, 1.0), (10.0, 2.0), (20.0, 3.0), (30.0, 4.0)], 2.0)
+    assert capfd.readouterr().err == ""  # LAPACK never saw it

@@ -85,7 +85,7 @@ def test_factorize_property(n):
 
 @pytest.mark.parametrize("n", [0, -1, -(2**40)])
 def test_factorize_refuses_n_below_1(n):
-    with pytest.raises(errors.DomainError):
+    with pytest.raises(errors.OutOfRange, match=f"^n = {n} must be >= 1$"):
         primes.factorize(n)
 
 

@@ -254,3 +254,20 @@ def test_fpoly_max_index_respects_length_log():
     poly = proxy.proxy_weight_fpoly(d)
     largest = max((max(nm) for nm, c in poly.terms.items() if c != 0), default=1)
     assert largest <= math.exp(d.poly_length_log()) + 1e-9
+
+
+def test_truncation_error_beyond_the_float_range():
+    # exp(2 (k - 1) d) overflows: the direct difference is inf, as exp_weight_total's
+    assert proxy.truncation_error_direct(1e300, 2.0, 2) == math.inf
+    assert proxy.truncation_error_direct(355.0, 2.0, 2) == math.inf
+    assert math.isfinite(proxy.truncation_error_direct(354.0, 2.0, 2))
+    with pytest.raises(OutOfRange, match="^d must be finite, got nan$"):
+        proxy.truncation_error_direct(math.nan, 2.0, 2)
+    with pytest.raises(OutOfRange, match="^d must be finite, got -inf$"):
+        proxy.truncation_error_series(-math.inf, 2.0, 2)
+    # element by element
+    with pytest.raises(OutOfRange, match="^k must be finite, got nan$"):
+        proxy.truncation_error_series(np.array([1.0, 0.5]), np.array([2.0, math.nan]), 2)
+    # terms of both signs past the float range have no sum
+    with pytest.raises(OutOfRange, match="overflows the float range"):
+        proxy.truncation_error_series(-1e200, 3.0, 2)

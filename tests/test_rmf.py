@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmoments import errors, moments, primes, rmf
-from charmoments.errors import DomainError, OutOfRange, TooLarge
+from charmoments.errors import OutOfRange, TooLarge
 
 
 def test_unit_modulus():
@@ -260,7 +260,7 @@ def test_trial_seed_derivation_disjoint():
 
 def test_mc_estimate_needs_two_trials():
     # a standard error needs two trials, for every caller of the shared MC loop
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange, match="^trials = 1 must be >= 2$"):
         rmf.mc_estimate(1, 1, 16, lambda: lambda chunk: np.ones(chunk.size), 0, 0)
 
 
@@ -272,9 +272,9 @@ def test_mc_estimate_refuses_bad_batch_or_threads(monkeypatch, batch, threads):
         raise AssertionError("work was done before the batch and threads checks")
 
     monkeypatch.setattr(rmf, "derive_trial_seeds", no_work)
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange):
         rmf.mc_estimate(1, 50, batch, no_work, 0, 0, threads)
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange):
         moments.rmf_moment_mc(100.0, 2.0, trials=50, seed=1, batch=batch, threads=threads)
 
 
