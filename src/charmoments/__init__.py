@@ -12,9 +12,8 @@ Submodules:
     calibration calibrated slack constants, overridable from the environment
 
 Importing the package loads numpy but no scipy.  The one scipy import,
-scipy.fft, sits inside charsum.all_char_sums_fft and runs only when q - 1 is
-a rough length of 2^12 or more (its largest prime factor p has p^2 > q - 1);
-every other transform and every quadrature is numpy.
+scipy.fft, sits inside charsum._dft, the one transform, and runs only at a rough
+length n >= 2^16 (largest prime factor p, p^2 > n); every quadrature is numpy.
 """
 
 __version__ = "0.1.0"

@@ -11,8 +11,8 @@ magnitudes of one floor(x) on the modulus, so several moments at the same
 The same fold with arbitrary weights, sum_n w_n chi(n), evaluates any weighted
 character polynomial for all characters simultaneously.
 
-Every transform runs on numpy.fft, except the prefix-sum DFT at a rough length
-of 2^12 or more, which imports scipy.fft on its first call.  Both libraries run
+Every transform is _dft, on numpy.fft except at a rough length of 2^16 or
+more, where it imports scipy.fft on its first call.  Both libraries run
 pocketfft and give the same bits; only scipy.fft keeps a Bluestein plan.
 """
 from __future__ import annotations
@@ -29,15 +29,10 @@ from .modarith import PrimeModulus
 # pocketfft considers Bluestein's algorithm only at a rough length n, whose
 # largest prime factor p has p^2 > n.  numpy.fft rebuilds that plan on every
 # call and scipy.fft caches it: 427 against 245 ms a call at n = 1,000,002.
-# Elsewhere the two tie (28 ms at n = 995,328).  Below 2^12 numpy's extra cost
-# is at most 0.13 ms a call (n = 4,126), against 0.3-0.45 s and 24 MiB of RSS
-# to import scipy.fft; at n = 65,496 it is 8 ms.  Best of 5, 2-CPU Xeon.
-_SCIPY_FFT_MIN = 1 << 12
-
-# Peak RSS growth of one prefix-sum DFT: 32 B per residue at other lengths
-# (786,433 and 995,329) and 160.0-160.7 B at rough ones (1,000,003 to
-# 4,000,037), where the Bluestein plan and its padded buffers are alive.
-_DFT_BYTES, _ROUGH_DFT_BYTES = 32, 160
+# Elsewhere the two tie (28 ms at n = 995,328).  Below 2^16 numpy's extra cost
+# is at most 6 ms a call (13.1 against 7.3 ms at n = 65,496), against 0.3-0.45 s
+# and 24 MiB of RSS to import scipy.fft.  Best of 5, 2-CPU Xeon.
+_SCIPY_FFT_MIN = 1 << 16
 
 
 @dataclass(eq=False)
@@ -70,27 +65,32 @@ def _is_rough(n: int) -> bool:
     return n > 1 and primes.factorize(n)[-1][0] ** 2 > n
 
 
-def all_char_sums_fft(mod: PrimeModulus, x: float) -> PrefixSumTable:
-    """Prefix sums for all characters via one real group DFT.  O(q log q).
+def _coeff_rows(shape: tuple[int, ...], dtype, terms: int) -> np.ndarray:
+    """Zeroed rows for _dft, charged first (README): per residue 32 B a real row, 56 B complex,
+    64 B either when rough, and 20 B (140 B rough) once; per term 32 B, plus 8 (16) B a row."""
+    n, rows = shape[-1], math.prod(shape[:-1])
+    rough, size = _is_rough(n), np.dtype(dtype).itemsize
+    row = 64 if rough else 56 if size == 16 else 32
+    check_bytes((row * rows + (140 if rough else 20)) * n + (32 + size * rows) * terms,
+                f"{rows} transform rows of length {n}")
+    return np.zeros(shape, dtype=dtype)
 
-    Charged 32 B per residue, or 160 B at a rough length q - 1, refused above
-    errors.DEFAULT_MEMORY_CAP.
-    """
+
+def _dft(coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[..., j] e^{2 pi i a j/n} along the last axis, of length n: a <= n//2 for
+    real coefficients, as conj(rfft), which mirror completes; every a for complex, as ifft * n."""
+    n, fft = coeffs.shape[-1], np.fft
+    if n >= _SCIPY_FFT_MIN and _is_rough(n):
+        import scipy.fft as fft
+    return fft.ifft(coeffs) * n if np.iscomplexobj(coeffs) else np.conj(fft.rfft(coeffs))
+
+
+def all_char_sums_fft(mod: PrimeModulus, x: float) -> PrefixSumTable:
+    """Prefix sums for all characters via one real group DFT.  O(q log q)."""
     xf = _check_x(mod, x)
-    n = mod.q - 1
-    rough = _is_rough(n)
-    check_bytes((_ROUGH_DFT_BYTES if rough else _DFT_BYTES) * n,
-                f"the prefix-sum DFT of length {n}")
-    if rough and n >= _SCIPY_FFT_MIN:
-        import scipy.fft
-        rfft = scipy.fft.rfft
-    else:
-        rfft = np.fft.rfft
-    b = np.zeros(n)
+    b = _coeff_rows((mod.q - 1,), np.float64, 0)
     b[mod.dlog[1 : xf + 1]] = 1.0
-    # conj(FFT(real b)) carries the e^{+2 pi i a j / (q-1)} convention
-    half = np.conj(rfft(b))
-    return PrefixSumTable(q=mod.q, x=float(x), half=half)
+    return PrefixSumTable(q=mod.q, x=float(x), half=_dft(b))
 
 
 def abs_char_sums(mod: PrimeModulus, x: float) -> np.ndarray:
@@ -128,19 +128,15 @@ def weighted_char_sums(mod: PrimeModulus, ns: np.ndarray, ws: np.ndarray) -> np.
 
     The weights are folded onto discrete logs, coeffs[..., dlog(n)] += w (terms
     with q | n dropped), and values[..., a] = sum_j coeffs[..., j] e^{2 pi i a j/(q-1)}.
-    Leading axes of ws are kept; its last axis runs along ns.  Charged per
-    residue 56 B a row (coefficients, transform, rescaled copy) and once 20 B,
-    or 140 B at a rough length, for pocketfft's plan and scratch (peak RSS
-    growth of 1 and 3 theta-weight rows: 69.4 and 171.3 B at length 995,328,
-    165.1 and 283.5 B at 1,000,002), refused above errors.DEFAULT_MEMORY_CAP.
+    Leading axes of ws are kept; its last axis runs along ns.  Real weights give
+    a = 0 .. (q-1)//2, which mirror completes, and complex ones every a.
     """
-    ns = np.asarray(ns, dtype=np.int64) % mod.q
-    ws = np.asarray(ws, dtype=np.complex128)
+    ns, ws = np.asarray(ns, dtype=np.int64), np.asarray(ws)
     if ws.shape[-1:] != ns.shape:
         raise OutOfRange(f"weights of shape {ws.shape} do not run along {ns.size} integers")
-    rows, n = math.prod(ws.shape[:-1]), mod.q - 1
-    check_bytes((56 * rows + (140 if _is_rough(n) else 20)) * n, f"{rows} transforms of length {n}")
+    coeffs = _coeff_rows(ws.shape[:-1] + (mod.q - 1,),
+                         np.complex128 if np.iscomplexobj(ws) else np.float64, ns.size)
+    ns = ns % mod.q
     keep = ns != 0
-    coeffs = np.zeros(ws.shape[:-1] + (n,), dtype=np.complex128)
     np.add.at(coeffs, (..., mod.dlog[ns[keep]]), ws[..., keep])
-    return np.fft.ifft(coeffs) * n
+    return _dft(coeffs)

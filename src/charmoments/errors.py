@@ -8,6 +8,7 @@ DEFAULT_MEMORY_CAP when called: lowering it lowers the whole package's.
 """
 import math
 import numbers
+import re
 from decimal import Decimal
 
 DEFAULT_MEMORY_CAP = 2 << 30
@@ -31,7 +32,8 @@ class TooLarge(CharmomentsError):
 
 def check_bytes(nbytes: int, what: str) -> None:
     """Refuse with TooLarge when what would take more than DEFAULT_MEMORY_CAP bytes."""
-    if nbytes > DEFAULT_MEMORY_CAP:
+    if nbytes > DEFAULT_MEMORY_CAP:  # the size, and any whole count of 13 or more digits, as %.3e
+        what = re.sub(r"(?<![.\d])\d{13,}(?![.\d])", lambda n: f"{Decimal(n[0]):.3e}", what)
         size = Decimal(nbytes)  # exact, past the float range too
         raise TooLarge(f"{what} would take {size:.3e} bytes ({size / 2**20:.3e} MiB), "
                        f"cap is {DEFAULT_MEMORY_CAP}")

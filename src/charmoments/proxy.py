@@ -111,8 +111,11 @@ class ProxyParams:
         return self.levels[-1].log_hi
 
     def penalty_exp(self, m: int) -> int:
-        """Even exponent a_m = 2*ceil(200*k*J_m) attached to window m (1-based)."""
-        return 2 * math.ceil(200.0 * self.k * self.levels[whole(m, 1, "m") - 1].j)
+        """Even exponent a_m = 2*ceil(200*k*J_m) attached to window m, 1 <= m <= m_count."""
+        m = whole(m, 1, "m")
+        if m > self.m_count:
+            raise OutOfRange(f"m must be <= {self.m_count}, the window count")
+        return 2 * math.ceil(200.0 * self.k * self.levels[m - 1].j)
 
     @property
     def shift_count(self) -> int:
@@ -351,8 +354,9 @@ def exp_weight_total(params: ProxyParams, source) -> float:
 # truncation error: direct difference and explicit double-tail series
 
 def truncation_error_direct(d: float, k: float, depth: int) -> float:
-    """exp(2(k-1)d) - (truncated exponential)^2; inf where exp(2(k-1)d) overflows."""
-    grow = 2.0 * (at_least(k, -math.inf, "k") - 1.0) * at_least(d, -math.inf, "d")
+    """exp(2(k-1)d) - (truncated exp)^2; inf where that overflows, OutOfRange where (k-1)d does."""
+    x = (at_least(k, -math.inf, "k") - 1.0) * at_least(d, -math.inf, "d")
+    grow = 2.0 * at_least(x, -math.inf, "(k - 1) d")
     t = float(truncated_exp(d, depth, k - 1.0))
     return math.exp(grow) - t * t if grow <= _LOG_FLOAT_MAX else math.inf
 

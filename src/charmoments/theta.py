@@ -4,10 +4,10 @@ theta(chi) = sum_{n >= 1} chi(n) n^kappa exp(-pi n^2/q), with kappa = 0 for
 even characters and 1 for odd ones.  The Gaussian weight localizes the sum
 near sqrt(q); truncating at sqrt(q) (log q)^2 leaves a tail below the recorded
 majorant q^{1+kappa} exp(-pi * truncation^2 / q).  Folding n into residue
-classes turns the whole family into two weighted group DFTs, one per parity;
-a moment over one parity class needs only that class's DFT.  The Mellin
-identity's numeric side is a numpy trapezoid rule in log v for one Gaussian
-term, times the Dirichlet sum of the smooth terms.
+classes turns the whole family into one real weighted group DFT (a half
+spectrum) per parity; a moment over one parity class needs only that class's
+DFT.  The Mellin identity's numeric side is a numpy trapezoid rule in log v
+for one Gaussian term, times the Dirichlet sum of the smooth terms.
 """
 from __future__ import annotations
 
@@ -38,15 +38,17 @@ class ThetaValue:
 
 @dataclass(eq=False)
 class ThetaTable:
-    """values[a] = theta(chi_a) for a = 0 .. q-2; table[a] builds one ThetaValue."""
+    """theta(chi_a) on the half spectrum, as in charsum.PrefixSumTable; table[a]: one ThetaValue."""
 
-    values: np.ndarray
+    q: int
+    half: np.ndarray
     truncation_point: float
     tail_bounds: tuple[float, float]  # for kappa = 0 and kappa = 1
 
     def __getitem__(self, a: int) -> ThetaValue:
-        a = range(self.values.size)[a]  # IndexError out of range; negatives wrap
-        return ThetaValue(a=a, kappa=a % 2, value=complex(self.values[a]),
+        a = range(self.q - 1)[a]  # IndexError out of range; negatives wrap
+        value = self.half[a] if a < self.half.size else np.conj(self.half[self.q - 1 - a])
+        return ThetaValue(a=a, kappa=a % 2, value=complex(value),
                           truncation_point=self.truncation_point,
                           tail_bound=self.tail_bounds[a % 2])
 
@@ -65,7 +67,7 @@ def _folded_weights(mod: PrimeModulus, trunc: float) -> tuple[np.ndarray, np.nda
 
 
 def _parity_dft(mod: PrimeModulus, trunc: float, kappa: int) -> np.ndarray:
-    """sum_{n <= trunc} chi_a(n) n^kappa e^{-pi n^2/q} for all a; theta(chi_a) if a % 2 == kappa."""
+    """sum_{n<=trunc} chi_a(n) n^kappa e^{-pi n^2/q}, a <= q/2; theta(chi_a) if a % 2 == kappa."""
     if mod.q < 3:
         raise DomainError("need an odd prime modulus")
     ns, w = _folded_weights(mod, trunc)
@@ -73,12 +75,12 @@ def _parity_dft(mod: PrimeModulus, trunc: float, kappa: int) -> np.ndarray:
 
 
 def theta_all(mod: PrimeModulus, trunc: float | None = None) -> ThetaTable:
-    """Theta values for every character via two weighted DFTs."""
+    """Theta values for every character via one real weighted DFT per parity."""
     trunc = truncation_point(mod.q) if trunc is None else float(trunc)
-    values = _parity_dft(mod, trunc, 0)
-    values[1::2] = _parity_dft(mod, trunc, 1)[1::2]
+    half = _parity_dft(mod, trunc, 0)
+    half[1::2] = _parity_dft(mod, trunc, 1)[1::2]
     tail = math.exp(-math.pi * trunc * trunc / mod.q)
-    return ThetaTable(values=values, truncation_point=trunc,
+    return ThetaTable(q=mod.q, half=half, truncation_point=trunc,
                       tail_bounds=(mod.q * tail, mod.q**2 * tail))
 
 
@@ -94,20 +96,16 @@ def theta_naive(mod: PrimeModulus, a: int, trunc: float | None = None) -> comple
 
 
 def theta_moment(mod: PrimeModulus, k: float, parity: str) -> MomentEstimate:
-    """(1/(q-1)) sum of |theta|^{2k} over one parity class.
-
-    The even class excludes the principal character; all odd characters are
-    non-principal already.
-    """
+    """(1/(q-1)) sum of |theta|^{2k} over one parity class, the even one without the principal."""
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
     at_least(k, 0, "k")
     kappa = 0 if parity == "even" else 1
-    # characters a = kappa (mod 2); the even class starts at 2, past the principal
-    arr = _parity_dft(mod, truncation_point(mod.q), kappa)[2 - kappa :: 2]
-    total = float(_abs_power_2k(arr, k).sum())
-    return MomentEstimate(value=total / (mod.q - 1), stderr=0.0,
-                          trials=arr.size, kind="exact-characters")
+    powers = _abs_power_2k(_parity_dft(mod, truncation_point(mod.q), kappa), k)
+    # a = kappa (mod 2) from 2 - kappa, past the principal; a mirrored entry counts twice
+    own, twins = powers[2 - kappa :: 2], powers[2 - kappa : mod.q - powers.size : 2]
+    return MomentEstimate(value=float(own.sum() + twins.sum()) / (mod.q - 1), stderr=0.0,
+                          trials=own.size + twins.size, kind="exact-characters")
 
 
 def even_char_orthogonality(mod: PrimeModulus, n: int, m: int) -> float:

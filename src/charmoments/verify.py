@@ -6,7 +6,7 @@ inequality's two sides) and returns a CheckReport.  Calibrated constants come
 from the calibration module and are recorded in each report's context, never
 hard-coded into pass conditions.  The proxy cross moments are computed by the
 two checks that compare them.  Quadratures and transforms are numpy; a check
-reaches scipy.fft only through all_char_sums_fft at a rough q - 1 >= 2^12.
+reaches scipy.fft only through charsum._dft at a rough q - 1 >= 2^16.
 """
 from __future__ import annotations
 

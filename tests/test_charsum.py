@@ -106,6 +106,23 @@ def test_weighted_rows_match_per_row_calls(mod101):
             assert got[i, j].tobytes() == weighted_char_sums(mod101, ns, ws[i, j]).tobytes()
 
 
+@pytest.mark.parametrize("q", [3, 5, 101, 103, 4127, 65543])
+def test_real_weights_give_the_half_of_the_complex_result(q):
+    # the two theta rows; 4,126 and 65,542 are rough lengths, the first on
+    # numpy.fft, the second on scipy.fft
+    mod = build_modulus(q)
+    ns = np.arange(1, 3 * q)
+    gauss = np.exp(-math.pi * ns.astype(np.float64) ** 2 / q)
+    ws = np.stack([gauss, ns * gauss])
+    half = weighted_char_sums(mod, ns, ws)
+    full = weighted_char_sums(mod, ns, ws.astype(np.complex128))
+    assert half.shape == (2, (q - 1) // 2 + 1) and full.shape == (2, q - 1)
+    for row in range(2):
+        tol = 1e-15 * np.abs(full[row]).max()
+        np.testing.assert_allclose(half[row], full[row, : half.shape[1]], rtol=0, atol=tol)
+        np.testing.assert_allclose(charsum.mirror(half[row], q), full[row], rtol=0, atol=tol)
+
+
 def test_weighted_length_mismatch(mod101):
     with pytest.raises(OutOfRange):
         weighted_char_sums(mod101, np.arange(1, 11), np.ones(9))
@@ -182,10 +199,13 @@ def _rfft_calls():
             lib.rfft = real[name]
 
 
-# 4,126 = 2 * 2,063 is rough (2,063^2 > 4,126); 4,128 = 2^5 * 3 * 43 is not
+# 65,542 = 2 * 32,771 is rough (32,771^2 > 65,542), so scipy; 65,536 = 2^16 is
+# not; 4,126 = 2 * 2,063 is rough but below 2^16, so numpy; 4,128 = 2^5 * 3 * 43
 @settings(derandomize=True, max_examples=100, database=None, deadline=None)
 @given(qx=st.sampled_from(_PRIMES_TO_20000).flatmap(
     lambda q: st.tuples(st.just(q), st.integers(1, q))))
+@example(qx=(65543, 30000))
+@example(qx=(65537, 20000))
 @example(qx=(4127, 2000))
 @example(qx=(4129, 3000))
 def test_fft_library_choice_keeps_bits(qx):
@@ -197,7 +217,7 @@ def test_fft_library_choice_keeps_bits(qx):
         half = all_char_sums_fft(mod, x).half
     n = q - 1
     rough = n > 1 and _largest_factor(n) ** 2 > n
-    assert calls == [("scipy" if rough and n >= 4096 else "numpy", n)]
+    assert calls == [("scipy" if rough and n >= 1 << 16 else "numpy", n)]
     for rfft in (np.fft.rfft, scipy.fft.rfft):
         assert half.tobytes() == np.conj(rfft(b)).tobytes()
 

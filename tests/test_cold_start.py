@@ -1,5 +1,5 @@
 """Importing the package loads no scipy, and the one route that calls scipy,
-the prefix-sum DFT at a rough length of 2^12 or more, loads only scipy.fft.
+a group DFT at a rough length of 2^16 or more, loads only scipy.fft.
 
 The steps run in order in one fresh interpreter, because a module, once
 imported, stays in sys.modules: what a step may load depends on what ran
@@ -48,7 +48,7 @@ reports = verify.run_suite("full", 499, 1)
 assert all(r.passed for r in reports)
 loaded("verify full")
 
-moments.char_moment(build_modulus(4127), 2000, 2)  # 4,126 = 2 * 2,063
+moments.char_moment(build_modulus(65543), 30000, 2)  # 65,542 = 2 * 32,771
 loaded("rough char_moment")
 """
 

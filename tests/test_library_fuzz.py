@@ -122,6 +122,7 @@ CALLS = {
                            st.tuples(real(0.5, 2e8), real(2.0, 4.0), real(1.0, 5e5)), ()),
     "proxy.ProxyParams.fits_modulus": (lambda q: WINDOW.fits_modulus(1.0, q),
                                        st.tuples(integer(2, 10**6)), (0,)),
+    "proxy.ProxyParams.penalty_exp": (WINDOW.penalty_exp, st.tuples(integer(1, 3)), (0,)),
     "proxy.CharSource": (lambda a: proxy.CharSource(MOD, a).values_at(NS),
                          st.tuples(integer(-5, 200)), (0,)),
     "proxy.truncated_exp": (proxy.truncated_exp,
@@ -236,3 +237,19 @@ def test_integral_float_is_the_int_and_a_fraction_is_refused(name):
 def test_series_refuses_a_negative_depth():
     with pytest.raises(errors.OutOfRange, match="^depth = -3 must be >= 0$"):
         proxy.truncation_error_series(1.0, 2.0, -3)
+
+
+def test_direct_refuses_a_product_past_the_float_range():
+    # (k - 1) d = -inf would add +inf and -inf in the truncated exponential; the
+    # series refuses the same input
+    with pytest.raises(errors.OutOfRange, match=r"^\(k - 1\) d must be finite, got -inf$"):
+        proxy.truncation_error_direct(-1e300, 1e300, 2)
+    with pytest.raises(errors.OutOfRange):
+        proxy.truncation_error_series(-1e300, 1e300, 2)
+
+
+@pytest.mark.parametrize("m", [2, 10**300], ids=["2", "1e300"])
+def test_penalty_exp_refuses_a_window_past_the_last(m):
+    assert WINDOW.m_count == 1 and WINDOW.penalty_exp(1) > 0
+    with pytest.raises(errors.OutOfRange, match="^m must be <= 1, the window count$"):
+        WINDOW.penalty_exp(m)

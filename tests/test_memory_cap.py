@@ -58,17 +58,22 @@ ROUTES = {
     "congruence_energy": (lambda: moments.congruence_energy(101, 30),
                           2 * (30 * 30 + 1) + 4 * 101 + errors.NUMPY_BUFFER_BYTES,
                           [(rmf.np, "zeros")]),
-    "all_char_sums_fft": (lambda: charsum.all_char_sums_fft(MOD, 30), 32 * 100,
+    # per residue 32 B a real row, 56 B a complex one and 64 B either at a rough
+    # length, once 20 B for the plan (140 B rough), and per folded term 32 B plus
+    # the weight's 8 B (16 B complex) a row
+    "all_char_sums_fft": (lambda: charsum.all_char_sums_fft(MOD, 30), (32 + 20) * 100,
                           [(charsum.np, "zeros")]),
-    "all_char_sums_fft_rough": (lambda: charsum.all_char_sums_fft(ROUGH_MOD, 30), 160 * 4126,
-                                [(charsum.np, "zeros")]),
-    # 56 B per row per residue, and the plan's 20 B at length 100 or 140 B at 4,126
+    "all_char_sums_fft_rough": (lambda: charsum.all_char_sums_fft(ROUGH_MOD, 30),
+                                (64 + 140) * 4126, [(charsum.np, "zeros")]),
     "weighted_char_sums": (lambda: charsum.weighted_char_sums(MOD, np.arange(1, 21),
                                                               np.ones((3, 20))),
-                           (56 * 3 + 20) * 100, [(charsum.np, "zeros")]),
+                           (32 * 3 + 20) * 100 + (32 + 8 * 3) * 20, [(charsum.np, "zeros")]),
+    "weighted_char_sums_complex": (
+        lambda: charsum.weighted_char_sums(MOD, np.arange(1, 21), np.ones((3, 20), complex)),
+        (56 * 3 + 20) * 100 + (32 + 16 * 3) * 20, [(charsum.np, "zeros")]),
     "weighted_char_sums_rough": (lambda: charsum.weighted_char_sums(ROUGH_MOD, np.arange(1, 21),
                                                                     np.ones(20)),
-                                 (56 + 140) * 4126, [(charsum.np, "zeros")]),
+                                 (64 + 140) * 4126 + (32 + 8) * 20, [(charsum.np, "zeros")]),
     "mc_estimate": (lambda: rmf.mc_estimate(1, 50, 10, lambda: lambda c: np.zeros(c.size), 7, 100),
                     10 * 7 + 100 + rmf.TRIAL_BYTES * 50, [(rmf, "derive_trial_seeds")]),
     "rmf_moment_mc": (lambda: moments.rmf_moment_mc(100.0, 2.0, trials=50, seed=1, batch=10),
@@ -137,6 +142,35 @@ def test_euler_default_batch_follows_lowered_cap(monkeypatch):
     assert max(rows) == 3 and sum(rows) == 3000  # two workers of 3 rows
     monkeypatch.undo()
     assert got == euler.mc_product_estimate(SPEC, 3000, seed=4, batch=4, threads=1)
+
+
+# a count of more than 12 digits in scientific notation, not 201 to 401 digits
+HUGE_COUNTS = {
+    "theta_all": lambda: theta.theta_all(MOD, trunc=1e300),
+    "pair_counts": lambda: rmf.pair_counts(1e200, "uint16"),
+    "pair_counts_int": lambda: rmf.pair_counts(10**400, "uint16"),
+    "derive_trial_seeds": lambda: rmf.derive_trial_seeds(0, 10**300),
+    "rmf_moment_mc": lambda: moments.rmf_moment_mc(10.0, 2.0, trials=10**300, seed=1),
+    "congruence_energy": lambda: moments.congruence_energy(101, 1e300),
+    "check_rough_count": lambda: verify.check_rough_count(1, 10**300, 5, Calibration()),
+}
+
+
+@pytest.mark.parametrize("route", sorted(HUGE_COUNTS))
+def test_huge_counts_are_brief_in_refusals(route):
+    with pytest.raises(TooLarge) as info:
+        HUGE_COUNTS[route]()
+    assert len(str(info.value)) < 160, str(info.value)
+
+
+def test_refusal_writes_long_digit_runs_briefly():
+    with pytest.raises(TooLarge) as info:
+        errors.check_bytes(10**400, "rows of 123456789012 and 1234567890123 entries"
+                                    " in (0.30000000000000004, 1.2345678901234567e+20]")
+    # a float's digits are left as they are
+    assert str(info.value).startswith("rows of 123456789012 and 1.235e+12 entries"
+                                      " in (0.30000000000000004, 1.2345678901234567e+20]"
+                                      " would take ")
 
 
 def test_refusal_gives_the_size_in_scientific_notation():

@@ -1,0 +1,57 @@
+"""Each charged route's peak memory stays inside the largest charge it made.
+
+test_memory_cap.py pins what each route charges; this module checks that
+the charge covers what the route really holds at its peak.  Each call runs
+in a fresh interpreter, with numpy and scipy.fft imported and the modulus
+built first, so that neither a library a route loads inside nor an earlier
+call's freed memory is counted.  The peak is the growth of VmHWM in
+/proc/self/status over the call, from VmRSS just before it.  tracemalloc
+would miss pocketfft's scratch and plans.
+"""
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+ALLOWANCE = 1 << 20  # page rounding and small Python objects
+
+SCRIPT = r"""
+import json, re, sys
+import numpy as np, scipy.fft
+from charmoments import charsum, errors, theta
+from charmoments.modarith import build_modulus
+
+def status(key):
+    with open("/proc/self/status") as f:
+        return int(re.search(rf"{key}:\s+(\d+) kB", f.read()).group(1)) << 10
+
+charges, check = [], errors.check_bytes
+def recording(nbytes, what):
+    charges.append(nbytes)
+    check(nbytes, what)
+for module in (charsum, theta):
+    module.check_bytes = recording
+
+mod = build_modulus(int(sys.argv[1]))
+call = {"theta_all": lambda: theta.theta_all(mod),
+        "theta_moment": lambda: theta.theta_moment(mod, 1.0, "odd")}[sys.argv[2]]
+before = status("VmRSS")
+call()
+print(json.dumps({"growth": status("VmHWM") - before, "charge": max(charges)}))
+"""
+
+
+# 262,656 = 2^9 * 3^3 * 19 is smooth; 65,542 = 2 * 32,771 is rough, so scipy.fft
+@pytest.mark.parametrize("q", [262_657, 65_543])
+@pytest.mark.parametrize("route", ["theta_all", "theta_moment"])
+def test_theta_peak_within_its_largest_charge(q, route):
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(q), route], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH="src"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert 0 < got["growth"] <= got["charge"] + ALLOWANCE, got
