@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import OutOfRange
 
 ENV_VAR = "CHARMOMENTS_CALIBRATION"
 
@@ -52,7 +52,7 @@ def load(path: str | None = None) -> Calibration:
 
     An unreadable file, text that is not UTF-8 JSON, a top level that is not
     an object, an unknown key, a value that is not a finite real number >= 0,
-    or sieve_ratio_lo > sieve_ratio_hi raises DomainError.
+    or sieve_ratio_lo > sieve_ratio_hi raises OutOfRange.
     """
     if path is None:
         path = os.environ.get(ENV_VAR)
@@ -62,22 +62,22 @@ def load(path: str | None = None) -> Calibration:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise DomainError(f"cannot read calibration file: {exc}") from exc
+        raise OutOfRange(f"cannot read calibration file: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise DomainError(f"calibration file {path} is not UTF-8 JSON: {exc}") from exc
+        raise OutOfRange(f"calibration file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise DomainError(f"calibration file must hold a JSON object, got {type(data).__name__}")
+        raise OutOfRange(f"calibration file must hold a JSON object, got {type(data).__name__}")
     known = {f.name for f in dataclasses.fields(Calibration)}
     unknown = set(data) - known
     if unknown:
-        raise DomainError(f"unknown calibration keys: {sorted(unknown)}")
+        raise OutOfRange(f"unknown calibration keys: {sorted(unknown)}")
     for key, value in data.items():
         # a JSON integer may exceed every float; NaN fails both comparisons
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not 0 <= value <= sys.float_info.max):
-            raise DomainError(f"calibration {key} must be a finite number >= 0, got {value!r}")
+            raise OutOfRange(f"calibration {key} must be a finite number >= 0, got {value!r}")
     cal = Calibration(**data)
     if cal.sieve_ratio_lo > cal.sieve_ratio_hi:
-        raise DomainError(f"calibration sieve_ratio_lo = {cal.sieve_ratio_lo} exceeds "
+        raise OutOfRange(f"calibration sieve_ratio_lo = {cal.sieve_ratio_lo} exceeds "
                          f"sieve_ratio_hi = {cal.sieve_ratio_hi}")
     return cal

@@ -8,9 +8,9 @@ rmf-mc and verify (the seed is null for the others, which sample nothing or
 take --weights-seed), --threads to rmf-mc, and --calibration, with the
 CHARMOMENTS_CALIBRATION file it defaults to, to verify.
 
-Exit codes: 0 success, 1 a verification check failed, 2 invalid input (a
-package error), 3 resource limit refused, 4 internal error, 141 stdout closed
-before the document was written (128 + SIGPIPE, e.g. piped into head).
+Exit codes: 0 success, 1 a verification check failed, 2 OutOfRange or
+QuadratureFailure, 3 TooLarge, 4 internal error, 141 stdout closed before
+the document was written (128 + SIGPIPE, e.g. piped into head).
 """
 from __future__ import annotations
 
@@ -134,6 +134,8 @@ def _cmd_verify(args) -> tuple[list | dict, int]:
 
 
 def _cmd_theta(args) -> tuple[list | dict, int]:
+    if args.moment is not None and args.char is not None:  # it would be written to config unused
+        raise OutOfRange("--char does not apply with --moment")
     results = []
     for q in args.q:
         mod = build_modulus(q)

@@ -1,10 +1,14 @@
-"""Exception types shared across the package.
+"""The package's refusals: four exception classes and the guards that raise them.
 
-Every guard in the library raises one of these rather than a bare ValueError;
-at_least checks every real argument with a lower end, whole every integer one.
-The CLI exits 2 on these alone (3 on TooLarge), so a ValueError from a bug reads
-as an internal error.  Every byte budget is charged by check_bytes, which reads
-DEFAULT_MEMORY_CAP when called: lowering it lowers the whole package's.
+A bad argument raises OutOfRange (the CLI exits 2), a request past a count
+or byte cap TooLarge (exit 3), and a rule that did not converge
+QuadratureFailure (exit 2); all derive from CharmomentsError, and no guard
+raises a bare ValueError, so one from a bug reads as an internal error.
+at_least checks every real argument with a lower end, whole every integer
+one, at_most every count cap.  Every byte budget is charged by check_bytes,
+which reads DEFAULT_MEMORY_CAP when called: lowering it lowers the whole
+package's.  CharmomentsError writes each whole number of 13 or more digits
+in its text as %.3e, so no refusal spells out a huge argument.
 """
 import math
 import numbers
@@ -16,31 +20,41 @@ DEFAULT_MEMORY_CAP = 2 << 30
 # of a ufunc or einsum, at most 8192 entries of 8 B for each of two operands,
 # and 4 KiB of array headers.
 NUMPY_BUFFER_BYTES = 2 * 8 * 8192 + 4096
+_LONG_WHOLE = re.compile(r"(?<![.\d])\d{13,}(?![.\d])")
 
 
 class CharmomentsError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; long whole numbers read as %.3e."""
+
+    def __init__(self, message: str):
+        super().__init__(_LONG_WHOLE.sub(lambda n: f"{Decimal(n[0]):.3e}", message))
 
 
-class NotPrime(CharmomentsError):
-    """A modulus that must be prime is not."""
+class OutOfRange(CharmomentsError):
+    """An argument lies outside the domain the package computes on."""
 
 
 class TooLarge(CharmomentsError):
     """Refusal: the request would exceed a configured size or memory cap."""
 
 
+class QuadratureFailure(CharmomentsError):
+    """Numerical integration did not reach the requested accuracy."""
+
+
 def check_bytes(nbytes: int, what: str) -> None:
     """Refuse with TooLarge when what would take more than DEFAULT_MEMORY_CAP bytes."""
-    if nbytes > DEFAULT_MEMORY_CAP:  # the size, and any whole count of 13 or more digits, as %.3e
-        what = re.sub(r"(?<![.\d])\d{13,}(?![.\d])", lambda n: f"{Decimal(n[0]):.3e}", what)
+    if nbytes > DEFAULT_MEMORY_CAP:
         size = Decimal(nbytes)  # exact, past the float range too
         raise TooLarge(f"{what} would take {size:.3e} bytes ({size / 2**20:.3e} MiB), "
                        f"cap is {DEFAULT_MEMORY_CAP}")
 
 
-class OutOfRange(CharmomentsError):
-    """An argument lies outside the domain an object was built for."""
+def at_most(value, most, what: str):
+    """value; TooLarge when above most, the cap of a count."""
+    if value > most:
+        raise TooLarge(f"{what} = {value} exceeds cap {most}")
+    return value
 
 
 def at_least(value, least, what: str):
@@ -63,31 +77,3 @@ def whole(value, least, what: str) -> int:
     if not isinstance(value, numbers.Integral) and at_least(value, -math.inf, what) % 1:
         raise OutOfRange(f"{what} must be a whole number, got {value}")
     return at_least(int(value), least, what)
-
-
-class HypothesisViolated(CharmomentsError):
-    """Parameters do not satisfy the hypothesis a formula needs."""
-
-
-class Divergent(CharmomentsError):
-    """An integral or product does not converge for these parameters."""
-
-
-class InfeasibleParams(CharmomentsError):
-    """No parameter chain satisfying the construction constraints exists."""
-
-
-class LengthViolation(CharmomentsError):
-    """A polynomial is too long for the orthogonality range it is used in."""
-
-
-class DomainError(CharmomentsError):
-    """An input violates a documented precondition."""
-
-
-class QuadratureFailure(CharmomentsError):
-    """Numerical integration did not reach the requested accuracy."""
-
-
-class Degenerate(CharmomentsError):
-    """Input data carries no usable signal (e.g. coincident scales in a fit)."""

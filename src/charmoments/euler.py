@@ -26,14 +26,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import primes, rmf
-from .errors import Divergent, HypothesisViolated, QuadratureFailure, at_least, check_bytes
+from .errors import OutOfRange, QuadratureFailure, at_least, check_bytes
 
 HYPOTHESIS_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
 class EulerProductSpec:
-    """Two-factor Euler product parameters; HypothesisViolated off the closed form's hypothesis."""
+    """Two-factor Euler product parameters; OutOfRange off the closed form's hypothesis."""
 
     alpha: float
     beta: float
@@ -47,13 +47,13 @@ class EulerProductSpec:
     def __post_init__(self) -> None:
         for f in fields(self):
             if not math.isfinite(value := getattr(self, f.name)):
-                raise HypothesisViolated(f"{f.name} must be finite, got {value}")
+                raise OutOfRange(f"{f.name} must be finite, got {value}")
         if min(self.alpha, self.beta, self.sigma1, self.sigma2) < 0:
-            raise HypothesisViolated("alpha, beta, sigma1, sigma2 must be >= 0")
+            raise OutOfRange("alpha, beta, sigma1, sigma2 must be >= 0")
         # a product, not **, so a huge alpha gives need = inf and no OverflowError
         need = HYPOTHESIS_FACTOR * (1.0 + max(self.alpha * self.alpha, self.beta * self.beta))
         if not (need <= self.z < self.y):
-            raise HypothesisViolated(f"need {need:.6g} <= z < y, got z = {self.z}, y = {self.y}")
+            raise OutOfRange(f"need {need:.6g} <= z < y, got z = {self.z}, y = {self.y}")
 
     @property
     def product_primes(self) -> np.ndarray:
@@ -105,7 +105,7 @@ def pair_factor_expectation(p, alpha: float, sigma1: float,
     with r_j = p^{-1/2-sigma_j} and Delta = dt*log(p).  The integrand is
     periodic and analytic, so the trapezoid rule on N nodes errs by
     O(max(r1, r2)^N): N doubles from 16 until two estimates agree within
-    _ANGLE_TOL, else QuadratureFailure.  Raises Divergent when a radius
+    _ANGLE_TOL, else QuadratureFailure.  Raises OutOfRange when a radius
     reaches 1.
     Returns an array shaped like p (a float for one p).
     """
@@ -121,7 +121,7 @@ def pair_factor_expectation(p, alpha: float, sigma1: float,
         r1, r2 = pb ** (-0.5 - sigma1), pb ** (-0.5 - sigma2)
         bad = pb[(alpha > 0) & (r1 >= 1.0) | (beta > 0) & (r2 >= 1.0)]
         if bad.size:
-            raise Divergent(f"unit-disc radius reached 1 at p = {bad[0]}")
+            raise OutOfRange(f"unit-disc radius reached 1 at p = {bad[0]}")
         args = (r1, r2, dt * np.log(pb), alpha, beta)
         n, total = 16, _angle_node_sums(np.arange(16) * (math.pi / 8), *args)
         est = total / n

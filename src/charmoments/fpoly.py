@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import TooLarge, whole
+from .errors import at_most, whole
 
 POWER_CAP = 64  # an exact oracle at desk sizes: verify raises to j <= 4
 
@@ -63,9 +63,7 @@ class FPoly:
         return self * self.conj()
 
     def power(self, j: int) -> "FPoly":
-        j = whole(j, 0, "j")
-        if j > POWER_CAP:
-            raise TooLarge(f"power {j} exceeds cap {POWER_CAP}")
+        j = at_most(whole(j, 0, "j"), POWER_CAP, "power")
         out = FPoly.const(1.0)
         for _ in range(j):
             out = out * self

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import primes
-from .errors import NotPrime, TooLarge, check_bytes, whole
+from .errors import OutOfRange, at_most, check_bytes, whole
 
 # A modulus holds 28 bytes per residue: the int64 discrete-log table (8 B),
 # the lazily built complex128 root-of-unity table (16 B) and the memoised
@@ -72,16 +72,14 @@ def _primitive_root(q: int) -> int:
 def build_modulus(q: int) -> PrimeModulus:
     """Construct the discrete-log table for prime q.
 
-    Raises OutOfRange for a q that is negative or not a whole number, NotPrime for composite
-    q, TooLarge when q exceeds 2^31 or the tables would exceed
+    Raises OutOfRange for a q that is negative, not a whole number or
+    composite, TooLarge when q exceeds 2^31 or the tables would exceed
     errors.DEFAULT_MEMORY_CAP bytes.
     """
-    q = whole(q, 0, "q")
-    if q >= Q_CAP:
-        raise TooLarge(f"q = {q} exceeds the 2^31 cap")
+    q = at_most(whole(q, 0, "q"), Q_CAP - 1, "q")
     check_bytes(q * _BYTES_PER_RESIDUE, f"the tables for q = {q}")
     if not primes.is_prime(q):
-        raise NotPrime(f"q = {q} is not prime")
+        raise OutOfRange(f"q = {q} is not prime")
     g = _primitive_root(q)
     dlog = np.full(q, -1, dtype=np.int64)
     if q == 2:

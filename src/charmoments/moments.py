@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rmf
 from .charsum import abs_char_sums
-from .errors import NUMPY_BUFFER_BYTES, Degenerate, DomainError, at_least, check_bytes, whole
+from .errors import NUMPY_BUFFER_BYTES, OutOfRange, at_least, check_bytes, whole
 from .modarith import PrimeModulus
 
 
@@ -48,9 +48,9 @@ def char_moment(mod: PrimeModulus, x: float, k: float,
     calls for several k at the same (q, floor(x)) take one DFT between them.
     """
     if divisor not in ("phi", "nontrivial"):
-        raise DomainError(f"divisor must be 'phi' or 'nontrivial', got {divisor!r}")
+        raise OutOfRange(f"divisor must be 'phi' or 'nontrivial', got {divisor!r}")
     if divisor == "nontrivial" and mod.q < 3:
-        raise DomainError(f"q = {mod.q} has no non-principal character to divide by")
+        raise OutOfRange(f"q = {mod.q} has no non-principal character to divide by")
     at_least(k, 0, "k")
     half = abs_char_sums(mod, x)
     powers = _abs_power_2k(half, k)
@@ -133,15 +133,15 @@ def shape_fit(points: list[tuple[float, float]], k: float) -> ShapeFit:
     Needs at least 4 points with distinct finite scales > e; an infinite moment gives a NaN fit.
     """
     if len(points) < 4:
-        raise Degenerate("need at least 4 points")
+        raise OutOfRange("need at least 4 points")
     xs = np.array([at_least(p[0], -math.inf, "scale") for p in points], dtype=np.float64)
     ms = np.array([p[1] for p in points], dtype=np.float64)
     if np.unique(xs).size != xs.size:
-        raise Degenerate("scales must be distinct")
+        raise OutOfRange("scales must be distinct")
     if xs.min() <= math.e:
-        raise Degenerate("scales must exceed e for a log log abscissa")
+        raise OutOfRange("scales must exceed e for a log log abscissa")
     if ms.min() <= 0:
-        raise Degenerate("moments must be positive")
+        raise OutOfRange("moments must be positive")
     t = np.log(np.log(xs))
     yv = np.log(ms) - k * np.log(xs)
     a = np.vstack([t, np.ones_like(t)]).T

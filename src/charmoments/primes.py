@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 
-from .errors import TooLarge, at_least, whole
+from .errors import at_least, at_most, whole
 
 # Sieving refuses beyond this point; callers get an explicit error instead of
 # a silently partial prime list.
@@ -94,8 +94,7 @@ def primes_up_to(n: int | float) -> np.ndarray:
     Refuses n > SIEVE_CAP with TooLarge, leaving the table as it was.
     """
     n = int(math.floor(at_least(n, -math.inf, "n")))  # any finite n: below 2 there is no prime
-    if n > SIEVE_CAP:
-        raise TooLarge(f"sieve limit {n} exceeds cap {SIEVE_CAP}")
+    at_most(n, SIEVE_CAP, "sieve limit")
     ps = _grown(n)
     return ps[: np.searchsorted(ps, n, side="right")]
 
@@ -109,9 +108,7 @@ def primes_in(lo: float, hi: float) -> np.ndarray:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (p, exponent) pairs, by the table's primes p <= sqrt(n)."""
     n = whole(n, 1, "n")
-    r = math.isqrt(n)
-    if r > SIEVE_CAP:
-        raise TooLarge(f"factorizing {n} needs primes up to {r}, cap is {SIEVE_CAP}")
+    r = at_most(math.isqrt(n), SIEVE_CAP, f"the prime bound isqrt({n})")
     ps = _grown(r)  # not primes_up_to, so a traced run counts only outside calls
     out = []
     for p in ps[: np.searchsorted(ps, r, side="right")].tolist():

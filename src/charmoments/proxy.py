@@ -41,7 +41,7 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import InfeasibleParams, OutOfRange, TooLarge, at_least, check_bytes, whole
+from .errors import OutOfRange, at_least, at_most, check_bytes, whole
 from .fpoly import FPoly
 from .modarith import PrimeModulus
 from .rmf import RmfSample
@@ -62,8 +62,7 @@ def _edge(log_e: float) -> int:
     Refuses an edge past the sieve cap, where no window can be enumerated,
     before exp can overflow.
     """
-    if log_e > math.log(primes.SIEVE_CAP):
-        raise TooLarge(f"window edge e^{log_e:.6g} lies past the sieve cap {primes.SIEVE_CAP}")
+    log_e = at_most(log_e, math.log(primes.SIEVE_CAP), "log of the window edge")
     n = math.floor(math.exp(log_e))
     while math.log(n + 1) <= log_e:
         n += 1
@@ -175,23 +174,21 @@ def paper_params(x: float | None = None, *, log_x: float | None = None, k: float
         raise OutOfRange("C0 must be positive")
     log_y = log_x / c0
     if log_y <= 1.0:
-        raise InfeasibleParams("log log y undefined: need y > e")
+        raise OutOfRange("log log y undefined: need y > e")
     big_l = math.log(log_y)
     l2 = big_l * big_l
     if 20.0 * l2 < 1.0:
-        raise InfeasibleParams("window bracket for M is empty at this y")
+        raise OutOfRange("window bracket for M is empty at this y")
     m_count = 1 + max(0, math.ceil(math.log(l2) / _LOG20))
     if not (l2 <= 20.0 ** (m_count - 1) < 20.0 * l2):
-        raise InfeasibleParams("window bracket for M is empty at this y")
+        raise OutOfRange("window bracket for M is empty at this y")
     j_top = math.ceil(c0 / (DEPTH_FACTOR * k))
     js = [math.ceil(big_l**1.5)] + [j_top + m_count - m for m in range(2, m_count + 1)]
     params = _params(k, c0, log_x, log_y, js)
     budget = LENGTH_FACTOR * k * sum(lv.j * lv.log_hi for lv in params.levels)
     if not budget < log_x:
-        raise InfeasibleParams(
-            f"length constraint fails: 10^4*k*sum J_m log y_m = {budget:.4g} "
-            f">= log x = {log_x:.4g}"
-        )
+        raise OutOfRange(f"length constraint fails: 10^4*k*sum J_m log y_m = {budget:.4g} "
+                         f">= log x = {log_x:.4g}")
     return params
 
 
@@ -209,13 +206,11 @@ def desk_params(x: float | None = None, *, y: float, k: float, j_values=None,
     q = None if q is None else whole(q, 2, "q")
     js = [whole(j, 1, "j") for j in j_values] if j_values is not None else [2]
     if not js:
-        raise InfeasibleParams("j_values must list one depth >= 1 per window")
+        raise OutOfRange("j_values must list one depth >= 1 per window")
     log_y = math.log(y)
     params = _params(k, log_x / log_y, log_x, log_y, js)
     if q is not None and not params.fits_modulus(log_x, q):
-        raise InfeasibleParams(
-            f"x * prod y_m^(4 J_m) >= q = {q}: weights too long for this modulus"
-        )
+        raise OutOfRange(f"x * prod y_m^(4 J_m) >= q = {q}: weights too long for this modulus")
     return params
 
 
@@ -302,9 +297,7 @@ def poly_table(params: ProxyParams, sources) -> np.ndarray:
 
 def truncated_exp(d, depth: int, coef: float):
     """sum_{j <= depth <= DEPTH_CAP} (coef * d)^j / j!, elementwise over a scalar or array d."""
-    depth = whole(depth, 0, "depth")
-    if depth > DEPTH_CAP:
-        raise TooLarge(f"depth {depth} exceeds cap {DEPTH_CAP}")
+    depth = at_most(whole(depth, 0, "depth"), DEPTH_CAP, "depth")
     d = np.asarray(d, dtype=np.float64)
     acc = term = np.ones_like(d)
     for j in range(1, depth + 1):

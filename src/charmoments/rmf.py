@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import errors, primes
-from .errors import OutOfRange, TooLarge, at_least, check_bytes, whole
+from .errors import OutOfRange, at_least, at_most, check_bytes, whole
 
 _M64 = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -255,8 +255,7 @@ def exact_moment_2k(x: float, k: int) -> int:
     if k > 3:
         raise OutOfRange(f"k = {k} must be 1, 2, or 3")
     xf = int(math.floor(at_least(x, 1, "x")))
-    if xf**k > EXACT_MOMENT_CAP:
-        raise TooLarge(f"floor(x)^k = {xf**k} exceeds cap {EXACT_MOMENT_CAP}")
+    at_most(xf**k, EXACT_MOMENT_CAP, "floor(x)^k")
     if k == 1:
         return xf
     x2 = xf * xf

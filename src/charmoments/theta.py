@@ -18,8 +18,7 @@ import numpy as np
 
 from . import primes
 from .charsum import weighted_char_sums
-from .errors import (DomainError, OutOfRange, QuadratureFailure, TooLarge, at_least, check_bytes,
-                     whole)
+from .errors import OutOfRange, QuadratureFailure, at_least, at_most, check_bytes, whole
 from .modarith import PrimeModulus
 from .moments import MomentEstimate, _abs_power_2k
 from .rmf import RmfSample
@@ -69,7 +68,7 @@ def _folded_weights(mod: PrimeModulus, trunc: float) -> tuple[np.ndarray, np.nda
 def _parity_dft(mod: PrimeModulus, trunc: float, kappa: int) -> np.ndarray:
     """sum_{n<=trunc} chi_a(n) n^kappa e^{-pi n^2/q}, a <= q/2; theta(chi_a) if a % 2 == kappa."""
     if mod.q < 3:
-        raise DomainError("need an odd prime modulus")
+        raise OutOfRange("need an odd prime modulus")
     ns, w = _folded_weights(mod, trunc)
     return weighted_char_sums(mod, ns, w * ns**kappa)
 
@@ -98,7 +97,7 @@ def theta_naive(mod: PrimeModulus, a: int, trunc: float | None = None) -> comple
 def theta_moment(mod: PrimeModulus, k: float, parity: str) -> MomentEstimate:
     """(1/(q-1)) sum of |theta|^{2k} over one parity class, the even one without the principal."""
     if parity not in ("even", "odd"):
-        raise DomainError("parity must be 'even' or 'odd'")
+        raise OutOfRange("parity must be 'even' or 'odd'")
     at_least(k, 0, "k")
     kappa = 0 if parity == "even" else 1
     powers = _abs_power_2k(_parity_dft(mod, truncation_point(mod.q), kappa), k)
@@ -156,15 +155,14 @@ def _smooth_values(sample: RmfSample, y: float, cap: int) -> tuple[np.ndarray, n
     """
     ms = np.ones(1 if cap >= 1 else 0, dtype=np.int64)
     vals = np.ones(ms.size, dtype=np.complex128)
+    what = f"the count of {y}-smooth integers up to {cap}"
     count = np.searchsorted(sample.primes, y, side="right")
     for p, fv in zip(sample.primes[:count].tolist(), sample.fp[:count]):
         ms_parts, val_parts, size = [ms], [vals], ms.size
         power, fpow = p, fv
         while power <= cap:
             fit = ms <= cap // power
-            size += np.count_nonzero(fit)
-            if size > _SMOOTH_COUNT_CAP:
-                raise TooLarge(f"more than {_SMOOTH_COUNT_CAP} {y}-smooth integers up to {cap}")
+            size = at_most(size + np.count_nonzero(fit), _SMOOTH_COUNT_CAP, what)
             ms_parts.append(ms[fit] * power)
             val_parts.append(vals[fit] * fpow)
             power, fpow = power * p, fpow * fv
@@ -222,7 +220,7 @@ def mellin_transform_check(y_smooth: float, s: float, sample: RmfSample,
     is drawn only at the primes up to it, or when smooth_cap >= 2^63 (int64).
     """
     if not 0 < s < math.inf:
-        raise DomainError(f"need 0 < s < inf, got s = {s}")
+        raise OutOfRange(f"need 0 < s < inf, got s = {s}")
     if not 1 <= y_smooth <= sample.limit:
         raise OutOfRange(f"y = {y_smooth} must lie in [1, sample limit {sample.limit}]")
     smooth_cap = whole(smooth_cap, 0, "smooth_cap")

@@ -19,7 +19,7 @@ from . import euler, moments, primes, proxy, rmf, theta
 from .calibration import Calibration
 from .charsum import (abs_char_sums, all_char_sums_fft, all_char_sums_naive, mirror,
                       weighted_char_sums)
-from .errors import DomainError, LengthViolation, OutOfRange, at_least, check_bytes, whole
+from .errors import OutOfRange, at_least, check_bytes, whole
 from .fpoly import FPoly
 from .modarith import PrimeModulus, build_modulus
 
@@ -50,7 +50,7 @@ def _report(name: str, lhs: float, rhs: float, relation: str, tolerance: float,
     elif relation == "ge":
         passed = lhs >= rhs - slack
     else:
-        raise DomainError(f"unknown relation {relation!r}")
+        raise OutOfRange(f"unknown relation {relation!r}")
     ctx = dict(context or {})
     ctx.setdefault("scale", scale)
     return CheckReport(name=name, lhs=float(lhs), rhs=float(rhs), relation=relation,
@@ -68,7 +68,7 @@ def check_orthogonality_correspondence(mod: PrimeModulus, coeffs: np.ndarray,
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.size >= mod.q:
-        raise LengthViolation(f"polynomial length {coeffs.size} >= q = {mod.q}")
+        raise OutOfRange(f"polynomial length {coeffs.size} >= q = {mod.q}")
     ns = np.arange(1, coeffs.size + 1, dtype=np.int64)
     sums = weighted_char_sums(mod, ns, coeffs)
     lhs = float((np.abs(sums) ** 2).sum() / (mod.q - 1))
@@ -115,7 +115,7 @@ def check_bernoulli(xs) -> CheckReport:
     """prod(1 + x_i) >= 1 - sum |x_i| whenever every x_i >= -1."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size and xs.min() < -1.0:
-        raise DomainError("all inputs must be >= -1")
+        raise OutOfRange("all inputs must be >= -1")
     lhs = float(np.prod(1.0 + xs))
     rhs = float(1.0 - np.abs(xs).sum())
     return _report("product-lower-bound", lhs, rhs, "ge", 1e-12,
@@ -213,12 +213,12 @@ def check_parseval(coeffs: dict[int, complex], sigma: float, cal: Calibration,
     lambda}/(2 sigma) with lambda = |log(n/m)|, in closed form.
     """
     if sigma <= 0:
-        raise DomainError("need sigma > 0")
+        raise OutOfRange("need sigma > 0")
     if tol is None:
         tol = cal.parseval_random_tol
     ns = np.array(sorted(coeffs), dtype=np.int64)
     if ns.size == 0 or ns[0] < 1:
-        raise DomainError("coefficients must sit on integers >= 1")
+        raise OutOfRange("coefficients must sit on integers >= 1")
     an = np.array([coeffs[int(n)] for n in ns], dtype=np.complex128)
 
     # the partial sum through ns[i] holds on [ns[i], ns[i+1]), the last one to infinity
@@ -272,7 +272,7 @@ def check_surrogate_domination(params: proxy.ProxyParams, sources,
     Reports the smallest c that would have sufficed across all sources,
     windows, and shifts, and passes when it is below the ceiling.
     """
-    table = proxy.poly_table(params, sources)
+    table = proxy.poly_table(params, list(sources))
     needed = max(_domination_constant(table[..., m - 1], params.k, lv.j, params.penalty_exp(m))
                  for m, lv in enumerate(params.levels, start=1))
     return _report("surrogate-domination", needed, cal.surrogate_slack, "le",
@@ -309,17 +309,18 @@ def check_surrogate_grid(cal: Calibration) -> CheckReport:
 
 def check_subadditivity(params: proxy.ProxyParams, sources, cal: Calibration) -> CheckReport:
     """R^{k/(k-1)} <= sum_{l1,l2} prod_m R_{m,l1} R_{m,l2}^{1/(k-1)}, pointwise."""
+    sources = list(sources)
     worst = max((lhs - rhs) / max(rhs, 1e-300)
                 for lhs, rhs in proxy.subadditivity_split(params, sources))
     return _report("shift-subadditivity", worst, 0.0, "le", cal.chain_slack,
-                   scale=1.0, context={"sources": len(list(sources))})
+                   scale=1.0, context={"sources": len(sources)})
 
 
 def _weighted_table(mod: PrimeModulus, x: float, params: proxy.ProxyParams):
-    """|S_chi(x)| and R(chi) over every chi; LengthViolation unless x prod_m y_m^{4 J_m} < q,
+    """|S_chi(x)| and R(chi) over every chi; OutOfRange unless x prod_m y_m^{4 J_m} < q,
     the length up to which the character group resolves every index pair of |S|^2 R."""
     if not params.fits_modulus(math.log(x), mod.q):
-        raise LengthViolation(f"x * prod y_m^(4 J_m) >= q = {mod.q}: weights too long")
+        raise OutOfRange(f"x * prod y_m^(4 J_m) >= q = {mod.q}: weights too long")
     return mirror(abs_char_sums(mod, x), mod.q), proxy.proxy_weight_all_chars(mod, params)
 
 
@@ -357,6 +358,7 @@ def check_weighted_correspondence(mod: PrimeModulus, x: float,
 
 def check_even_orthogonality(mod: PrimeModulus, pairs, cal: Calibration) -> CheckReport:
     """Summed even-character relation against the n = +-m indicator."""
+    pairs = list(pairs)
     worst = 0.0
     for n, m in pairs:
         got = theta.even_char_orthogonality(mod, n, m)
@@ -365,7 +367,7 @@ def check_even_orthogonality(mod: PrimeModulus, pairs, cal: Calibration) -> Chec
             want = 0.0
         worst = max(worst, abs(got - want))
     return _report("even-orthogonality", worst, 0.0, "eq", cal.orthogonality_tol,
-                   scale=1.0, context={"q": mod.q, "pairs": len(list(pairs))})
+                   scale=1.0, context={"q": mod.q, "pairs": len(pairs)})
 
 
 def check_theta_moment_oracle(mod: PrimeModulus, cal: Calibration) -> CheckReport:
@@ -514,8 +516,7 @@ def run_suite(name: str, q: int, seed: int, cal: Calibration | None = None) -> l
     cal = cal or Calibration()
     seed = whole(seed, 0, "seed")
     if name != "full" and name not in SUITES:
-        raise DomainError(f"unknown suite {name!r}; choose from "
-                          f"{sorted(SUITES) + ['full']}")
+        raise OutOfRange(f"unknown suite {name!r}; choose from {sorted(SUITES) + ['full']}")
     names = list(SUITES) if name == "full" else [name]
     least = max(MIN_Q[n] for n in names)
     q = whole(q, -math.inf, "q")

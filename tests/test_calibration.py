@@ -3,7 +3,7 @@ import json
 import pytest
 
 from charmoments import calibration
-from charmoments.errors import DomainError
+from charmoments.errors import OutOfRange
 
 
 def test_defaults_when_unset(monkeypatch):
@@ -34,7 +34,7 @@ def test_explicit_path_beats_env(tmp_path, monkeypatch):
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"not_a_knob": 1.0}))
-    with pytest.raises(DomainError, match="not_a_knob"):
+    with pytest.raises(OutOfRange, match="not_a_knob"):
         calibration.load(str(p))
 
 
@@ -62,7 +62,7 @@ def test_json_round_trip(tmp_path):
 def test_malformed_values_rejected(tmp_path, content):
     p = tmp_path / "bad.json"
     p.write_text(content)
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange, match="^calibration "):
         calibration.load(str(p))
 
 
@@ -71,12 +71,12 @@ def test_undecodable_file_rejected(tmp_path, content):
     # malformed JSON and bytes that are not UTF-8 are refused as the package's error
     p = tmp_path / "bad.json"
     p.write_bytes(content)
-    with pytest.raises(DomainError, match="not UTF-8 JSON"):
+    with pytest.raises(OutOfRange, match="not UTF-8 JSON"):
         calibration.load(str(p))
 
 
 def test_unreadable_file_rejected(tmp_path):
-    with pytest.raises(DomainError, match="cannot read"):
+    with pytest.raises(OutOfRange, match="cannot read"):
         calibration.load(str(tmp_path / "missing.json"))
 
 

@@ -368,6 +368,13 @@ def test_theta_values_mode(capsys):
     assert rows[0]["value"]["im"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_theta_moment_refuses_char(capsys):
+    # the moments cover every character, so --char would be written to config unused
+    code, out, err = run(capsys, "theta", "--q", "13", "--moment", "1", "--char", "3")
+    assert code == 2
+    assert out == "" and err == "error: --char does not apply with --moment\n"
+
+
 def test_proxy_paper_dump(capsys):
     code, out, _ = run(capsys, "proxy", "--profile", "paper",
                        "--log-x", "1.6e8", "--c0", "4e5", "--k", "2")

@@ -3,7 +3,8 @@
 Each drawn command line is well formed for argparse, at small q.  Floats
 come from ordinary values and from 0, -1, 1e-300, 1e300, inf and nan.
 Every run must exit 0, 1, 2 or 3.  A document (exit 0 or 1) is strict
-JSON; a refusal (exit 2 or 3) is one stderr line and no traceback.  The
+JSON; a refusal (exit 2 or 3) is one stderr line of fewer than 200
+characters and no traceback.  The
 memory cap is lowered to 256 MiB, so a drawn size the package accepts stays
 small; one it refuses exits 3, as at any cap.
 """
@@ -124,6 +125,7 @@ def test_cli_fuzz(name):
         else:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert len(err) < 200, (argv, err)
             assert "Traceback" not in err
 
     run()

@@ -4,9 +4,10 @@ The library counterpart of test_cli_fuzz.py.  Each real argument is an
 ordinary small value three times in four, else one of 0, -1, 1e-300, 1e300,
 inf and nan; each integer argument is an ordinary int three times in
 four, else one of 2, 2.0, 2.5, True, 0, -1, 1e300, inf and nan.  Every call
-must return or raise a CharmomentsError, never a bare ValueError,
-OverflowError, TypeError or IndexError, and a call given a bool or a value
-that is not a whole number as an integer argument must raise OutOfRange.
+must return or raise a CharmomentsError of fewer than 200 characters, never
+a bare ValueError, OverflowError, TypeError or IndexError, and a call given
+a bool or a value that is not a whole number as an integer argument must
+raise OutOfRange.
 The memory cap is lowered to 256 MiB and the ordinary values are small, so an
 admitted size stays small and nothing sieves far.
 """
@@ -24,6 +25,7 @@ from charmoments.calibration import Calibration
 from charmoments.fpoly import FPoly
 
 SPECIAL = (0.0, -1.0, 1e-300, 1e300, math.inf, math.nan)
+SHORT = 200  # characters: a refusal names a huge number as %.3e, not in full
 INT_SPECIAL = (2, 2.0, 2.5, True, 0, -1, 1e300, math.inf, math.nan)
 MOD = modarith.build_modulus(101)
 NS = np.arange(1, 30)
@@ -174,14 +176,34 @@ def test_library_fuzz(name):
         with mock.patch.object(errors, "DEFAULT_MEMORY_CAP", 1 << 28):
             try:
                 call(*args)
-            except errors.OutOfRange:
-                pass
             except errors.CharmomentsError as exc:
-                assert not refused, f"{refused} refused as {exc!r}, not OutOfRange"
+                assert len(str(exc)) < SHORT, exc
+                assert not refused or isinstance(exc, errors.OutOfRange), \
+                    f"{refused} refused as {exc!r}, not OutOfRange"
             else:
                 assert not refused, f"{refused} taken as a whole number"
 
     run()
+
+
+# A huge argument to a count cap or a lower end, each refused in a short text
+HUGE_CASES = {
+    "rmf.exact_moment_2k": lambda: rmf.exact_moment_2k(1e300, 2),
+    "primes.factorize": lambda: primes.factorize(10**300),
+    "primes.primes_up_to": lambda: primes.primes_up_to(1e300),
+    "rmf.sample": lambda: rmf.sample(1, 1e300),
+    "proxy.truncated_exp": lambda: proxy.truncated_exp(1.0, 10**300, 1.0),
+    "modarith.build_modulus": lambda: modarith.build_modulus(10**300),
+    "fpoly.FPoly.power": lambda: FPoly.var(2).power(10**300),
+    "modarith.build_modulus negative": lambda: modarith.build_modulus(-(10**300)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_CASES))
+def test_huge_argument_is_refused_in_a_short_text(name):
+    with pytest.raises(errors.CharmomentsError) as info:
+        HUGE_CASES[name]()
+    assert len(str(info.value)) < SHORT, info.value
 
 
 # One integer argument each: its integral float gives the int's result bit for

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from charmoments import errors, modarith
-from charmoments.errors import NotPrime, TooLarge
+from charmoments.errors import OutOfRange, TooLarge
 from charmoments.modarith import build_modulus
 
 
@@ -74,9 +74,9 @@ def test_orthogonality_rows():
 
 
 def test_build_modulus_rejects():
-    with pytest.raises(NotPrime):
+    with pytest.raises(OutOfRange, match="q = 10 is not prime"):
         build_modulus(10)
-    with pytest.raises(NotPrime):
+    with pytest.raises(OutOfRange, match="q = 1 is not prime"):
         build_modulus(1)
     with pytest.raises(TooLarge):
         build_modulus(2**31 + 11)

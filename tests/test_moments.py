@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from charmoments import errors, moments, rmf
 from charmoments.calibration import Calibration
-from charmoments.errors import Degenerate, TooLarge
+from charmoments.errors import OutOfRange, TooLarge
 from charmoments.modarith import build_modulus
 from charmoments.primes import primes_up_to
 
@@ -154,9 +154,9 @@ def test_shape_fit_constant_data():
 
 
 def test_shape_fit_degenerate():
-    with pytest.raises(Degenerate):
+    with pytest.raises(OutOfRange, match="scales must be distinct"):
         moments.shape_fit([(10.0, 1.0), (10.0, 2.0), (20.0, 1.0), (20.0, 2.0)], 1.0)
-    with pytest.raises(Degenerate):
+    with pytest.raises(OutOfRange, match="need at least 4 points"):
         moments.shape_fit([(10.0, 1.0), (20.0, 2.0), (30.0, 1.5)], 1.0)  # < 4 points
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from charmoments import primes, proxy, rmf
-from charmoments.errors import InfeasibleParams, OutOfRange
+from charmoments.errors import OutOfRange
 from charmoments.modarith import build_modulus
 
 
@@ -20,12 +20,12 @@ def test_paper_profile_frozen_chain():
 
 def test_paper_profile_length_constraint():
     # log y = 400 chain needs budget 2e4*(15+40+400) = 9.1e6 > log x = 4e6
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(OutOfRange, match="length constraint fails"):
         proxy.paper_params(log_x=4.0e6, k=2.0, c0=1.0e4)
 
 
 def test_paper_profile_needs_deep_y():
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(OutOfRange, match="length constraint fails"):
         proxy.paper_params(log_x=100.0, k=2.0, c0=50.0)
 
 
@@ -34,7 +34,7 @@ def test_desk_profile_chain_and_guard():
     assert d.m_count == 1
     assert d.poly_length_log() == pytest.approx(4.0 * math.log(2.0))
     # guard: x * y^{4J} = 6*16 = 96 < 101 passes; q=89 fails
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(OutOfRange, match="weights too long for this modulus"):
         proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1], q=89)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmoments import errors, rmf, theta
-from charmoments.errors import DomainError, OutOfRange, QuadratureFailure, TooLarge
+from charmoments.errors import OutOfRange, QuadratureFailure, TooLarge
 from charmoments.modarith import build_modulus
 
 
@@ -105,7 +105,7 @@ def test_odd_scales_above_even():
 
 
 def test_parity_validation(mod13):
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange, match="parity must be 'even' or 'odd'"):
         theta.theta_moment(mod13, 1.0, "both")
 
 
@@ -180,7 +180,7 @@ def test_mellin_peak_memory_within_charge(monkeypatch, s):
 def test_mellin_refuses_s_outside_the_half_line():
     sample = rmf.sample(1, 10)
     for s in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="0 < s < inf"):
+        with pytest.raises(OutOfRange, match="0 < s < inf"):
             theta.mellin_transform_check(1.0, s, sample)
 
 
@@ -244,7 +244,7 @@ def test_mellin_refuses_y_beyond_sample():
     (1.0, 1e-320, 10**12, TooLarge, "s = 1e-320"),   # s * tol underflows to 0
     (math.nan, 1.0, 10**12, OutOfRange, "y = nan"),
     (0.5, 1.0, 10**12, OutOfRange, "y = 0.5"),
-    (1.0, 1.0, 10**19, OutOfRange, "smooth_cap = 10000000000000000000"),
+    (1.0, 1.0, 10**19, OutOfRange, r"smooth_cap = 1\.000e\+19 must"),
 ])
 def test_mellin_refuses_with_package_errors(y, s, cap, error, name):
     with pytest.raises(error, match=name):

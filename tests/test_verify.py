@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from charmoments import charsum, euler, moments, proxy, verify
+from charmoments import charsum, euler, moments, proxy, rmf, verify
 from charmoments.calibration import Calibration
-from charmoments.errors import DomainError, LengthViolation, OutOfRange
+from charmoments.errors import OutOfRange
 from charmoments.modarith import build_modulus
 
 CAL = Calibration()
@@ -21,7 +21,7 @@ def test_report_relations():
     assert not r.passed
     r = verify._report("t", 2.0, 1.0, "ge", 0.0)
     assert r.passed
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange, match="unknown relation"):
         verify._report("t", 1.0, 1.0, "??", 0.0)
 
 
@@ -34,12 +34,12 @@ def test_orthogonality_correspondence_delta(mod101):
 
 
 def test_orthogonality_requires_short_polynomials(mod101):
-    with pytest.raises(LengthViolation):
+    with pytest.raises(OutOfRange, match="polynomial length 101 >= q = 101"):
         verify.check_orthogonality_correspondence(mod101, np.ones(101), CAL)
 
 
 def test_bernoulli_domain(mod101):
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange, match="all inputs must be >= -1"):
         verify.check_bernoulli([-1.5])
     assert verify.check_bernoulli([-0.5, 0.25, 0.1]).passed
 
@@ -90,9 +90,9 @@ def test_parseval_random_supports_agree(sigma, seed):
 
 
 def test_parseval_rejects_bad_support():
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange, match="coefficients must sit on integers >= 1"):
         verify.check_parseval({0: 1.0}, 0.5, CAL)
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange, match="need sigma > 0"):
         verify.check_parseval({1: 1.0}, 0.0, CAL)
 
 
@@ -133,6 +133,29 @@ def test_rough_count_below_window_reports_lower_end():
 def test_series_consistency_check():
     insts = [(1.0, 2.0, 1), (-1.5, 3.0, 2), (2.0, 2.5, 4)]
     assert verify.check_series_consistency(insts, CAL).passed
+
+
+# a check that takes an iterable reads it once, so a generator reports as its list does
+def test_even_orthogonality_takes_a_generator(mod101):
+    pairs = [(3, 98), (5, 5), (2, 7)]
+    got = verify.check_even_orthogonality(mod101, (p for p in pairs), CAL)
+    assert got == verify.check_even_orthogonality(mod101, pairs, CAL)
+    assert got.context["pairs"] == 3
+
+
+def test_subadditivity_takes_a_generator():
+    params = proxy.desk_params(x=4.0, y=8.0, k=2.5, j_values=[1])
+    sources = [proxy.SampleSource(rmf.sample(s, 25)) for s in range(4)]
+    got = verify.check_subadditivity(params, (s for s in sources), CAL)
+    assert got == verify.check_subadditivity(params, sources, CAL)
+    assert got.context["sources"] == 4
+
+
+def test_surrogate_domination_takes_a_generator():
+    params = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[2])
+    sources = [proxy.SampleSource(rmf.sample(s, 25)) for s in range(4)]
+    got = verify.check_surrogate_domination(params, (s for s in sources), CAL)
+    assert got == verify.check_surrogate_domination(params, sources, CAL)
 
 
 def test_surrogate_grid_check():
@@ -211,7 +234,7 @@ def test_holder_chain_strict(mod101):
 
 def test_weighted_correspondence_guard(mod101):
     params = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[2])
-    with pytest.raises(LengthViolation):
+    with pytest.raises(OutOfRange, match="weights too long"):
         verify.check_weighted_correspondence(mod101, 6.0, params, CAL)
 
 
@@ -240,7 +263,7 @@ def test_holder_cross_moment_matches_exact_route(mod101):
                          ids=["holder", "correspondence"])
 def test_cross_moment_length_guard(mod101, check):
     d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[2])
-    with pytest.raises(LengthViolation):
+    with pytest.raises(OutOfRange, match="weights too long"):
         check(mod101, 6, d, CAL)
 
 
@@ -310,7 +333,7 @@ def test_full_suite_is_union():
     ("euler", 2, 1),
     ("proxy", 3, 2),       # no character index in [1, q - 2] below
     ("theta", 3, 2),       # "need an odd prime modulus" below
-    ("holder", 37, 31),    # InfeasibleParams from desk_params below
+    ("holder", 37, 31),    # the desk_params refusal below
     ("full", 37, 31),      # the largest bound of its suites
 ])
 def test_suite_smallest_q(name, least, below):
@@ -320,7 +343,7 @@ def test_suite_smallest_q(name, least, below):
 
 
 def test_unknown_suite():
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange, match="unknown suite 'nosuchsuite'"):
         verify.run_suite("nosuchsuite", 101, 1)
 
 

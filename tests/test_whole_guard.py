@@ -5,8 +5,9 @@ own parameters, or on at_least of one: int() truncates 2.5 to 2 and raises a
 bare ValueError or OverflowError on NaN or inf.  Nor may it raise on a lower
 bound of an int-annotated parameter that it tests by hand (n < 1, 0 > n, or
 k not in (1, 2, 3)): errors.whole refuses a bool, a fraction, NaN, inf and a
-value below its least, all as OutOfRange.  Upper ends (k > 3, q >= Q_CAP)
-keep their own checks.  The rules read the syntax tree, as
+value below its least, all as OutOfRange.  Upper ends keep their own checks
+(k > 3), or go through errors.at_most (q < 2^31 and the other count caps,
+which test_refusal_guard.py holds).  The rules read the syntax tree, as
 test_api_surface.py does.
 """
 import ast
