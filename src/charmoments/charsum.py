@@ -5,9 +5,9 @@ over all characters is the length-(q-1) discrete Fourier transform (with the
 e^{+2*pi*i*a*j/(q-1)} sign convention) of the indicator b_j = [g^j mod q <= x].
 One FFT therefore replaces q-1 separate summations; as b is real, a real FFT
 gives a = 0 .. (q-1)//2 and S_{chi_{-a}} = conj(S_{chi_a}) gives the rest.
-Callers that need only |S_chi(x)| read abs_char_sums, which keeps the
-magnitudes of one floor(x) on the modulus, so several moments at the same
-(q, x) share one DFT.
+Callers that need only |S_chi(x)| read abs_char_sums, which keeps the magnitudes
+of one floor(x) on the modulus, so several moments at the same (q, x) share one
+DFT; power_sum sums |v_a|^{2k} of a half spectrum over a class of characters.
 The same fold with arbitrary weights, sum_n w_n chi(n), evaluates any weighted
 character polynomial for all characters simultaneously.
 
@@ -52,6 +52,18 @@ class PrefixSumTable:
 def mirror(half: np.ndarray, q: int) -> np.ndarray:
     """Entries a = 0 .. q-2 from the half spectrum a = 0 .. (q-1)//2: entry q-1-a is conj(half[a])."""
     return np.concatenate([half, np.conj(half[1 : q - half.size][::-1])])
+
+
+def power_sum(half: np.ndarray, q: int, k: float, start: int = 0,
+              step: int = 1) -> tuple[float, int]:
+    """(sum of |v_a|^{2k}, count) over the characters a = start, start + step, ... <= q - 2.
+
+    half holds v_a for a <= (q-1)//2 and |v_{q-1-a}| = |v_a|, so a mirrored entry counts
+    twice; step is 1, or 2 at an odd q, where a and q-1-a share a parity.  |v|^0 = 1.
+    """
+    powers = np.abs(half) ** (2.0 * k)
+    own, twins = powers[start::step], powers[max(start, 1) : q - half.size : step]
+    return float(own.sum() + twins.sum()), own.size + twins.size
 
 
 def _check_x(mod: PrimeModulus, x: float) -> int:

@@ -100,12 +100,9 @@ def _cmd_char_moment(args) -> tuple[list | dict, int]:
     mod = build_modulus(args.q)
     rows = []
     for x in args.x:
-        est = moments.char_moment(mod, x, args.k,
-                                  exclude_principal=not args.include_principal,
-                                  divisor=args.divisor)
-        row = {"q": args.q, "x": x, "k": args.k, "moment": est.value,
-               "kind": est.kind}
-        if args.k == 1.0 and not args.include_principal and args.divisor == "phi":
+        est = moments.char_moment(mod, x, args.k, exclude_principal=not args.include_principal)
+        row = {"q": args.q, "x": x, "k": args.k, "moment": est.value, "kind": est.kind}
+        if args.k == 1.0 and not args.include_principal:
             row["closed_form"] = moments.second_moment_closed_form(args.q, x)
         rows.append(row)
     return rows, 0
@@ -148,8 +145,9 @@ def _cmd_theta(args) -> tuple[list | dict, int]:
                             if even.value > 0 else None})
         else:
             idx = args.char if args.char is not None else list(range(min(8, q - 1)))
-            if any(not 0 <= a <= q - 2 for a in idx):
-                raise OutOfRange(f"--char indices must lie in [0, q - 2 = {q - 2}], got {idx}")
+            for a in idx:
+                if not 0 <= a <= q - 2:
+                    raise OutOfRange(f"--char index {a} must lie in [0, q - 2 = {q - 2}]")
             vals = theta.theta_all(mod)
             results.extend({"q": q, "a": a, "value": complex(vals[a].value),
                             "tail_bound": vals[a].tail_bound,
@@ -218,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--x", type=float, nargs="+", required=True)
     p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--divisor", choices=("phi", "nontrivial"), default="phi")
     p.add_argument("--include-principal", action="store_true")
     p.set_defaults(fn=_cmd_char_moment)
 

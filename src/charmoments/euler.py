@@ -105,10 +105,14 @@ def pair_factor_expectation(p, alpha: float, sigma1: float,
     with r_j = p^{-1/2-sigma_j} and Delta = dt*log(p).  The integrand is
     periodic and analytic, so the trapezoid rule on N nodes errs by
     O(max(r1, r2)^N): N doubles from 16 until two estimates agree within
-    _ANGLE_TOL, else QuadratureFailure.  Raises OutOfRange when a radius
-    reaches 1.
+    _ANGLE_TOL, else QuadratureFailure.  Raises OutOfRange, before the first
+    node, on a non-finite scalar or a radius that is not below 1 (NaN for a
+    NaN or negative p).
     Returns an array shaped like p (a float for one p).
     """
+    for name, value in (("alpha", alpha), ("sigma1", sigma1), ("beta", beta),
+                        ("sigma2", sigma2), ("dt", dt)):
+        at_least(value, -math.inf, name)
     # 16 B a prime, and 24 B a (row, node) cell of the largest block's newest
     # nodes, with one row more for the node vectors
     count = np.size(p)
@@ -119,7 +123,7 @@ def pair_factor_expectation(p, alpha: float, sigma1: float,
     for lo in range(0, count, _ANGLE_ROWS):
         pb = ps[lo : lo + _ANGLE_ROWS, None]
         r1, r2 = pb ** (-0.5 - sigma1), pb ** (-0.5 - sigma2)
-        bad = pb[(alpha > 0) & (r1 >= 1.0) | (beta > 0) & (r2 >= 1.0)]
+        bad = pb[(alpha > 0) & ~(r1 < 1.0) | (beta > 0) & ~(r2 < 1.0)]
         if bad.size:
             raise OutOfRange(f"unit-disc radius reached 1 at p = {bad[0]}")
         args = (r1, r2, dt * np.log(pb), alpha, beta)
@@ -210,6 +214,7 @@ def cosine_sum(t: float, y: float) -> CosineSumResult:
     log(1/|t|); |t| >= 10 like log log |t|.  The O(1) slack on each branch is
     an empirical calibration constant, reported by the verification checks.
     """
+    at_least(t, -math.inf, "t")
     ps = primes.primes_up_to(at_least(y, 2, "y")).astype(np.float64)
     value = float(math.fsum((np.cos(t * np.log(ps)) / ps).tolist()))
     at = abs(t)

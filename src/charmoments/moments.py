@@ -1,7 +1,7 @@
 """Moment computations: character averages, Monte Carlo estimates, shape fits.
 
-The 2k-th character moment is (1/divisor) sum over non-principal chi of
-|S_chi(x)|^{2k}.  At k = 1 with divisor q - 1 it has the closed form
+The 2k-th character moment is (1/(q-1)) sum over non-principal chi of
+|S_chi(x)|^{2k}.  At k = 1 it has the closed form
 floor(x) - floor(x)^2/(q-1).  The random multiplicative analogue is estimated
 by seeded Monte Carlo; agreement of the two at matched scales is the object
 of the verification checks rather than anything assumed here; verify also
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rmf
-from .charsum import abs_char_sums
+from .charsum import abs_char_sums, power_sum
 from .errors import NUMPY_BUFFER_BYTES, OutOfRange, at_least, check_bytes, whole
 from .modarith import PrimeModulus
 
@@ -30,37 +30,17 @@ class MomentEstimate:
     kind: str
 
 
-def _abs_power_2k(values: np.ndarray, k: float) -> np.ndarray:
-    """|v|^{2k} with the k = 0 convention |v|^0 = 1 (counting measure)."""
-    if k == 0:
-        return np.ones(values.shape)
-    return np.abs(values) ** (2.0 * k)
-
-
 def char_moment(mod: PrimeModulus, x: float, k: float,
-                exclude_principal: bool = True,
-                divisor: str = "phi") -> MomentEstimate:
-    """(1/divisor) sum over characters of |S_chi(x)|^{2k}, exactly.
+                exclude_principal: bool = True) -> MomentEstimate:
+    """(1/(q-1)) sum over the non-principal characters of |S_chi(x)|^{2k}, exactly.
 
-    divisor "phi" uses q - 1; "nontrivial" uses q - 2 (the count of
-    non-principal characters).  The summation range is controlled separately
-    by exclude_principal.  The magnitudes come from charsum.abs_char_sums, so
-    calls for several k at the same (q, floor(x)) take one DFT between them.
+    exclude_principal=False adds the principal character.  The magnitudes come
+    from charsum.abs_char_sums, so calls for several k at the same (q, floor(x))
+    take one DFT between them.
     """
-    if divisor not in ("phi", "nontrivial"):
-        raise OutOfRange(f"divisor must be 'phi' or 'nontrivial', got {divisor!r}")
-    if divisor == "nontrivial" and mod.q < 3:
-        raise OutOfRange(f"q = {mod.q} has no non-principal character to divide by")
     at_least(k, 0, "k")
-    half = abs_char_sums(mod, x)
-    powers = _abs_power_2k(half, k)
-    # |S_{chi_{-a}}| = |S_{chi_a}|: each mirrored entry stands for two characters
-    first = 1 if exclude_principal else 0
-    mirrored = mod.q - 1 - half.size
-    total = float(powers[first:].sum() + powers[1 : mirrored + 1].sum())
-    den = (mod.q - 1) if divisor == "phi" else (mod.q - 2)
-    n_terms = (mod.q - 2) if exclude_principal else (mod.q - 1)
-    return MomentEstimate(value=total / den, stderr=0.0, trials=n_terms,
+    total, count = power_sum(abs_char_sums(mod, x), mod.q, k, 1 if exclude_principal else 0)
+    return MomentEstimate(value=total / (mod.q - 1), stderr=0.0, trials=count,
                           kind="exact-characters")
 
 
@@ -110,7 +90,7 @@ def rmf_moment_mc(x: float, k: float, trials: int, seed: int,
     trials = whole(trials, 2, "trials")
 
     def make_per_batch():
-        return lambda chunk: _abs_power_2k(rmf.partial_sums_batch(chunk, x), k)
+        return lambda chunk: np.abs(rmf.partial_sums_batch(chunk, x)) ** (2.0 * k)
 
     mean, stderr = rmf.mc_estimate(seed, trials, batch, make_per_batch,
                                    rmf.batch_nbytes(1, xf), 0, threads)

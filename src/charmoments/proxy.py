@@ -290,6 +290,8 @@ def _window_polys_all_chars(mod: PrimeModulus, params: ProxyParams, m: int,
 
 def poly_table(params: ProxyParams, sources) -> np.ndarray:
     """D_{m,l}(s) for each source s, shift l (as shift_values) and window m, in that axis order."""
+    if not sources:
+        raise OutOfRange("need at least one source")
     shifts = params.shift_values()
     return np.stack([_window_polys(params, sources, m, shifts)
                      for m in range(1, params.m_count + 1)], axis=-1)

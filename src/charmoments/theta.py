@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primes
-from .charsum import weighted_char_sums
+from .charsum import power_sum, weighted_char_sums
 from .errors import OutOfRange, QuadratureFailure, at_least, at_most, check_bytes, whole
 from .modarith import PrimeModulus
-from .moments import MomentEstimate, _abs_power_2k
+from .moments import MomentEstimate
 from .rmf import RmfSample
 
 
@@ -100,11 +100,10 @@ def theta_moment(mod: PrimeModulus, k: float, parity: str) -> MomentEstimate:
         raise OutOfRange("parity must be 'even' or 'odd'")
     at_least(k, 0, "k")
     kappa = 0 if parity == "even" else 1
-    powers = _abs_power_2k(_parity_dft(mod, truncation_point(mod.q), kappa), k)
-    # a = kappa (mod 2) from 2 - kappa, past the principal; a mirrored entry counts twice
-    own, twins = powers[2 - kappa :: 2], powers[2 - kappa : mod.q - powers.size : 2]
-    return MomentEstimate(value=float(own.sum() + twins.sum()) / (mod.q - 1), stderr=0.0,
-                          trials=own.size + twins.size, kind="exact-characters")
+    total, count = power_sum(_parity_dft(mod, truncation_point(mod.q), kappa), mod.q, k,
+                             start=2 - kappa, step=2)
+    return MomentEstimate(value=total / (mod.q - 1), stderr=0.0, trials=count,
+                          kind="exact-characters")
 
 
 def even_char_orthogonality(mod: PrimeModulus, n: int, m: int) -> float:

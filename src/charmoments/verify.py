@@ -114,7 +114,7 @@ def check_fft_vs_naive(mod: PrimeModulus, x: float) -> CheckReport:
 def check_bernoulli(xs) -> CheckReport:
     """prod(1 + x_i) >= 1 - sum |x_i| whenever every x_i >= -1."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size and xs.min() < -1.0:
+    if xs.size and not xs.min() >= -1.0:  # NaN too
         raise OutOfRange("all inputs must be >= -1")
     lhs = float(np.prod(1.0 + xs))
     rhs = float(1.0 - np.abs(xs).sum())
@@ -212,8 +212,8 @@ def check_parseval(coeffs: dict[int, complex], sigma: float, cal: Calibration,
     pair, (1/pi) integral_0^inf cos(lambda t)/(sigma^2+t^2) dt = e^{-sigma
     lambda}/(2 sigma) with lambda = |log(n/m)|, in closed form.
     """
-    if sigma <= 0:
-        raise OutOfRange("need sigma > 0")
+    if not 0 < sigma < math.inf:
+        raise OutOfRange(f"need sigma > 0 and finite, got sigma = {sigma}")
     if tol is None:
         tol = cal.parseval_random_tol
     ns = np.array(sorted(coeffs), dtype=np.int64)
@@ -240,6 +240,8 @@ def check_parseval(coeffs: dict[int, complex], sigma: float, cal: Calibration,
 def check_series_consistency(instances, cal: Calibration) -> CheckReport:
     """Direct truncation error against the double-tail series on given (d, k, depth)."""
     instances = list(instances)
+    if not instances:
+        raise OutOfRange("need at least one (d, k, depth) instance")
     series = proxy.truncation_error_series(*(np.array(col) for col in zip(*instances)))
     worst = 0.0
     worst_inst = None

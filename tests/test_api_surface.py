@@ -15,7 +15,8 @@ so a mention in a comment or docstring does not count.
 A public method must be referenced by name somewhere in src/, perfbench/ or
 tests/test_acceptance.py, the same uses outside the unit tests.  A name a
 module imports must appear as a name in that module's own syntax tree; the
-re-exports marked noqa in __init__.py are exempt.
+re-exports marked noqa in __init__.py are exempt.  No module imports, or
+reads as ``mod._name``, a leading-underscore name of another package module.
 """
 import ast
 import pathlib
@@ -164,6 +165,28 @@ def _unused_imports(path):
 def test_no_unused_imports():
     unused = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unused_imports(path)]
     assert not unused, "imports nothing uses: " + ", ".join(unused)
+
+
+def _private_crossings(path):
+    """'file:line module._name' for each private name of another package module that path uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    ref = _resolver(tree, path.stem)
+    for node in ast.walk(tree):
+        hits = []
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            source = source if node.level else source.removeprefix("charmoments.")
+            hits = [(source, alias.name) for alias in node.names if source in MODULES]
+        elif isinstance(node, ast.Attribute) and (r := ref(node)) is not None:
+            hits = [r]
+        for module, name in hits:
+            if module != path.stem and name.startswith("_") and not name.startswith("__"):
+                yield f"{path.name}:{node.lineno} {module}.{name}"
+
+
+def test_no_private_name_crosses_modules():
+    crossings = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_crossings(path)]
+    assert not crossings, "private names used outside their module: " + ", ".join(crossings)
 
 
 def test_moments_imports_no_proxy_or_verify_layer():

@@ -141,7 +141,7 @@ def test_not_prime_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("theta", "--q", "101", "--char", "500"),
-    ("char-moment", "--q", "2", "--x", "1", "--divisor", "nontrivial"),
+    ("theta", "--q", "13", "--char", *map(str, range(81))),
     ("rmf-mc", "--x", "10", "--k", "-1"),
     ("char-moment", "--q", "101", "--x", "30", "--k", "-1"),
     ("theta", "--q", "101", "--moment", "-1"),
@@ -184,7 +184,7 @@ def test_invalid_input_exit_2(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli.rmf, "partial_sums_batch", no_mc)
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: ") and len(err) < 200
     if "paper" in argv and "--x" in argv:
         # --x reaches paper_params, which names the real reason
         assert "exactly one" not in err
@@ -202,6 +202,9 @@ def test_invalid_input_exit_2(monkeypatch, capsys, argv):
     if "desk" in argv and "--q" in argv:
         # refused by desk_params, not by math.log(q) in the length guard
         assert err == f"error: q = {argv[-1]} must be >= 2\n"
+    if argv[:3] == ("theta", "--q", "13"):
+        # the first index out of range is named, not the whole list of 81
+        assert err == "error: --char index 12 must lie in [0, q - 2 = 11]\n"
 
 
 def test_unexpected_exception_exit_4(monkeypatch, capsys):

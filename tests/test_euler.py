@@ -85,6 +85,23 @@ def test_pair_factor_divergence_guard():
         euler.pair_factor_expectation(0.9, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("alpha", math.nan), ("alpha", math.inf), ("sigma1", math.nan), ("dt", math.nan),
+    ("dt", math.inf), ("beta", math.inf), ("sigma2", -math.inf)])
+def test_pair_factor_refuses_non_finite_scalars(name, value):
+    # refused by name, not reported as an unresolved quadrature
+    args = {"alpha": 1.0, "sigma1": 0.0, "beta": 0.5, "sigma2": 0.0, "dt": 1.0, name: value}
+    with pytest.raises(OutOfRange, match=f"^{name} must be finite"):
+        euler.pair_factor_expectation(101.0, **args)
+
+
+@pytest.mark.parametrize("p", [math.nan, -2.0, np.array([101.0, math.nan])])
+def test_pair_factor_refuses_nan_radius(p):
+    # a NaN or negative p gives a NaN radius, refused before the first node
+    with np.errstate(invalid="ignore"), pytest.raises(OutOfRange, match="unit-disc radius"):
+        euler.pair_factor_expectation(p, 1.0, 0.0)
+
+
 SMALL_PRIMES = primes.primes_up_to(1000).tolist()
 
 

@@ -188,6 +188,13 @@ def test_poly_table_matches_level_poly():
             assert table[i, m] == pytest.approx(want, abs=1e-12)
 
 
+def test_poly_table_refuses_no_sources():
+    d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1])
+    for call in (proxy.poly_table, proxy.subadditivity_split):
+        with pytest.raises(OutOfRange, match="need at least one source"):
+            call(d, [])
+
+
 def test_surrogate_dominates_on_grid():
     # R^{1/(k-1)} <= (1 + c e^{-J}) U with c far below the calibrated ceiling
     worst = 0.0

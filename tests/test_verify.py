@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,12 @@ def test_bernoulli_domain(mod101):
     with pytest.raises(OutOfRange, match="all inputs must be >= -1"):
         verify.check_bernoulli([-1.5])
     assert verify.check_bernoulli([-0.5, 0.25, 0.1]).passed
+
+
+def test_bernoulli_refuses_nan():
+    # a NaN input is refused, not reported as a failed check
+    with pytest.raises(OutOfRange, match="all inputs must be >= -1"):
+        verify.check_bernoulli([0.5, math.nan])
 
 
 def test_parseval_delta_exact():
@@ -96,6 +104,20 @@ def test_parseval_rejects_bad_support():
         verify.check_parseval({1: 1.0}, 0.0, CAL)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+def test_parseval_refuses_non_finite_sigma(sigma):
+    # at sigma = inf both sides read 0.0 and the check would pass; NaN would fail it
+    with pytest.raises(OutOfRange, match="need sigma > 0 and finite"):
+        verify.check_parseval({1: 1.0, 3: 0.5j}, sigma, CAL)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_cosine_branch_refuses_non_finite_t(t):
+    # refused, not a NaN value that fails the check
+    with pytest.raises(OutOfRange, match="^t must be finite"):
+        verify.check_cosine_branch(t, 100.0, CAL)
+
+
 def test_even_moment_ratio_within_ceiling():
     r = verify.check_even_moment_ratio(
         {1: 1.0, 2: 1.0}, (2, 3), {2: 0.5, 3: 0.25}, {2: 0.1, 3: 0.0}, 3, CAL)
@@ -133,6 +155,19 @@ def test_rough_count_below_window_reports_lower_end():
 def test_series_consistency_check():
     insts = [(1.0, 2.0, 1), (-1.5, 3.0, 2), (2.0, 2.5, 4)]
     assert verify.check_series_consistency(insts, CAL).passed
+
+
+def test_series_consistency_refuses_no_instances():
+    with pytest.raises(OutOfRange, match="at least one"):
+        verify.check_series_consistency([], CAL)
+
+
+def test_source_checks_refuse_no_sources():
+    # proxy.poly_table refuses, not numpy's stack of nothing
+    d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1])
+    for check in (verify.check_subadditivity, verify.check_surrogate_domination):
+        with pytest.raises(OutOfRange, match="need at least one source"):
+            check(d, [], CAL)
 
 
 # a check that takes an iterable reads it once, so a generator reports as its list does
