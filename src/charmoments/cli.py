@@ -100,9 +100,9 @@ def _cmd_char_moment(args) -> tuple[list | dict, int]:
     mod = build_modulus(args.q)
     rows = []
     for x in args.x:
-        est = moments.char_moment(mod, x, args.k, exclude_principal=not args.include_principal)
+        est = moments.char_moment(mod, x, args.k)
         row = {"q": args.q, "x": x, "k": args.k, "moment": est.value, "kind": est.kind}
-        if args.k == 1.0 and not args.include_principal:
+        if args.k == 1.0:
             row["closed_form"] = moments.second_moment_closed_form(args.q, x)
         rows.append(row)
     return rows, 0
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--x", type=float, nargs="+", required=True)
     p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--include-principal", action="store_true")
     p.set_defaults(fn=_cmd_char_moment)
 
     p = sub.add_parser("rmf-mc", help="Monte Carlo moments of random "

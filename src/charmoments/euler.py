@@ -105,9 +105,9 @@ def pair_factor_expectation(p, alpha: float, sigma1: float,
     with r_j = p^{-1/2-sigma_j} and Delta = dt*log(p).  The integrand is
     periodic and analytic, so the trapezoid rule on N nodes errs by
     O(max(r1, r2)^N): N doubles from 16 until two estimates agree within
-    _ANGLE_TOL, else QuadratureFailure.  Raises OutOfRange, before the first
-    node, on a non-finite scalar or a radius that is not below 1 (NaN for a
-    NaN or negative p).
+    _ANGLE_TOL, else QuadratureFailure.  Raises OutOfRange on a non-finite
+    scalar, before the first power on a p that is not finite and above 1, and
+    before the first node on a radius that is not below 1.
     Returns an array shaped like p (a float for one p).
     """
     for name, value in (("alpha", alpha), ("sigma1", sigma1), ("beta", beta),
@@ -120,6 +120,9 @@ def pair_factor_expectation(p, alpha: float, sigma1: float,
                 f"the angle quadrature over {count} primes")
     means = np.empty(count)
     ps = np.asarray(p, dtype=np.float64).ravel()
+    bad = ps[~((ps > 1.0) & (ps < math.inf))]
+    if bad.size:
+        raise OutOfRange(f"need finite p > 1, got p = {bad[0]}")
     for lo in range(0, count, _ANGLE_ROWS):
         pb = ps[lo : lo + _ANGLE_ROWS, None]
         r1, r2 = pb ** (-0.5 - sigma1), pb ** (-0.5 - sigma2)

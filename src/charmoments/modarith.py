@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import primes
 from .errors import OutOfRange, at_most, check_bytes, whole
 
-# A modulus holds 28 bytes per residue: the int64 discrete-log table (8 B),
-# the lazily built complex128 root-of-unity table (16 B) and the memoised
-# prefix-sum magnitudes, (q-1)//2 + 1 float64 values (4 B).
-_BYTES_PER_RESIDUE = 28
+# A modulus holds 12 bytes per residue: the int64 discrete-log table (8 B) and
+# the memoised prefix-sum magnitudes, (q-1)//2 + 1 float64 values (4 B).
+_BYTES_PER_RESIDUE = 12
 
 Q_CAP = 1 << 31
 
@@ -41,10 +39,9 @@ class PrimeModulus:
     dlog: np.ndarray
     abs_sums: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False)
 
-    @cached_property
-    def roots(self) -> np.ndarray:
-        """roots[j] = exp(2*pi*i*j/(q-1))."""
-        return np.exp(2j * np.pi * np.arange(self.q - 1) / (self.q - 1))
+    def root(self, j: np.ndarray) -> np.ndarray:
+        """exp(2*pi*i*j/(q-1)) at each entry of the integer array j."""
+        return np.exp(2j * np.pi * j / (self.q - 1))
 
     def char_values(self, a: int, ns: np.ndarray) -> np.ndarray:
         """chi_a at an integer array (vectorized; zeros where q | n)."""
@@ -52,7 +49,7 @@ class PrimeModulus:
         ns = np.asarray(ns, dtype=np.int64) % self.q
         out = np.zeros(ns.shape, dtype=np.complex128)
         ok = ns != 0
-        out[ok] = self.roots[(a * self.dlog[ns[ok]]) % (self.q - 1)]
+        out[ok] = self.root((a * self.dlog[ns[ok]]) % (self.q - 1))
         return out
 
 

@@ -25,7 +25,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -158,17 +157,12 @@ def mc_estimate(seed: int, trials: int, batch: int | None, make_per_batch,
 
 @dataclass(eq=False)
 class RmfSample:
-    """Frozen draw of f(p) on all primes p <= limit."""
+    """Frozen draw of f(p) on all primes p <= limit: fp[i] = f(primes[i])."""
 
     seed: int
     limit: int
     primes: np.ndarray
     fp: np.ndarray
-
-    @cached_property
-    def values(self) -> dict[int, complex]:
-        """Prime -> f(p) as a plain dict."""
-        return {int(p): complex(v) for p, v in zip(self.primes, self.fp)}
 
 
 def sample(seed: int, limit: float) -> RmfSample:
@@ -187,7 +181,7 @@ def value_at(s: RmfSample, n: int) -> complex:
         raise OutOfRange(f"n = {n} exceeds sample limit {s.limit}")
     out = 1 + 0j
     for p, e in primes.factorize(n):
-        out *= s.values[p] ** e
+        out *= complex(s.fp[np.searchsorted(s.primes, p)]) ** e
     return out
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import primes
 from .charsum import power_sum, weighted_char_sums
 from .errors import OutOfRange, QuadratureFailure, at_least, at_most, check_bytes, whole
 from .modarith import PrimeModulus
@@ -117,7 +116,7 @@ def even_char_orthogonality(mod: PrimeModulus, n: int, m: int) -> float:
         return 0.0
     delta = (int(mod.dlog[n]) - int(mod.dlog[m])) % (mod.q - 1)
     t = np.arange((mod.q - 1) // 2, dtype=np.int64)
-    total = mod.roots[(2 * t * delta) % (mod.q - 1)].sum()
+    total = mod.root((2 * t * delta) % (mod.q - 1)).sum()
     return float((2.0 / (mod.q - 1)) * total.real)
 
 
@@ -228,6 +227,7 @@ def mellin_transform_check(y_smooth: float, s: float, sample: RmfSample,
     ms, cs = _smooth_values(sample, y_smooth, smooth_cap)
     numeric = _mellin_unit(s) * complex(np.sum(cs * ms.astype(np.float64) ** -s))
     closed = math.gamma(s / 2.0) / (2.0 * math.pi ** (s / 2.0))
-    for p in primes.primes_up_to(y_smooth).tolist():
-        closed = closed / (1.0 - sample.values[p] * float(p) ** (-s))
+    count = np.searchsorted(sample.primes, y_smooth, side="right")
+    for p, f in zip(sample.primes[:count].tolist(), sample.fp[:count].tolist()):
+        closed = closed / (1.0 - f * float(p) ** (-s))
     return numeric, complex(closed)

@@ -166,16 +166,13 @@ def check_rough_count(a: float, b: float, y: float, cal: Calibration) -> CheckRe
     count = int(rough.sum())
     expected = (b - a) / math.log(y) if y >= 2 else (b - a)
     ratio = count / expected if expected > 0 else math.inf
-    passed = cal.sieve_ratio_lo <= ratio <= cal.sieve_ratio_hi
     below = ratio < cal.sieve_ratio_lo  # reported against the window's lower end
-    return CheckReport(name="rough-count-ratio", lhs=float(ratio),
-                       rhs=float(cal.sieve_ratio_lo if below else cal.sieve_ratio_hi),
-                       relation="ge" if below else "le",
-                       tolerance=0.0, passed=passed,
-                       context={"count": count, "expected": expected,
-                                "window_lo": cal.sieve_ratio_lo,
-                                "window_hi": cal.sieve_ratio_hi,
-                                "interval": [a, b], "y": y})
+    return _report("rough-count-ratio", ratio,
+                   cal.sieve_ratio_lo if below else cal.sieve_ratio_hi,
+                   "ge" if below else "le", 0.0, scale=1.0,
+                   context={"count": count, "expected": expected,
+                            "window_lo": cal.sieve_ratio_lo, "window_hi": cal.sieve_ratio_hi,
+                            "interval": [a, b], "y": y})
 
 
 def check_cosine_branch(t: float, y: float, cal: Calibration) -> CheckReport:

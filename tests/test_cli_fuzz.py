@@ -84,7 +84,7 @@ PROXY = st.one_of(
 COMMANDS = {
     "char-moment": command(
         "char-moment", arg("--q", Q), arg("--x", some(floats(1.0, 110.0))),
-        option("--k", K), option("--include-principal")),
+        option("--k", K)),
     "rmf-mc": command(
         "rmf-mc", arg("--x", some(floats(0.5, 60.0), max_size=2)), option("--k", K),
         option("--trials", ints((5, 20), (1, 0, -1))), option("--exact"),

@@ -81,7 +81,7 @@ def test_single_factor_quadrature_vs_geometric():
 
 
 def test_pair_factor_divergence_guard():
-    with pytest.raises(OutOfRange, match="unit-disc radius reached 1"):
+    with pytest.raises(OutOfRange, match="need finite p > 1"):
         euler.pair_factor_expectation(0.9, 1.0, 0.0)
 
 
@@ -98,8 +98,22 @@ def test_pair_factor_refuses_non_finite_scalars(name, value):
 @pytest.mark.parametrize("p", [math.nan, -2.0, np.array([101.0, math.nan])])
 def test_pair_factor_refuses_nan_radius(p):
     # a NaN or negative p gives a NaN radius, refused before the first node
-    with np.errstate(invalid="ignore"), pytest.raises(OutOfRange, match="unit-disc radius"):
+    with np.errstate(invalid="ignore"), pytest.raises(OutOfRange, match="need finite p > 1"):
         euler.pair_factor_expectation(p, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, -3.0, math.inf, 0.0, 1.0, np.array([101.0, math.nan])])
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.5)])
+def test_pair_factor_refuses_p_not_above_one(p, alpha, beta):
+    # whatever the exponents, and before a power numpy would warn about
+    with np.errstate(all="raise"), pytest.raises(OutOfRange, match="need finite p > 1"):
+        euler.pair_factor_expectation(p, alpha, 0.0, beta, 0.0)
+
+
+def test_pair_factor_refuses_unit_radius_above_one():
+    # p > 1 with sigma = -1/2 puts the radius on the unit circle
+    with pytest.raises(OutOfRange, match="unit-disc radius reached 1 at p = 101.0"):
+        euler.pair_factor_expectation(101.0, 1.0, -0.5)
 
 
 SMALL_PRIMES = primes.primes_up_to(1000).tolist()

@@ -45,7 +45,7 @@ def _euler_charge(rows, trials):
 # route: (call, its charge, the allocators it must not reach when refused);
 # two workers hold the MC rows in flight, 5 rows each for a batch of 10
 ROUTES = {
-    "build_modulus": (lambda: modarith.build_modulus(101), 28 * 101,
+    "build_modulus": (lambda: modarith.build_modulus(101), 12 * 101,
                       [(modarith.np, "full"), (modarith, "_primitive_root")]),
     "values_upto": (lambda: rmf.values_upto(SAMPLE, 999), 16 * 1000, [(rmf.np, "ones")]),
     # the int64 pair histogram and one window over 0..12^3, with numpy's buffers

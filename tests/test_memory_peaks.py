@@ -2,11 +2,11 @@
 
 test_memory_cap.py pins what each route charges; this module checks that
 the charge covers what the route really holds at its peak.  Each call runs
-in a fresh interpreter, with numpy and scipy.fft imported and the modulus
-built first, so that neither a library a route loads inside nor an earlier
-call's freed memory is counted.  The peak is the growth of VmHWM in
-/proc/self/status over the call, from VmRSS just before it.  tracemalloc
-would miss pocketfft's scratch and plans.
+in a fresh interpreter, with numpy and scipy.fft imported and, unless the
+modulus is the route, the modulus built first, so that neither a library a
+route loads inside nor an earlier call's freed memory is counted.  The peak
+is the growth of VmHWM in /proc/self/status over the call, from VmRSS just
+before it.  tracemalloc would miss pocketfft's scratch and plans.
 """
 import json
 import os
@@ -22,8 +22,7 @@ ALLOWANCE = 1 << 20  # page rounding and small Python objects
 SCRIPT = r"""
 import json, re, sys
 import numpy as np, scipy.fft
-from charmoments import charsum, errors, theta
-from charmoments.modarith import build_modulus
+from charmoments import charsum, errors, modarith, theta
 
 def status(key):
     with open("/proc/self/status") as f:
@@ -33,25 +32,38 @@ charges, check = [], errors.check_bytes
 def recording(nbytes, what):
     charges.append(nbytes)
     check(nbytes, what)
-for module in (charsum, theta):
+for module in (charsum, modarith, theta):
     module.check_bytes = recording
 
-mod = build_modulus(int(sys.argv[1]))
-call = {"theta_all": lambda: theta.theta_all(mod),
-        "theta_moment": lambda: theta.theta_moment(mod, 1.0, "odd")}[sys.argv[2]]
+q, route = int(sys.argv[1]), sys.argv[2]
+mod = None if route == "build_modulus" else modarith.build_modulus(q)
+call = {"build_modulus": lambda: modarith.build_modulus(q),
+        "theta_all": lambda: theta.theta_all(mod),
+        "theta_moment": lambda: theta.theta_moment(mod, 1.0, "odd")}[route]
+charges.clear()
 before = status("VmRSS")
 call()
 print(json.dumps({"growth": status("VmHWM") - before, "charge": max(charges)}))
 """
 
 
-# 262,656 = 2^9 * 3^3 * 19 is smooth; 65,542 = 2 * 32,771 is rough, so scipy.fft
-@pytest.mark.parametrize("q", [262_657, 65_543])
-@pytest.mark.parametrize("route", ["theta_all", "theta_moment"])
-def test_theta_peak_within_its_largest_charge(q, route):
+def _peak(q, route):
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(q), route], cwd=ROOT,
                           env=dict(os.environ, PYTHONPATH="src"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+# 262,656 = 2^9 * 3^3 * 19 is smooth; 65,542 = 2 * 32,771 is rough, so scipy.fft
+@pytest.mark.parametrize("q", [262_657, 65_543])
+@pytest.mark.parametrize("route", ["theta_all", "theta_moment"])
+def test_theta_peak_within_its_largest_charge(q, route):
+    got = _peak(q, route)
+    assert 0 < got["growth"] <= got["charge"] + ALLOWANCE, got
+
+
+@pytest.mark.parametrize("q", [1_000_003, 262_657])
+def test_build_modulus_peak_within_its_charge(q):
+    got = _peak(q, "build_modulus")
     assert 0 < got["growth"] <= got["charge"] + ALLOWANCE, got

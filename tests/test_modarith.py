@@ -90,10 +90,10 @@ def test_larger_modulus_consistency():
 
 
 def test_cap_counts_memo_slot(monkeypatch):
-    # 24 q <= cap < 28 q: the dlog and roots tables alone would fit, the memo does not
-    q = 80_000_023
+    # 8 q <= cap < 12 q: the dlog table alone would fit, the memo does not
+    q = 200_000_033
     assert modarith.primes.is_prime(q)
-    assert 24 * q <= errors.DEFAULT_MEMORY_CAP < 28 * q
+    assert 8 * q <= errors.DEFAULT_MEMORY_CAP < 12 * q
 
     def no_tables(*args, **kwargs):
         raise AssertionError("a table was allocated before the cap check")

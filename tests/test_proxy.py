@@ -181,7 +181,7 @@ def test_poly_table_matches_level_poly():
     for i, l in enumerate(d.shift_values()):
         for m, lv in enumerate(d.levels):
             want = 0j
-            for p, f in sample.values.items():
+            for p, f in zip(sample.primes.tolist(), sample.fp.tolist()):
                 if lv.lo < p <= lv.hi:
                     s = 0.5 + 1j * l / d.log_y
                     want += f / p**s + f * f / (2 * p ** (2 * s))

@@ -73,10 +73,22 @@ def test_seed_separation():
 
 def test_value_at_multiplicative():
     s = rmf.sample(4, 100)
-    v = s.values
+    v = dict(zip(s.primes.tolist(), s.fp.tolist()))
     assert rmf.value_at(s, 12) == pytest.approx(v[2] ** 2 * v[3])
     assert rmf.value_at(s, 1) == 1.0
     assert rmf.value_at(s, 97) == pytest.approx(v[97])
+
+
+def test_value_at_reads_fp_without_a_table():
+    # f(p) comes from fp itself: a table of the 78,498 primes up to 10^6 took 7.3 MiB
+    s = rmf.sample(1, 10**6)
+    tracemalloc.start()
+    try:
+        rmf.value_at(s, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_values_upto_matches_value_at():

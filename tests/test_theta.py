@@ -177,6 +177,19 @@ def test_mellin_peak_memory_within_charge(monkeypatch, s):
         theta._mellin_unit(s)
 
 
+def test_mellin_product_reads_fp_without_a_table():
+    # the closed form reads f(p) at the one prime p <= 2 alone, not a table
+    # of the sample's 78,498 primes (7.3 MiB), nor a list of them
+    sample = rmf.sample(1, 10**6)
+    tracemalloc.start()
+    try:
+        theta.mellin_transform_check(2.0, 1.5, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_mellin_refuses_s_outside_the_half_line():
     sample = rmf.sample(1, 10)
     for s in (0.0, -1.0, math.nan, math.inf):

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,6 +27,19 @@ def test_report_relations():
     assert r.passed
     with pytest.raises(OutOfRange, match="unknown relation"):
         verify._report("t", 1.0, 1.0, "??", 0.0)
+
+
+def _report_builds(tree):
+    return {c.lineno for c in ast.walk(tree)
+            if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "CheckReport"}
+
+
+def test_every_report_is_built_in_report():
+    # one function turns lhs, rhs, relation and tolerance into passed
+    tree = ast.parse(pathlib.Path(verify.__file__).read_text())
+    (report,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_report"]
+    stray = sorted(_report_builds(tree) - _report_builds(report))
+    assert not stray, f"CheckReport built outside _report at verify.py lines {stray}"
 
 
 def test_orthogonality_correspondence_delta(mod101):
