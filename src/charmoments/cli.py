@@ -158,13 +158,15 @@ def _cmd_theta(args) -> tuple[list | dict, int]:
 
 def _cmd_proxy(args) -> tuple[list | dict, int]:
     # an option only the other profile reads would be written to config unused
-    for name in (("y", "j", "q") if args.profile == "paper" else ("c0",)):
+    for name in (("y", "j", "q", "x") if args.profile == "paper" else ("c0",)):
         if getattr(args, name) is not None:
             raise OutOfRange(f"--{name} does not apply to the {args.profile} profile")
     if args.profile == "paper":
         if args.c0 is None:
             raise OutOfRange("paper profile needs --c0")
-        params = proxy.paper_params(args.x, log_x=args.log_x, k=args.k, c0=args.c0)
+        if args.log_x is None:
+            raise OutOfRange("paper profile needs --log-x")
+        params = proxy.paper_params(log_x=args.log_x, k=args.k, c0=args.c0)
     else:
         if args.y is None:
             raise OutOfRange("desk profile needs --y")

@@ -79,10 +79,6 @@ def build_modulus(q: int) -> PrimeModulus:
         raise OutOfRange(f"q = {q} is not prime")
     g = _primitive_root(q)
     dlog = np.full(q, -1, dtype=np.int64)
-    if q == 2:
-        dlog[1] = 0
-        return PrimeModulus(q=q, g=g, dlog=dlog)
-
     # Fill powers of g in blocks: one short scalar loop to seed a block, then
     # whole-block modular multiplies (q < 2^31 keeps products inside int64).
     block_len = min(q - 1, 1 << 12)
@@ -91,13 +87,9 @@ def build_modulus(q: int) -> PrimeModulus:
     for i in range(1, block_len):
         block[i] = block[i - 1] * g % q
     g_step = pow(g, block_len, q)
-    j = 0
-    cur = block
-    while j < q - 1:
+    for j in range(0, q - 1, block_len):
         take = min(block_len, q - 1 - j)
-        dlog[cur[:take]] = np.arange(j, j + take, dtype=np.int64)
-        j += take
-        if j < q - 1:
-            cur = cur * g_step % q
+        dlog[block[:take]] = np.arange(j, j + take, dtype=np.int64)
+        block = block * g_step % q
     return PrimeModulus(q=q, g=g, dlog=dlog)
 

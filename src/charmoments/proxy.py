@@ -131,22 +131,18 @@ class ProxyParams:
         """log of the largest index reachable by any level factor: sum 4*J_m*log(y_m)."""
         return sum(4.0 * lv.j * lv.log_hi for lv in self.levels)
 
-    def fits_modulus(self, log_x: float, q: int) -> bool:
-        """x * prod_m y_m^{4 J_m} < q: every index of |S(x)|^2 R stays below q."""
-        return self.poly_length_log() + log_x < math.log(whole(q, 2, "q"))
+    def check_length(self, log_x: float, q: int) -> None:
+        """OutOfRange unless x * prod_m y_m^{4 J_m} < q: every index of |S(x)|^2 R is below q."""
+        q = whole(q, 2, "q")
+        if not self.poly_length_log() + log_x < math.log(q):
+            raise OutOfRange(f"x * prod y_m^(4 J_m) >= q = {q}: weights too long for this modulus")
 
 
-def _log_x(x: float | None, log_x: float | None, k: float) -> float:
-    """log x from exactly one of x and log_x, with 1 < x < inf and 2 <= k < inf checked.
+def _log_x(log_x: float, k: float) -> float:
+    """log_x, with 0 < log_x < inf and 2 <= k < inf checked.
 
     The comparisons are written so that a NaN fails them.
     """
-    if (x is None) == (log_x is None):
-        raise OutOfRange("pass exactly one of x, log_x")
-    if log_x is None:
-        if not x > 1:
-            raise OutOfRange("x must be > 1")
-        log_x = math.log(x)
     if not 0 < log_x < math.inf:
         raise OutOfRange(f"log x must be positive and finite, got {log_x}")
     at_least(k, 2, "k")
@@ -160,16 +156,16 @@ def _params(k: float, c0: float, log_x: float, log_y: float, js) -> ProxyParams:
     return ProxyParams(k=float(k), c0=float(c0), log_x=float(log_x), levels=levels)
 
 
-def paper_params(x: float | None = None, *, log_x: float | None = None, k: float,
-                 c0: float) -> ProxyParams:
-    """The paper's chain for scale x (or log_x directly), exponent k and y = x^(1/C0).
+def paper_params(*, log_x: float, k: float, c0: float) -> ProxyParams:
+    """The paper's chain for scale log x, exponent k and log y = log x / C0.
 
     Window count M is the unique value with 20^(M-1) inside
     [ (log log y)^2, 20 (log log y)^2 ), depths are J_1 = ceil((log log y)^{3/2}),
     J_M = ceil(C0/(10^5 k)), J_m = J_M + M - m in between, and the length
-    constraint prod_m y_m^{10^4 k J_m} < x must hold.
+    constraint prod_m y_m^{10^4 k J_m} < x must hold; it needs log x > C0 > 2*10^4,
+    so x itself is past the float range.
     """
-    log_x = _log_x(x, log_x, k)
+    log_x = _log_x(log_x, k)
     if not c0 > 0:
         raise OutOfRange("C0 must be positive")
     log_y = log_x / c0
@@ -200,7 +196,11 @@ def desk_params(x: float | None = None, *, y: float, k: float, j_values=None,
     is only reported.  When q is given, the cross-moment length guard
     x * prod_m y_m^{4 J_m} < q is enforced.
     """
-    log_x = _log_x(x, log_x, k)
+    if (x is None) == (log_x is None):
+        raise OutOfRange("pass exactly one of x, log_x")
+    if x is not None and not x > 1:
+        raise OutOfRange("x must be > 1")
+    log_x = _log_x(math.log(x) if log_x is None else log_x, k)
     if not 1 < y < math.inf:
         raise OutOfRange(f"y must be > 1 and finite, got {y}")
     q = None if q is None else whole(q, 2, "q")
@@ -209,8 +209,8 @@ def desk_params(x: float | None = None, *, y: float, k: float, j_values=None,
         raise OutOfRange("j_values must list one depth >= 1 per window")
     log_y = math.log(y)
     params = _params(k, log_x / log_y, log_x, log_y, js)
-    if q is not None and not params.fits_modulus(log_x, q):
-        raise OutOfRange(f"x * prod y_m^(4 J_m) >= q = {q}: weights too long for this modulus")
+    if q is not None:
+        params.check_length(log_x, q)
     return params
 
 

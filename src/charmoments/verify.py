@@ -318,8 +318,7 @@ def check_subadditivity(params: proxy.ProxyParams, sources, cal: Calibration) ->
 def _weighted_table(mod: PrimeModulus, x: float, params: proxy.ProxyParams):
     """|S_chi(x)| and R(chi) over every chi; OutOfRange unless x prod_m y_m^{4 J_m} < q,
     the length up to which the character group resolves every index pair of |S|^2 R."""
-    if not params.fits_modulus(math.log(x), mod.q):
-        raise OutOfRange(f"x * prod y_m^(4 J_m) >= q = {mod.q}: weights too long")
+    params.check_length(math.log(x), mod.q)
     return mirror(abs_char_sums(mod, x), mod.q), proxy.proxy_weight_all_chars(mod, params)
 
 

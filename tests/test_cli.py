@@ -175,6 +175,7 @@ def test_not_prime_exit_2(capsys):
     ("proxy", "--profile", "paper", "--log-x", "1.6e8", "--c0", "nan"),
     ("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--q", "0"),
     ("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--q", "-5"),
+    ("proxy", "--profile", "paper", "--c0", "5"),
 ])
 def test_invalid_input_exit_2(monkeypatch, capsys, argv):
     # refused before any Monte Carlo trial runs, --exact's k included
@@ -185,10 +186,10 @@ def test_invalid_input_exit_2(monkeypatch, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ") and len(err) < 200
-    if "paper" in argv and "--x" in argv:
-        # --x reaches paper_params, which names the real reason
-        assert "exactly one" not in err
-    for profile, options in (("paper", ("--y", "--j", "--q")), ("desk", ("--c0",))):
+    if argv == ("proxy", "--profile", "paper", "--c0", "5"):
+        # the paper chain takes log x alone, and says so
+        assert err == "error: paper profile needs --log-x\n"
+    for profile, options in (("paper", ("--y", "--j", "--q", "--x")), ("desk", ("--c0",))):
         for option in options:
             if profile in argv and option in argv:
                 # an option the profile ignores is refused, not written to config

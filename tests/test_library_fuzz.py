@@ -122,7 +122,7 @@ CALLS = {
                           (3, 4)),
     "proxy.paper_params": (lambda log_x, k, c0: proxy.paper_params(log_x=log_x, k=k, c0=c0),
                            st.tuples(real(0.5, 2e8), real(2.0, 4.0), real(1.0, 5e5)), ()),
-    "proxy.ProxyParams.fits_modulus": (lambda q: WINDOW.fits_modulus(1.0, q),
+    "proxy.ProxyParams.check_length": (lambda q: WINDOW.check_length(1.0, q),
                                        st.tuples(integer(2, 10**6)), (0,)),
     "proxy.ProxyParams.penalty_exp": (WINDOW.penalty_exp, st.tuples(integer(1, 3)), (0,)),
     "proxy.CharSource": (lambda a: proxy.CharSource(MOD, a).values_at(NS),

@@ -63,6 +63,9 @@ ROUTES = {
     # the weight's 8 B (16 B complex) a row
     "all_char_sums_fft": (lambda: charsum.all_char_sums_fft(MOD, 30), (32 + 20) * 100,
                           [(charsum.np, "zeros")]),
+    # per residue 40 B while the root table is built, and 4 KiB of headers
+    "all_char_sums_naive": (lambda: charsum.all_char_sums_naive(MOD, 30),
+                            max(40 * 100, 24 * (100 + 30)) + 4096, [(charsum.np, "arange")]),
     "all_char_sums_fft_rough": (lambda: charsum.all_char_sums_fft(ROUGH_MOD, 30),
                                 (64 + 140) * 4126, [(charsum.np, "zeros")]),
     "weighted_char_sums": (lambda: charsum.weighted_char_sums(MOD, np.arange(1, 21),

@@ -102,3 +102,12 @@ def test_cap_counts_memo_slot(monkeypatch):
     monkeypatch.setattr(modarith, "_primitive_root", no_tables)
     with pytest.raises(TooLarge):
         build_modulus(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4093, 4099, 12289, 65537])
+def test_dlog_table_at_block_edges(q):
+    # q - 1 of 1 and 2, just below and above one block of 4,096 powers, 3 and 16 blocks
+    mod = build_modulus(q)
+    assert mod.dlog[0] == -1
+    assert np.array_equal(np.sort(mod.dlog[1:]), np.arange(q - 1))
+    assert all(pow(mod.g, d, q) == n for n, d in enumerate(mod.dlog.tolist()[1:], 1))
