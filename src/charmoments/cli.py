@@ -55,11 +55,10 @@ def _emit(doc: dict, fmt: str, stream) -> None:
 
 
 def _dumps(v, indent=None) -> str:
-    return json.dumps(v, indent=indent, sort_keys=True, default=_jsonable, allow_nan=False)
+    return json.dumps(v, indent=indent, sort_keys=True, allow_nan=False)
 
 
 def _cell(v):  # nested values as JSON text; null is an empty cell
-    v = _jsonable(v)
     return _dumps(v) if isinstance(v, (dict, list)) else v
 
 

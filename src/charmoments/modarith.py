@@ -69,13 +69,14 @@ def _primitive_root(q: int) -> int:
 def build_modulus(q: int) -> PrimeModulus:
     """Construct the discrete-log table for prime q.
 
-    Raises OutOfRange for a q that is negative, not a whole number or
-    composite, TooLarge when q exceeds 2^31 or the tables would exceed
+    Raises OutOfRange for a q that is negative, not a whole number or not
+    prime, TooLarge when q exceeds 2^31 or the tables would exceed
     errors.DEFAULT_MEMORY_CAP bytes.
     """
     q = at_most(whole(q, 0, "q"), Q_CAP - 1, "q")
     check_bytes(q * _BYTES_PER_RESIDUE, f"the tables for q = {q}")
-    if not primes.is_prime(q):
+    # trial division by the table's primes <= sqrt(q); factorize refuses 0
+    if primes.factorize(max(q, 1)) != [(q, 1)]:
         raise OutOfRange(f"q = {q} is not prime")
     g = _primitive_root(q)
     dlog = np.full(q, -1, dtype=np.int64)

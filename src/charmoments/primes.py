@@ -1,4 +1,4 @@
-"""The shared prime table, deterministic primality testing, and factorization by its primes.
+"""The shared prime table and factorization by its primes.
 
 Every prime list is a read-only int64 view of one (limit, primes) table that
 only grows and is replaced as a whole.  At SIEVE_CAP it holds pi(10^8) =
@@ -23,36 +23,6 @@ _SEGMENT = 1 << 20
 _table: list[tuple[int, np.ndarray]] = [(1, np.empty(0, dtype=np.int64))]
 _table[0][1].flags.writeable = False
 _GROW_LOCK = threading.Lock()  # growers replace the table one at a time, so it never shrinks
-
-# Witness set proven sufficient for every n < 3.317e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
-    n = whole(n, -math.inf, "n")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def _grown(n: int) -> np.ndarray:
     """The table's array, grown first to hold every prime p <= n.

@@ -64,7 +64,6 @@ CALLS = {
     "modarith.char_values": (lambda a: MOD.char_values(a, NS), st.tuples(integer(-5, 200)), (0,)),
     "primes.primes_up_to": (primes.primes_up_to, st.tuples(real(-3.0, 1000.0)), ()),
     "primes.primes_in": (primes.primes_in, st.tuples(real(0.0, 1000.0), real(0.0, 1000.0)), ()),
-    "primes.is_prime": (primes.is_prime, st.tuples(integer(-5, 10**6)), (0,)),
     "primes.factorize": (primes.factorize, st.tuples(integer(-5, 10**6)), (0,)),
     "fpoly.FPoly.var": (FPoly.var, st.tuples(integer(1, 100), real(-2.0, 2.0)), (0,)),
     "fpoly.FPoly.power": (POLY.power, st.tuples(integer(0, 6)), (0,)),
@@ -213,7 +212,6 @@ def test_huge_argument_is_refused_in_a_short_text(name):
 WHOLE_CASES = {
     "modarith.build_modulus": (lambda q: modarith.build_modulus(q).dlog, 101),
     "modarith.char_values": (lambda a: MOD.char_values(a, NS), 1),
-    "primes.is_prime": (primes.is_prime, 101),
     "primes.factorize": (primes.factorize, 12),
     "fpoly.FPoly.var": (lambda n: FPoly.var(n).terms, 2),
     "fpoly.FPoly.power": (lambda j: POLY.power(j).terms, 2),

@@ -1,9 +1,12 @@
 """One memory cap: errors.DEFAULT_MEMORY_CAP, read by errors.check_bytes when called.
 
 Lowering it must lower it for every charged route: each runs with the cap at
-exactly its charge and refuses, before it allocates, one byte below.
+exactly its charge and refuses, before it allocates, one byte below.  Between
+them, the routes and the huge counts reach every check_bytes call in the package.
 """
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -52,6 +55,9 @@ ROUTES = {
     "exact_moment_2k": (lambda: rmf.exact_moment_2k(12, 3),
                         8 * (12**2 + 1 + 12**3 + 1) + errors.NUMPY_BUFFER_BYTES,
                         [(rmf.np, "zeros"), (rmf.np, "empty")]),
+    # k = 2: the uint16 pair histogram over 0..30^2 alone, with numpy's buffers
+    "exact_moment_2k_pairs": (lambda: rmf.exact_moment_2k(30, 2),
+                              2 * (30**2 + 1) + errors.NUMPY_BUFFER_BYTES, [(rmf.np, "zeros")]),
     "partial_sums_batch": (lambda: rmf.partial_sums_batch(SEEDS, 1e4),
                            rmf.batch_nbytes(3, 1e4), [(rmf, "unit_values")]),
     # the uint16 pair histogram over 0..30^2, folded onto 101 uint32 residues
@@ -93,6 +99,7 @@ ROUTES = {
                                _mellin_charge(1.5), [(theta.np, "arange"), (theta.np, "exp")]),
     "poly_table": (lambda: proxy.poly_table(WINDOW, [proxy.OnesSource()] * 5),
                    32 * 5 * 3 * 8, [(proxy.np, "stack")]),
+    "shift_values": (WINDOW.shift_values, 8 * 3, [(proxy.np, "arange")]),
     # 24 B per value and pair i <= j <= 2 + 60
     "truncation_error_series": (
         lambda: proxy.truncation_error_series([1.0, 1.0, 1.0], 2.0, 2),
@@ -156,6 +163,7 @@ HUGE_COUNTS = {
     "rmf_moment_mc": lambda: moments.rmf_moment_mc(10.0, 2.0, trials=10**300, seed=1),
     "congruence_energy": lambda: moments.congruence_energy(101, 1e300),
     "check_rough_count": lambda: verify.check_rough_count(1, 10**300, 5, Calibration()),
+    "mellin_transform_check": lambda: theta.mellin_transform_check(1.0, 1e-300, SAMPLE),
 }
 
 
@@ -182,3 +190,45 @@ def test_refusal_gives_the_size_in_scientific_notation():
         errors.check_bytes(10**400, "the table")
     assert str(info.value) == ("the table would take 1.000e+400 bytes (9.537e+393 MiB), "
                                f"cap is {errors.DEFAULT_MEMORY_CAP}")
+
+
+def _charge_sites():
+    """(file name, first line, last line) of every check_bytes call in the package."""
+    sites = []
+    for path in sorted(pathlib.Path(errors.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "check_bytes":
+                    sites.append((path.name, node.lineno, node.end_lineno))
+    return sites
+
+
+def _refusing_site(info):
+    """(file name, line) of the frame whose check_bytes call raised the refusal."""
+    tb = info.tb
+    while tb.tb_next is not None and tb.tb_next.tb_frame.f_code is not errors.check_bytes.__code__:
+        tb = tb.tb_next
+    assert tb.tb_next is not None, f"not refused by check_bytes: {info.value}"
+    return pathlib.Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno
+
+
+def test_every_charge_has_a_refusing_route(monkeypatch):
+    reached = set()
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
+    for call, need, _ in ROUTES.values():
+        monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", need - 1)
+        with pytest.raises(TooLarge) as info:
+            call()
+        reached.add(_refusing_site(info))
+    monkeypatch.undo()
+    for call in HUGE_COUNTS.values():
+        with pytest.raises(TooLarge) as info:
+            call()
+        reached.add(_refusing_site(info))
+    sites = _charge_sites()
+    assert len(sites) > 10
+    unreached = [(name, first) for name, first, last in sites
+                 if not any(name == got and first <= line <= last for got, line in reached)]
+    assert not unreached, f"no route refuses at {unreached}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,7 @@ def test_larger_modulus_consistency():
 def test_cap_counts_memo_slot(monkeypatch):
     # 8 q <= cap < 12 q: the dlog table alone would fit, the memo does not
     q = 200_000_033
-    assert modarith.primes.is_prime(q)
+    assert modarith.primes.factorize(q) == [(q, 1)]
     assert 8 * q <= errors.DEFAULT_MEMORY_CAP < 12 * q
 
     def no_tables(*args, **kwargs):
@@ -111,3 +113,28 @@ def test_dlog_table_at_block_edges(q):
     assert mod.dlog[0] == -1
     assert np.array_equal(np.sort(mod.dlog[1:]), np.arange(q - 1))
     assert all(pow(mod.g, d, q) == n for n, d in enumerate(mod.dlog.tolist()[1:], 1))
+
+
+def _composites_below(n):
+    flags = np.zeros(n, dtype=bool)
+    for d in range(2, math.isqrt(n - 1) + 1):
+        flags[d * d :: d] = True
+    return np.flatnonzero(flags).tolist()
+
+
+def test_not_prime_refused_before_the_root_search(monkeypatch):
+    # every composite below 10^4, 0 and 1, the Carmichael number 307 * 613 * 919
+    # and the prime square 13,367^2, the last two just under the cap's q limit
+    def no_root(q):
+        raise AssertionError(f"_primitive_root ran for q = {q}")
+
+    monkeypatch.setattr(modarith, "_primitive_root", no_root)
+    big = [307 * 613 * 919, 13_367**2]
+    assert all(12 * q <= errors.DEFAULT_MEMORY_CAP for q in big)
+    for q in [0, 1] + _composites_below(10**4) + big:
+        with pytest.raises(OutOfRange, match=f"^q = {q} is not prime$"):
+            build_modulus(q)
+    monkeypatch.undo()
+    for q in (2, 3, 65_537, 1_000_003):
+        mod = build_modulus(q)
+        assert mod.q == q and mod.dlog.size == q

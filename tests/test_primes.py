@@ -33,20 +33,6 @@ def _empty_table():
     return (1, ps)
 
 
-def test_is_prime_small():
-    known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
-    for n in range(31):
-        assert primes.is_prime(n) == (n in known)
-
-
-def test_is_prime_large_carmichael():
-    # Carmichael numbers fool Fermat, not deterministic Miller-Rabin
-    assert not primes.is_prime(561)
-    assert not primes.is_prime(41041)
-    assert primes.is_prime(2**31 - 1)
-    assert not primes.is_prime(2**32 + 1)
-
-
 def test_primes_up_to_counts():
     assert primes.primes_up_to(1).size == 0
     assert list(primes.primes_up_to(10)) == [2, 3, 5, 7]
@@ -79,7 +65,10 @@ def test_factorize_property(n):
     factors = primes.factorize(n)
     ps = [p for p, _ in factors]
     assert ps == sorted(set(ps))
-    assert all(primes.is_prime(p) and e >= 1 for p, e in factors)
+    assert all(e >= 1 for _, e in factors)
+    for p, _ in factors:  # each factor is prime: no table prime <= sqrt(p) divides it
+        small = primes.primes_up_to(math.isqrt(p))
+        assert p >= 2 and not (p % small == 0).any()
     assert math.prod(p**e for p, e in factors) == n
 
 
