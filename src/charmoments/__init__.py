@@ -9,7 +9,7 @@ Submodules:
     moments     moment estimators (character side and random side)
     theta       Gauss theta values at characters, their moments, Mellin identity
     verify      dual-route identity and inequality checks
-    calibration calibrated slack constants, overridable from the environment
+    calibration calibrated slack constants, one Calibration per verify run
 
 Importing the package loads numpy but no scipy.  The one scipy import,
 scipy.fft, sits inside charsum._dft, the one transform, and runs only at a rough

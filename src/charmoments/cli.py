@@ -5,8 +5,8 @@ CSV on request) carrying the resolved configuration, the seed, the package
 version, and wall time, so runs can be replayed and diffed.  A subcommand
 takes only the options its handler reads, and --format: --seed belongs to
 rmf-mc and verify (the seed is null for the others, which sample nothing or
-take --weights-seed), --threads to rmf-mc, and --calibration, with the
-CHARMOMENTS_CALIBRATION file it defaults to, to verify.
+take --weights-seed), and --threads to rmf-mc.  verify runs under the default
+calibration, and each of its reports records the threshold it was held to.
 
 Exit codes: 0 success, 1 a verification check failed, 2 OutOfRange or
 QuadratureFailure, 3 TooLarge, 4 internal error, 141 stdout closed before
@@ -25,7 +25,7 @@ import traceback
 
 import numpy as np
 
-from . import __version__, calibration, moments, proxy, rmf, theta, verify
+from . import __version__, moments, proxy, rmf, theta, verify
 from .errors import CharmomentsError, OutOfRange, TooLarge
 from .modarith import build_modulus
 
@@ -123,9 +123,7 @@ def _cmd_rmf_mc(args) -> tuple[list | dict, int]:
 
 
 def _cmd_verify(args) -> tuple[list | dict, int]:
-    cal = calibration.load(args.calibration)
-    args.calibration = cal.as_dict()  # the document records the values, not the path
-    reports = verify.run_suite(args.suite, args.q, args.seed, cal)
+    reports = verify.run_suite(args.suite, args.q, args.seed)
     return [vars(r) for r in reports], (0 if all(r.passed for r in reports) else 1)
 
 
@@ -237,9 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(verify.SUITES) + ["full"])
     p.add_argument("--q", type=int, default=101)
     p.add_argument("--seed", type=int, default=1, help="deterministic base seed")
-    p.add_argument("--calibration", default=None,
-                   help="path to a JSON calibration override (default: the "
-                        f"{calibration.ENV_VAR} file, else the built-in values)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("theta", help="theta values and moments")

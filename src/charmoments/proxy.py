@@ -173,8 +173,6 @@ def paper_params(*, log_x: float, k: float, c0: float) -> ProxyParams:
         raise OutOfRange("log log y undefined: need y > e")
     big_l = math.log(log_y)
     l2 = big_l * big_l
-    if 20.0 * l2 < 1.0:
-        raise OutOfRange("window bracket for M is empty at this y")
     m_count = 1 + max(0, math.ceil(math.log(l2) / _LOG20))
     if not (l2 <= 20.0 ** (m_count - 1) < 20.0 * l2):
         raise OutOfRange("window bracket for M is empty at this y")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -185,9 +186,11 @@ def _mellin_unit(s: float) -> float:
     """
     lo = -3.0
     what = f"the Mellin quadrature at s = {s}"
-    scaled = s * _MELLIN_TOL  # a tiny s gives an infinite count, charged before ceil
-    nodes = (math.log(1e6 / scaled) / s - lo) / _MELLIN_STEP if scaled else math.inf
-    check_bytes(32 * 2.0 ** (_MELLIN_HALVINGS - 1) * nodes, what)
+    # the count in Decimal, charged before ceil: in float a tiny s makes it infinite
+    d = Decimal(s)
+    count = ((10**6 / (d * Decimal(_MELLIN_TOL))).ln() / d - Decimal(lo)) / Decimal(_MELLIN_STEP)
+    check_bytes(32 * 2 ** (_MELLIN_HALVINGS - 1) * count, what)
+    nodes = (math.log(1e6 / (s * _MELLIN_TOL)) / s - lo) / _MELLIN_STEP
     n = max(1, math.ceil(nodes))
     check_bytes(32 * (n << (_MELLIN_HALVINGS - 1)) + 4096, what)
 

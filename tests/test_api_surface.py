@@ -17,6 +17,7 @@ tests/test_acceptance.py, the same uses outside the unit tests.  A name a
 module imports must appear as a name in that module's own syntax tree; the
 re-exports marked noqa in __init__.py are exempt.  No module imports, or
 reads as ``mod._name``, a leading-underscore name of another package module.
+No module reads or sets the environment, so the arguments alone decide a run.
 """
 import ast
 import pathlib
@@ -228,3 +229,24 @@ def _unchecked_floors(path):
 def test_float_parameters_floored_only_through_at_least():
     unchecked = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unchecked_floors(path)]
     assert not unchecked, "floored without errors.at_least: " + ", ".join(unchecked)
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def _environment_uses(source, name):
+    """'name:line attr' for each os environment reader or writer the source names."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            yield f"{name}:{node.lineno} {node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from (f"{name}:{node.lineno} {alias.name}" for alias in node.names
+                        if alias.name in _ENVIRONMENT)
+
+
+def test_no_module_reads_the_environment():
+    forms = "os.environ.get('A')\nos.getenv('A')\nos.putenv('A', 'b')\nfrom os import environ\n"
+    assert len(list(_environment_uses(forms, "t"))) == 4
+    uses = [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in _environment_uses(path.read_text(encoding="utf-8"), path.name)]
+    assert not uses, "environment read or set in the package: " + ", ".join(uses)

@@ -246,46 +246,10 @@ def test_verify_negative_seed_exit_2(capsys):
     assert out == "" and err == "error: seed = -1 must be >= 0\n"
 
 
-def test_missing_calibration_exit_2(tmp_path, capsys):
-    missing = str(tmp_path / "missing.json")
-    code, out, err = run(capsys, "verify", "--suite", "counting", "--q", "101",
-                         "--calibration", missing)
-    assert code == 2
-    assert out == "" and err.startswith("error: ")
-
-
-@pytest.mark.parametrize("content", [
-    "5",
-    '{"orthogonality_tol": "abc"}',
-    '{"orthogonality_tol": null}',
-    '{"orthogonality_tol": -1}',
-])
-def test_malformed_calibration_exit_2(tmp_path, capsys, content):
-    p = tmp_path / "bad.json"
-    p.write_text(content)
-    code, out, err = run(capsys, "verify", "--suite", "identities", "--q", "101",
-                         "--calibration", str(p))
-    assert code == 2
-    assert out == "" and err.startswith("error: ")
-
-
-def test_calibration_environment_read_by_verify_only(tmp_path, monkeypatch, capsys):
-    # only verify reads a calibration: a bad file named by the environment
-    # fails it and no other subcommand
-    p = tmp_path / "bad.json"
-    p.write_text('{"orthogonality_tol": -1}')
-    monkeypatch.setenv(cli.calibration.ENV_VAR, str(p))
-    code, out, err = run(capsys, "verify", "--suite", "counting", "--q", "101")
-    assert code == 2
-    assert out == "" and err.startswith("error: ")
-    assert run(capsys, "char-moment", "--q", "101", "--x", "30")[0] == 0
-    assert run(capsys, "rmf-mc", "--x", "10", "--trials", "20")[0] == 0
-
-
 @pytest.mark.parametrize("argv, option", [
     (("char-moment", "--q", "101", "--x", "30", "--threads", "0"), "--threads"),
     (("theta", "--q", "101", "--moment", "1", "--threads", "0"), "--threads"),
-    (("char-moment", "--q", "101", "--x", "30", "--calibration", "f.json"), "--calibration"),
+    (("verify", "--suite", "euler", "--calibration", "f.json"), "--calibration"),
     (("proxy", "--profile", "desk", "--x", "6", "--y", "2", "--j", "1", "--seed", "3"),
      "--seed"),
 ])
@@ -339,7 +303,7 @@ def test_verify_suite_exit_0(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(r["passed"] for r in doc["results"])
-    assert doc["config"]["calibration"]["surrogate_slack"] == 8.0
+    assert doc["config"] == {"q": 101, "suite": "identities"}
 
 
 def test_verify_holder_suite_named(capsys):
@@ -428,15 +392,6 @@ def test_shape_report(capsys):
     res = json.loads(out)["results"]
     assert "exponent" in res and "exponent_stderr" in res
     assert res["reference_exponent"] == pytest.approx(1.0)
-
-
-def test_calibration_override(tmp_path, capsys):
-    p = tmp_path / "cal.json"
-    p.write_text(json.dumps({"surrogate_slack": 5.5}))
-    code, out, _ = run(capsys, "verify", "--suite", "euler", "--q", "101",
-                       "--calibration", str(p))
-    assert code == 0
-    assert json.loads(out)["config"]["calibration"]["surrogate_slack"] == 5.5
 
 
 def test_version_flag():

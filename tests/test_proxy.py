@@ -29,6 +29,12 @@ def test_paper_profile_needs_deep_y():
         proxy.paper_params(log_x=100.0, k=2.0, c0=50.0)
 
 
+def test_paper_profile_shallow_y_has_no_window_count():
+    # log y = 1.1: (log log y)^2 = 0.0091, so no 20^(M-1) with M >= 1 lies in its bracket
+    with pytest.raises(OutOfRange, match="^window bracket for M is empty at this y$"):
+        proxy.paper_params(log_x=1.1e5, k=2.0, c0=1e5)
+
+
 def test_desk_profile_chain_and_guard():
     d = proxy.desk_params(x=6.0, y=2.0, k=2.0, j_values=[1], q=101)
     assert d.m_count == 1

@@ -3,8 +3,7 @@
 A backticked ``module.attr`` whose module is a package module must name an
 attribute of it, and a backticked bare identifier with an underscore must be
 defined somewhere in src/charmoments: a def, a class, a parameter or an
-assignment target.  File names (``*.py``) and the environment variable are
-not program names.
+assignment target.  File names (``*.py``) are not program names.
 """
 import ast
 import importlib
@@ -14,7 +13,6 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "charmoments"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
-NOT_PROGRAM_NAMES = {"CHARMOMENTS_CALIBRATION"}
 
 NAMES = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", (ROOT / "README.md").read_text())
 
@@ -49,6 +47,5 @@ def test_dotted_names_resolve():
 
 def test_bare_names_are_defined():
     defined = _defined_names()
-    missing = sorted({name for name in NAMES if "." not in name and "_" in name}
-                     - defined - NOT_PROGRAM_NAMES)
+    missing = sorted({name for name in NAMES if "." not in name and "_" in name} - defined)
     assert not missing, f"README names what src/ does not define: {missing}"

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import pathlib
 
@@ -375,6 +376,38 @@ def test_full_suite_is_union():
     full = verify.run_suite("full", 101, 1)
     parts = sum(len(verify.run_suite(n, 101, 1)) for n in verify.SUITES)
     assert len(full) == parts
+
+
+# the report each calibration value governs
+GOVERNS = {
+    "lemma_ratio_max": "even-moment-ratio",
+    "sieve_ratio_lo": "rough-count-ratio",
+    "sieve_ratio_hi": "rough-count-ratio",
+    "surrogate_slack": "surrogate-domination",
+    "cosine_slack": "cosine-branch-bound",
+    "series_rel_tol": "truncation-series-consistency",
+    "chain_slack": "holder-chain",
+    "orthogonality_tol": "orthogonality-correspondence",
+    "reflection_tol": "reflection-symmetry",
+    "parseval_delta_tol": "parseval-transfer",
+    "parseval_random_tol": "parseval-transfer",
+    "mellin_tol": "mellin-unit",
+}
+
+
+def test_every_calibration_value_is_in_the_report_it_governs():
+    # twelve values distinct from each other and from the defaults; each is
+    # the tolerance, the rhs or a context value of the report it governs
+    fields = [f.name for f in dataclasses.fields(Calibration)]
+    assert sorted(GOVERNS) == sorted(fields)
+    cal = Calibration(**{name: getattr(CAL, name) * (1 + (i + 1) / 64)
+                         for i, name in enumerate(fields)})
+    assert len({getattr(cal, name) for name in fields}) == 12
+    reports = verify.run_suite("full", 101, 1, cal)
+    for name, report in GOVERNS.items():
+        value = getattr(cal, name)
+        assert any(value in (r.tolerance, r.rhs, *r.context.values())
+                   for r in reports if r.name == report), name
 
 
 @pytest.mark.parametrize("name, least, below", [
