@@ -15,9 +15,10 @@ batched one, partial_sums_batch, never forms f(n): it runs the floor-quotient
 (Lucy_Hedgehog / min_25) recursion over the about 2 sqrt(x) values
 floor(x/i), vectorised along the trial axis.  It takes one numpy step per
 prime power p^e with p^(e+1) <= x (108 at x = 10^5, for the 65 primes up to
-sqrt(x), where the sieve makes 9,700 passes).  Its peak is 24 bytes per trial
-and prime, while unit_values makes f(p), against 16 (x + 1) bytes per trial
-for the sieve's values.
+sqrt(x), where the sieve makes 9,700 passes).  It draws f(p) a block of
+max(1024, 2 sqrt(x)) primes at a time and keeps of each block only the prime
+sums at the quotients, so a trial holds O(sqrt(x)) values (charged 0.61 MB at
+x = 10^7), against 16 (x + 1) bytes per trial for the sieve's values.
 """
 from __future__ import annotations
 
@@ -118,7 +119,7 @@ def mc_estimate(seed: int, trials: int, batch: int | None, make_per_batch,
     """(mean, stderr) over trials of per_batch(trial seeds), one value per trial.
 
     batch is the number of trial rows in flight at once.  None means
-    min(trials, 2048, 12 MiB // row_bytes) rows, at least 16 and never more
+    min(trials, 2048, 4 MiB // row_bytes) rows, at least 16 and never more
     than the charge below admits.  Chunks of the rows run on up to threads
     worker threads (default: every usable CPU; see mc_plan), which pays
     because numpy releases the interpreter lock.  Trial t always gets the same
@@ -133,7 +134,7 @@ def mc_estimate(seed: int, trials: int, batch: int | None, make_per_batch,
     if batch is None:
         row = max(1, row_bytes)
         admitted = (errors.DEFAULT_MEMORY_CAP - shared_bytes - TRIAL_BYTES * trials) // row
-        batch = max(1, min(max(16, min(trials, 2048, (12 << 20) // row)), admitted))
+        batch = max(1, min(max(16, min(trials, 2048, (4 << 20) // row)), admitted))
     rows, workers = mc_plan(trials, batch, threads)
     check_bytes(rows * workers * row_bytes + shared_bytes + TRIAL_BYTES * trials,
                 f"a run of {trials} trials in batches of {rows * workers}")
@@ -279,15 +280,24 @@ def exact_moment_2k(x: float, k: int) -> int:
 # ---------------------------------------------------------------------------
 # batched Monte Carlo internals
 
+def _block_len(xf: int) -> int:
+    """Primes per block of f(p) in partial_sums_batch: more than sqrt(x), at least 1024."""
+    return max(1024, 2 * math.isqrt(xf))
+
+
 def batch_nbytes(rows: int, x: float) -> int:
     """Bytes partial_sums_batch may hold for rows trial rows at x.
 
-    24 B per row per value, over the pi(x) prime values and the at most
-    2 sqrt(x) floor quotients.  The peak is unit_values making f(p): its
-    angles and its output, 24 B per prime.  tracemalloc reads 19-21 B per
-    charged value at x = 10^4 to 10^7 and 1 to 64 rows; below x = 10^4 the
-    loop's columns weigh more, on arrays of a few kilobytes a row.  pi(x) is
-    taken as its bound 1.25506 x / log x (Rosser and Schoenfeld), so the
+    24 B per row per value, over one block of f(p) (at most pi(x) primes)
+    and 6 isqrt(x) values for the at most 2 sqrt(x) floor quotients.  A row
+    holds its quotients T and a block while unit_values makes it (24 B a
+    prime), then T, an increment and a step (48 B a quotient).  The rest is
+    what a call holds beside its rows: numpy's iteration buffers, up to two
+    the size of a step while it has at most 8192 entries, and the int64
+    quotient and index arrays.  tracemalloc reads 12.3-21.8 B per charged
+    value at x = 10^4 to 10^7 and 1 to 64 rows, the most at 3 rows; at
+    x = 100, one row holds 53 B a value of small arrays and headers.  pi(x)
+    is taken as its bound 1.25506 x / log x (Rosser and Schoenfeld), so the
     charge needs no sieve and no prime list.
     """
     rows = whole(rows, 0, "rows")
@@ -295,7 +305,7 @@ def batch_nbytes(rows: int, x: float) -> int:
     if xf < 2:
         return 0
     pi_bound = int(1.25506 * xf / math.log(xf)) + 1
-    return 24 * rows * (pi_bound + 2 * math.isqrt(xf))
+    return 24 * rows * (min(_block_len(xf), pi_bound) + 6 * math.isqrt(xf))
 
 
 def partial_sums_batch(trial_seeds: np.ndarray, x: float) -> np.ndarray:
@@ -304,7 +314,7 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float) -> np.ndarray:
     Equivalent to sample(seed_t, x) + partial_sum per trial: both draw f(p)
     from unit_values, and the scalar sieve stays the oracle for this route.
     Only the floor quotients V = {floor(x/i)} are kept, about 2 sqrt(x) of
-    them.  T(v) starts as G(v) = sum_{p<=v} f(p), one cumsum over the primes.
+    them.  T(v) starts as G(v) = sum_{p<=v} f(p).
     Then, for each prime p <= sqrt(x) in descending order, every v >= p^2
     gains the n <= v whose least prime factor is p:
 
@@ -312,11 +322,15 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float) -> np.ndarray:
 
     with every increment of p read from T as it was before p.  Then
     sum_{n<=x} f(n) = 1 + T(x).  That is one numpy step per prime power
-    p^e with p^(e+1) <= x, each over at most 2 sqrt(x) columns.  A row
-    holds one pi(x)-long complex array, f(p) turned into G in place, until
-    T is read from it, then only its 2 sqrt(x) columns and the f(p), G(p) of
-    p <= sqrt(x).  Refuses, before drawing any value, when batch_nbytes of
-    these rows is above errors.DEFAULT_MEMORY_CAP.
+    p^e with p^(e+1) <= x, each over at most 2 sqrt(x) columns.  G is made
+    a block of max(1024, 2 sqrt(x)) primes at a time: unit_values draws the
+    block, the G of the prime before it is added to its first column, one
+    cumsum turns it into G in place, and the G(v) of the quotients v in the
+    block are copied into T.  carry + f(p) is the addition a whole-row
+    cumsum makes, so G keeps its bits.  The first block holds every
+    p <= sqrt(x), whose f(p) the recursion keeps; it reads G(p) from
+    T(p).  Refuses, before drawing any value, when batch_nbytes of these
+    rows is above errors.DEFAULT_MEMORY_CAP.
     """
     xf = int(math.floor(at_least(x, 0, "x")))
     check_bytes(batch_nbytes(len(trial_seeds), xf), f"{len(trial_seeds)} trial rows at x = {xf}")
@@ -325,28 +339,41 @@ def partial_sums_batch(trial_seeds: np.ndarray, x: float) -> np.ndarray:
     ps = primes.primes_up_to(xf)
     r = math.isqrt(xf)
     m = int(np.searchsorted(ps, r, side="right"))  # the primes p <= sqrt(x)
-    g = unit_values(trial_seeds, ps)
-    fp = g[:, :m].copy()
-    np.cumsum(g, axis=1, out=g)  # in place: g[:, j] = G(ps[j])
     vs = np.concatenate([np.arange(1, r + 1), xf // np.arange(xf // (r + 1), 0, -1)])
-    t = np.take(g, np.searchsorted(ps, vs, side="right") - 1, axis=1)
-    t[:, 0] = 0.0  # G(1) = 0; index -1 read the last column
-    g = g[:, :m].copy()  # drop G beyond sqrt(x)
+    at = np.searchsorted(ps, vs, side="right") - 1  # index of the last prime <= v
+    size = _block_len(xf)
+    blk = unit_values(trial_seeds, ps[:size])
+    fp = blk[:, :m].copy()  # the first block holds every p <= sqrt(x)
+    np.cumsum(blk, axis=1, out=blk)  # in place: blk[:, j] = G(ps[j])
+    # a quotient past the first block reads its last G until its own block
+    t = np.take(blk, at, axis=1, mode="clip")
+    t[:, 0] = 0.0  # G(1) = 0; the clipped index -1 read G(2)
+    for lo in range(size, ps.size, size):
+        carry = blk[:, -1:].copy()  # G of the last prime before the block
+        del blk  # before the next block is drawn
+        blk = unit_values(trial_seeds, ps[lo : lo + size])
+        blk[:, :1] += carry
+        np.cumsum(blk, axis=1, out=blk)  # in place: blk[:, j] = G(ps[lo + j])
+        a, b = np.searchsorted(at, (lo, lo + size))
+        np.take(blk, at[a:b] - lo, axis=1, out=t[:, a:b])
+    del blk
     for j in range(m - 1, -1, -1):
         p = int(ps[j])
-        f, gp = fp[:, j : j + 1], g[:, j : j + 1]
+        # T(p) = G(p): no prime q > p has yet touched a v < q^2, and vs[p - 1] = p
+        f, gp = fp[:, j : j + 1], t[:, p - 1 : p]
         start = int(np.searchsorted(vs, p * p))
         inc = np.zeros((t.shape[0], vs.size - start), dtype=np.complex128)
         pe, fe = p, f
         while pe * p <= xf:
             lo = int(np.searchsorted(vs, pe * p))
-            below = np.searchsorted(vs, vs[lo:] // pe)
             f_next = fe * f
-            step = np.take(t, below, axis=1)
+            step = np.take(t, np.searchsorted(vs, vs[lo:] // pe), axis=1)
             step -= gp
             np.multiply(fe, step, out=step)  # fe first: the same bits as fe * step
             step += f_next
             inc[:, lo - start :] += step
+            del step  # before the next power's step is taken
             pe, fe = pe * p, f_next
         t[:, start:] += inc
+        del inc  # before the next prime's inc is made
     return 1.0 + t[:, -1]

@@ -233,11 +233,11 @@ def test_value_error_from_a_handler_exit_4(monkeypatch, capsys):
 
 
 def test_huge_refusal_is_one_short_line(capsys):
-    # the byte count in scientific notation and MiB, not 299 digits
+    # the byte count in scientific notation and MiB, not 153 digits
     code, out, err = run(capsys, "rmf-mc", "--x", "1e300", "--k", "2", "--trials", "4")
     assert code == 3 and out == ""
-    assert err == ("error: a run of 4 trials in batches of 1 would take 4.361e+298 bytes "
-                   "(4.159e+292 MiB), cap is 2147483648\n")
+    assert err == ("error: a run of 4 trials in batches of 1 would take 1.920e+152 bytes "
+                   "(1.831e+146 MiB), cap is 2147483648\n")
 
 
 def test_verify_negative_seed_exit_2(capsys):

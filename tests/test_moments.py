@@ -124,6 +124,23 @@ def test_rmf_mc_pinned_bits():
                                                    "0x1.3bd163db522e1p+21")
 
 
+def test_rmf_mc_pinned_bits_across_blocks():
+    # x = 10^6 draws f(p) in 40 blocks of 2,000 primes: a lost carry or a
+    # misplaced quotient between blocks shows here
+    est = moments.rmf_moment_mc(1e6, 2, trials=40, seed=5)
+    assert (est.value.hex(), est.stderr.hex()) == ("0x1.9d1900dabd735p+37",
+                                                   "0x1.cee26f42c1dc0p+35")
+
+
+def test_rmf_mc_1e7_runs_under_a_32_mib_cap(monkeypatch):
+    # 16 rows at x = 10^7 hold about 10 MB; the whole-row route charged them
+    # 300 MB and refused them under this cap
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", 32 << 20)
+    est = moments.rmf_moment_mc(1e7, 2, trials=16, seed=3, batch=16)
+    assert est == moments.rmf_moment_mc(1e7, 2, trials=16, seed=3, batch=5, threads=1)
+    assert math.isfinite(est.value) and est.value > 0
+
+
 def test_rmf_mc_second_moment():
     est = moments.rmf_moment_mc(100.0, 1.0, trials=3000, seed=1)
     assert abs(est.value - 100.0) < 3 * est.stderr
@@ -175,9 +192,10 @@ def test_congruence_energy_refuses_huge_table():
 
 
 @pytest.mark.parametrize("x, trials, batch", [
-    (1e5, 150, 45),  # held arrays within 12 MiB
-    (1e3, 3000, 2048), (100.0, 20_000, 2048), (150.0, 20_000, 2048),  # at most 2048 rows
-    (1e7, 40, 16),  # the 16-row floor, charged about 300 MB
+    (1e5, 150, 59), (1e3, 3000, 474), (100.0, 20_000, 1985),  # rows within 4 MiB
+    (150.0, 20_000, 1588),
+    (50.0, 20_000, 2048),  # at most 2048 rows
+    (1e7, 40, 16),  # the 16-row floor, charged about 10 MB
 ])
 def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, batch):
     # batch counts the rows in flight; each of the workers holds

@@ -321,7 +321,7 @@ def test_mc_estimate_rows_in_flight(monkeypatch, trials, batch, threads):
 
 @pytest.mark.parametrize("trials, row_bytes, cap_rows, rows", [
     (5000, 8, None, 2048),  # at most 2048 rows
-    (5000, 64 << 10, None, 192),  # rows within 12 MiB
+    (5000, 64 << 10, None, 64),  # rows within 4 MiB
     (100, 8, None, 100),  # never more rows than trials
     (5000, 1 << 20, None, 16),  # at least 16 rows
     (5000, 1 << 20, 5, 5),  # never more than the cap admits
@@ -371,9 +371,16 @@ def test_kahan_partial_sum_scale():
     assert abs(total) < 20000 ** 0.75
 
 
-def test_batch_refuses_matrix_over_cap():
-    # 200 rows x (10^7 + 1) complex entries is 32 GB: refused before allocating
+def test_batch_refuses_matrix_over_cap(monkeypatch):
+    # 200 rows at x = 10^7 fit the default cap; one byte less than their
+    # charge refuses them before a value is drawn
     seeds = rmf.derive_trial_seeds(0, 200)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", rmf.batch_nbytes(200, 1e7) - 1)
+
+    def no_values(*args, **kwargs):
+        raise AssertionError("unit values were drawn before the cap check")
+
+    monkeypatch.setattr(rmf, "unit_values", no_values)
     with pytest.raises(TooLarge):
         rmf.partial_sums_batch(seeds, 1e7)
 
@@ -464,7 +471,7 @@ def test_batch_rows_match_sieve_oracle_at_small_x(x):
         assert got.tobytes() == np.full(5, complex(math.floor(x))).tobytes()
 
 
-@pytest.mark.parametrize("x", [1e4, 1e5])
+@pytest.mark.parametrize("x", [1e4, 1e5, 1e6])
 def test_batch_peak_memory_within_charge(x):
     # the byte charge must cover what the recursion really allocates
     rmf.primes.primes_up_to(x)  # the shared table is not the batch's to charge
@@ -484,6 +491,51 @@ def test_batch_peak_memory_within_charge(x):
 def test_batch_matches_sieve_oracle_at_prime_powers(x):
     for seed in range(4):
         assert _oracle_gap(float(x), seed) <= 1e-10
+
+
+def _whole_row_sums(trial_seeds, x):
+    # partial_sums_batch as it was before f(p) came in blocks: one pi(x)-long
+    # row of f(p), summed by one cumsum
+    xf = int(math.floor(x))
+    ps = primes.primes_up_to(xf)
+    r = math.isqrt(xf)
+    m = int(np.searchsorted(ps, r, side="right"))
+    g = rmf.unit_values(trial_seeds, ps)
+    fp = g[:, :m].copy()
+    np.cumsum(g, axis=1, out=g)
+    vs = np.concatenate([np.arange(1, r + 1), xf // np.arange(xf // (r + 1), 0, -1)])
+    t = np.take(g, np.searchsorted(ps, vs, side="right") - 1, axis=1)
+    t[:, 0] = 0.0
+    g = g[:, :m].copy()
+    for j in range(m - 1, -1, -1):
+        p = int(ps[j])
+        f, gp = fp[:, j : j + 1], g[:, j : j + 1]
+        start = int(np.searchsorted(vs, p * p))
+        inc = np.zeros((t.shape[0], vs.size - start), dtype=np.complex128)
+        pe, fe = p, f
+        while pe * p <= xf:
+            lo = int(np.searchsorted(vs, pe * p))
+            below = np.searchsorted(vs, vs[lo:] // pe)
+            f_next = fe * f
+            step = np.take(t, below, axis=1)
+            step -= gp
+            np.multiply(fe, step, out=step)
+            step += f_next
+            inc[:, lo - start :] += step
+            pe, fe = pe * p, f_next
+        t[:, start:] += inc
+    return 1.0 + t[:, -1]
+
+
+# pi(8161) = 1024 and pi(17863) = 2048: one and two blocks of 1024 primes end
+# there.  Above x = 2^18 a block holds 2 isqrt(x) primes.
+@pytest.mark.parametrize("x", [2, 3, 10, 100, 1000, 8160, 8161, 8166, 8167, 17862, 17863,
+                               17880, 17881, 30_000, 10**5, 262_143, 262_144, 500_000, 10**6])
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_blocked_prime_sums_keep_the_whole_row_bits(x, rows):
+    seeds = rmf.derive_trial_seeds(x + rows, rows)
+    got = rmf.partial_sums_batch(seeds, x)
+    assert got.tobytes() == _whole_row_sums(seeds, x).tobytes()
 
 
 def test_batch_matches_sieve_oracle_large_x():
