@@ -40,7 +40,6 @@ class PrefixSumTable:
     """half[a] = S_{chi_a}(x) for a = 0 .. (q-1)//2; the rest are conjugates."""
 
     q: int
-    x: float
     half: np.ndarray
 
     @property
@@ -102,7 +101,7 @@ def all_char_sums_fft(mod: PrimeModulus, x: float) -> PrefixSumTable:
     xf = _check_x(mod, x)
     b = _coeff_rows((mod.q - 1,), np.float64, 0)
     b[mod.dlog[1 : xf + 1]] = 1.0
-    return PrefixSumTable(q=mod.q, x=float(x), half=_dft(b))
+    return PrefixSumTable(q=mod.q, half=_dft(b))
 
 
 def abs_char_sums(mod: PrimeModulus, x: float) -> np.ndarray:
@@ -137,7 +136,7 @@ def all_char_sums_naive(mod: PrimeModulus, x: float) -> PrefixSumTable:
     half = np.empty(order // 2 + 1, dtype=np.complex128)
     for a in range(half.size):
         half[a] = roots[(a * d) % order].sum()
-    return PrefixSumTable(q=mod.q, x=float(x), half=half)
+    return PrefixSumTable(q=mod.q, half=half)
 
 
 def weighted_char_sums(mod: PrimeModulus, ns: np.ndarray, ws: np.ndarray) -> np.ndarray:

@@ -165,10 +165,10 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
     4 MiB of rows in flight) and spreads the rows over up to threads worker
     threads.  Trials use independent child seeds derived from seed; results
     depend on neither batch nor threads.  A row holds 40 B per prime: its
-    unit values and one complex and one real buffer.  tracemalloc reads
-    40.5-43.3 B at 327 to 2,048 rows of 131 primes; the rest is numpy's
-    buffer for the broadcast weights, at most 128 KiB a worker.  The two
-    weight arrays take a row's worth, and are built only after
+    unit values and one complex and one real buffer.  A worker holds 144 KiB
+    more: numpy's 128 KiB buffer for the broadcast weights, and up to 10.4 KB
+    of its own objects (tracemalloc, 1 to 900 rows of 127 or 160 primes).  The
+    two weight arrays take a row's worth, and are built only after
     rmf.mc_estimate has charged both and not refused the run.
     """
     ps = spec.product_primes
@@ -195,7 +195,8 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
         return products
 
     row_bytes = 40 * ps.size
-    return rmf.mc_estimate(seed, trials, batch, make_products, row_bytes, row_bytes, threads)
+    return rmf.mc_estimate(seed, trials, batch, make_products, row_bytes, row_bytes, threads,
+                           worker_bytes=16 * 8192 + (16 << 10))
 
 
 # ---------------------------------------------------------------------------

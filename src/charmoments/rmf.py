@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,45 +114,49 @@ def mc_plan(trials: int, batch: int, threads: int | None = None) -> tuple[int, i
 
 
 def mc_estimate(seed: int, trials: int, batch: int | None, make_per_batch,
-                row_bytes: int, shared_bytes: int,
-                threads: int | None = None) -> tuple[float, float]:
+                row_bytes: int, shared_bytes: int, threads: int | None = None,
+                worker_bytes: int = 0) -> tuple[float, float]:
     """(mean, stderr) over trials of per_batch(trial seeds), one value per trial.
 
     batch is the number of trial rows in flight at once.  None means
     min(trials, 2048, 4 MiB // row_bytes) rows, at least 16 and never more
-    than the charge below admits.  Chunks of the rows run on up to threads
-    worker threads (default: every usable CPU; see mc_plan), which pays
-    because numpy releases the interpreter lock.  Trial t always gets the same
-    child seed of seed and each chunk fills only its own slice of the samples,
-    so the result depends on neither batch nor threads, provided per_batch
-    computes each row on its own.  Before anything is built, the run is
-    charged against errors.DEFAULT_MEMORY_CAP: row_bytes for each row in
-    flight, shared_bytes once, and TRIAL_BYTES per trial.  Only then does
-    make_per_batch() build what the rows share and return per_batch.
+    than the charge below admits.  Up to threads workers (default: every
+    usable CPU; see mc_plan) each take the next chunk of rows until none is
+    left, which pays because numpy releases the interpreter lock.  Trial t
+    always gets the same child seed of seed and each chunk fills only its
+    own slice of the samples, so the result depends on neither batch nor
+    threads, provided per_batch computes each row on its own.  Before
+    anything is built, the run is charged against errors.DEFAULT_MEMORY_CAP:
+    row_bytes for each row in flight, worker_bytes for each worker (what its
+    call holds beside its rows), shared_bytes once, and TRIAL_BYTES per
+    trial.  Only then does make_per_batch() build what the rows share and
+    return per_batch.
     """
     seed, trials = whole(seed, -math.inf, "seed"), whole(trials, 2, "trials")
     if batch is None:
-        row = max(1, row_bytes)
-        admitted = (errors.DEFAULT_MEMORY_CAP - shared_bytes - TRIAL_BYTES * trials) // row
+        row, held = max(1, row_bytes), mc_plan(trials, trials, threads)[1] * worker_bytes
+        admitted = (errors.DEFAULT_MEMORY_CAP - shared_bytes - TRIAL_BYTES * trials - held) // row
         batch = max(1, min(max(16, min(trials, 2048, (4 << 20) // row)), admitted))
     rows, workers = mc_plan(trials, batch, threads)
-    check_bytes(rows * workers * row_bytes + shared_bytes + TRIAL_BYTES * trials,
-                f"a run of {trials} trials in batches of {rows * workers}")
+    check_bytes(rows * workers * row_bytes + workers * worker_bytes + shared_bytes
+                + TRIAL_BYTES * trials, f"a run of {trials} trials in batches of {rows * workers}")
     per_batch = make_per_batch()
     seeds = derive_trial_seeds(seed, trials)
     samples = np.empty(trials, dtype=np.float64)
+    starts = iter(range(0, trials, rows))  # shared: next() on it runs under the GIL
 
-    def run(i: int) -> None:
-        chunk = seeds[i : i + rows]
-        samples[i : i + chunk.size] = per_batch(chunk)
+    def run() -> None:
+        for i in starts:
+            chunk = seeds[i : i + rows]
+            samples[i : i + chunk.size] = per_batch(chunk)
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        for _ in pool.map(run, range(0, trials, rows)):
-            pass
-    finally:
-        # after a failed chunk, drop the chunks not yet started
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for done in as_completed([pool.submit(run) for _ in range(workers)]):
+                done.result()
+        finally:
+            for _ in starts:  # after a failure or an interrupt, start no further chunk
+                pass
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(trials))
 
 

@@ -185,14 +185,11 @@ def _mellin_unit(s: float) -> float:
     at once, and 4 KiB of headers.
     """
     lo = -3.0
-    what = f"the Mellin quadrature at s = {s}"
-    # the count in Decimal, charged before ceil: in float a tiny s makes it infinite
+    # the node count in Decimal: in float a tiny s makes it infinite
     d = Decimal(s)
     count = ((10**6 / (d * Decimal(_MELLIN_TOL))).ln() / d - Decimal(lo)) / Decimal(_MELLIN_STEP)
-    check_bytes(32 * 2 ** (_MELLIN_HALVINGS - 1) * count, what)
-    nodes = (math.log(1e6 / (s * _MELLIN_TOL)) / s - lo) / _MELLIN_STEP
-    n = max(1, math.ceil(nodes))
-    check_bytes(32 * (n << (_MELLIN_HALVINGS - 1)) + 4096, what)
+    n = max(1, math.ceil(count))
+    check_bytes(32 * (n << (_MELLIN_HALVINGS - 1)) + 4096, f"the Mellin quadrature at s = {s}")
 
     def node_sum(step: float, offset: float, nodes: int) -> float:
         w = lo + step * (np.arange(nodes) + offset)

@@ -37,6 +37,9 @@ class CheckReport:
     context: dict = field(default_factory=dict)
 
 
+Reports = list[CheckReport]
+
+
 def _report(name: str, lhs: float, rhs: float, relation: str, tolerance: float,
             scale: float | None = None, context: dict | None = None) -> CheckReport:
     """Build a report; tolerance is relative to scale (default: larger side)."""
@@ -87,10 +90,12 @@ def check_fourth_moment_count(mod: PrimeModulus, x: float, cal: Calibration) -> 
 
 
 def check_reflection(mod: PrimeModulus, x: float, cal: Calibration) -> CheckReport:
-    """|S_chi(x)| = |S_chi(q-1-floor(x))| for every non-principal chi."""
+    """|S_chi(x)| = |S_chi(q-1-floor(x))| for every non-principal chi; needs 1 <= x < q - 1."""
+    x_mirror = mod.q - 1 - math.floor(at_least(x, 1, "x"))
+    if x_mirror < 1:
+        raise OutOfRange(f"x = {x} must be below q - 1 = {mod.q - 1}: its mirror is below 1")
     # the half spectrum holds every |S_chi| once: chi_{-a} has the modulus of chi_a
     left = abs_char_sums(mod, x)[1:]
-    x_mirror = mod.q - 1 - math.floor(at_least(x, 1, "x"))
     right = abs_char_sums(mod, x_mirror)[1:]
     dev = float(np.max(np.abs(left - right)))
     scale = float(max(1.0, np.max(left)))
@@ -392,18 +397,16 @@ def _rand_coeffs(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
-def suite_identities(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
-    mod = build_modulus(q)
-    rng = np.random.default_rng(seed)
-    size = min(q - 1, 40)
+def suite_identities(mod: PrimeModulus, rng: np.random.Generator, cal: Calibration) -> Reports:
+    size = min(mod.q - 1, 40)
     delta = np.zeros(5)
     delta[0] = 1.0
     reports = [
         check_orthogonality_correspondence(mod, delta, cal),
         check_orthogonality_correspondence(mod, _rand_coeffs(rng, size), cal),
-        check_fourth_moment_count(mod, min(q - 1, 30), cal),
-        check_reflection(mod, (q - 1) * 0.618, cal),
-        check_fft_vs_naive(mod, min(q - 1, 200)),
+        check_fourth_moment_count(mod, min(mod.q - 1, 30), cal),
+        check_reflection(mod, (mod.q - 1) * 0.618, cal),
+        check_fft_vs_naive(mod, min(mod.q - 1, 200)),
         check_parseval({1: 1.0 + 0j}, 0.5, cal, tol=cal.parseval_delta_tol),
         check_parseval({1: 1.0 + 0j}, 1.5, cal, tol=cal.parseval_delta_tol),
     ]
@@ -413,8 +416,7 @@ def suite_identities(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     return reports
 
 
-def suite_counting(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
-    rng = np.random.default_rng(seed)
+def suite_counting(mod: PrimeModulus, rng: np.random.Generator, cal: Calibration) -> Reports:
     xs = rng.uniform(-0.4, 0.6, size=8)
     return [
         check_bernoulli(xs),
@@ -427,7 +429,7 @@ def suite_counting(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     ]
 
 
-def suite_euler(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
+def suite_euler(mod: PrimeModulus, rng: np.random.Generator, cal: Calibration) -> Reports:
     spec = euler.EulerProductSpec(alpha=0.8, beta=0.6, sigma1=0.02, sigma2=0.0,
                                   t1=0.0, t2=2.5, z=250.0, y=750.0)
     return [
@@ -439,12 +441,10 @@ def suite_euler(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     ]
 
 
-def suite_proxy(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
-    rng = np.random.default_rng(seed)
+def suite_proxy(mod: PrimeModulus, rng: np.random.Generator, cal: Calibration) -> Reports:
     instances = [(float(rng.uniform(0.5, 2.5) * rng.choice([-1.0, 1.0])),
                   float(rng.uniform(2.0, 4.0)), int(rng.integers(1, 5)))
                  for _ in range(40)]
-    mod = build_modulus(q)
     wide = proxy.desk_params(x=4.0, y=20.0, k=2.0, j_values=[2])
     skew = proxy.desk_params(x=4.0, y=20.0, k=3.0, j_values=[2])
     sources = [proxy.SampleSource(rmf.sample(s, 25))
@@ -461,9 +461,7 @@ def suite_proxy(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     ]
 
 
-def suite_theta(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
-    mod = build_modulus(q)
-    rng = np.random.default_rng(seed)
+def suite_theta(mod: PrimeModulus, rng: np.random.Generator, cal: Calibration) -> Reports:
     pairs = [(int(n), int(m)) for n, m in rng.integers(1, mod.q, size=(25, 2))]
     pairs += [(3, mod.q - 3), (5, 5)]
     return [
@@ -473,13 +471,11 @@ def suite_theta(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
     ]
 
 
-def suite_holder(q: int, seed: int, cal: Calibration) -> list[CheckReport]:
+def suite_holder(mod: PrimeModulus, rng: np.random.Generator, cal: Calibration) -> Reports:
     """The moment-comparison chain; the one suite that runs the Hoelder chain and
     the weighted correspondence."""
-    mod = build_modulus(q)
-    x = 6 if q >= 101 else 2
-    params = proxy.desk_params(x=x, y=2.0, k=2.0, j_values=[1], q=q)
-    rng = np.random.default_rng(seed)
+    x = 6 if mod.q >= 101 else 2
+    params = proxy.desk_params(x=x, y=2.0, k=2.0, j_values=[1], q=mod.q)
     sources = [proxy.SampleSource(rmf.sample(s, 25))
                for s in rng.integers(0, 2**62, size=20)]
     sub_params = proxy.desk_params(x=4.0, y=8.0, k=2.5, j_values=[1])
@@ -499,10 +495,9 @@ SUITES = {
     "holder": suite_holder,
 }
 
-# The smallest q each suite runs at: counting and euler read no modulus, so
-# the smallest prime; identities needs its length-5 polynomial below q, proxy
-# a character index in [1, q - 2], theta an odd prime, and holder its desk
-# chain with x 2^4 < q at x = 2.
+# Smallest prime q per suite (run_suite builds q's modulus for all): 2 for counting and
+# euler, which read no modulus; identities needs its length-5 polynomial below q, proxy
+# a character index in [1, q - 2], theta an odd prime, and holder x 2^4 < q at x = 2.
 MIN_Q = {"identities": 7, "counting": 2, "euler": 2, "proxy": 3, "theta": 3, "holder": 37}
 
 
@@ -510,6 +505,8 @@ def run_suite(name: str, q: int, seed: int, cal: Calibration | None = None) -> l
     """Run one named suite (or 'full' for all) deterministically.
 
     Refuses a negative seed, and a q below the suite's MIN_Q (the largest one for 'full').
+    Calls each suite as suite(mod, rng, cal): mod is q's modulus, built once (build_modulus
+    refuses a q that is not prime or past the cap), and rng a fresh default_rng(seed).
     """
     cal = cal or Calibration()
     seed = whole(seed, 0, "seed")
@@ -520,4 +517,5 @@ def run_suite(name: str, q: int, seed: int, cal: Calibration | None = None) -> l
     q = whole(q, -math.inf, "q")
     if q < least:
         raise OutOfRange(f"suite {name} needs q >= {least}, got q = {q}")
-    return [r for n in names for r in SUITES[n](q, seed, cal)]
+    mod = build_modulus(q)
+    return [r for n in names for r in SUITES[n](mod, np.random.default_rng(seed), cal)]

@@ -313,6 +313,17 @@ def test_verify_holder_suite_named(capsys):
     assert "holder-chain" in names
 
 
+@pytest.mark.parametrize("suite, q, code, text", [
+    ("counting", "4", 2, "error: q = 4 is not prime\n"),
+    ("euler", "2147483647", 3, "error: the tables for q = 2147483647 would take "),
+])
+def test_verify_q_is_every_suite_modulus(capsys, suite, q, code, text):
+    # counting and euler read no modulus, yet --q names one for them too
+    got, out, err = run(capsys, "verify", "--suite", suite, "--q", q)
+    assert (got, out) == (code, "")
+    assert err.startswith(text)
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "nonsense"])

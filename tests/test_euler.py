@@ -233,9 +233,11 @@ def test_mc_pinned_bits():
 
 def _mc_charge(spec, rows, trials):
     # 40 B per trial and prime for the rows in flight, one row for the
-    # weights, and the driver's own arrays for every trial
+    # weights, one worker's buffer and objects, and mc_estimate's own arrays
+    # for every trial
     ps = primes.primes_up_to(spec.y)
-    return 40 * (rows + 1) * int((ps >= spec.z).sum()) + rmf.TRIAL_BYTES * trials
+    return (40 * (rows + 1) * int((ps >= spec.z).sum()) + 16 * 8192 + (16 << 10)
+            + rmf.TRIAL_BYTES * trials)
 
 
 def test_mc_refuses_over_lowered_cap_before_drawing(monkeypatch):
@@ -270,6 +272,37 @@ def test_mc_chunk_peak_memory_within_charge(monkeypatch):
         euler.mc_product_estimate(spec, 16, seed=1, batch=16, threads=1)
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_CAP", 2 * peak)
     euler.mc_product_estimate(spec, 16, seed=1, batch=16, threads=1)
+
+
+# the first two Euler-product specs of the random-model-mc benchmark at seed 1
+BENCH_SPECS = [
+    euler.EulerProductSpec(alpha=1.3332442812784169, beta=0.5053808876136311,
+                           sigma1=0.10583161224314391, sigma2=0.20692564845511044, t1=0.0,
+                           t2=-1.4528138180934196, z=555.5080627123206, y=1666.5241881369616),
+    euler.EulerProductSpec(alpha=0.13582684721598887, beta=1.0795670412772485,
+                           sigma1=0.13453582830481955, sigma2=0.08243292912477304, t1=0.0,
+                           t2=4.614859254854469, z=433.09299932242243, y=1299.2789979672673),
+]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64, 327, 900])
+@pytest.mark.parametrize("spec", BENCH_SPECS, ids=["160-primes", "127-primes"])
+def test_mc_traced_peak_within_run_charge(monkeypatch, spec, rows):
+    # one worker: its rows, numpy's buffer for the broadcast weights and the
+    # worker's own objects, over 2,000 trials, so that a small batch runs
+    # many chunks
+    charges = []
+    check = rmf.check_bytes
+    monkeypatch.setattr(rmf, "check_bytes", lambda n, what: charges.append(n) or check(n, what))
+    euler.mc_product_estimate(spec, 2, seed=1, batch=rows, threads=1)  # prime table, caches
+    charges.clear()
+    tracemalloc.start()
+    try:
+        euler.mc_product_estimate(spec, 2000, seed=1, batch=rows, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(charges), (peak, max(charges))
 
 
 def test_mc_hits_closed_form():

@@ -40,9 +40,11 @@ def _mellin_charge(s):
 
 
 def _euler_charge(rows, trials):
-    # 40 B per prime for each row in flight and once for the weights, and the
-    # driver's own arrays for every trial
-    return 40 * (rows + 1) * EULER_PRIMES + rmf.TRIAL_BYTES * trials
+    # 40 B per prime for each row in flight and once for the weights, numpy's
+    # broadcast buffer and the worker's own objects for each of two workers,
+    # and mc_estimate's own arrays for every trial
+    return (40 * (rows + 1) * EULER_PRIMES + 2 * (16 * 8192 + (16 << 10))
+            + rmf.TRIAL_BYTES * trials)
 
 
 # route: (call, its charge, the allocators it must not reach when refused);
@@ -85,6 +87,11 @@ ROUTES = {
                                  (64 + 140) * 4126 + (32 + 8) * 20, [(charsum.np, "zeros")]),
     "mc_estimate": (lambda: rmf.mc_estimate(1, 50, 10, lambda: lambda c: np.zeros(c.size), 7, 100),
                     10 * 7 + 100 + rmf.TRIAL_BYTES * 50, [(rmf, "derive_trial_seeds")]),
+    # and 9 B for each of the two workers
+    "mc_estimate_workers": (lambda: rmf.mc_estimate(1, 50, 10, lambda: lambda c: np.zeros(c.size),
+                                                    7, 100, worker_bytes=9),
+                            10 * 7 + 2 * 9 + 100 + rmf.TRIAL_BYTES * 50,
+                            [(rmf, "derive_trial_seeds")]),
     "rmf_moment_mc": (lambda: moments.rmf_moment_mc(100.0, 2.0, trials=50, seed=1, batch=10),
                       rmf.batch_nbytes(10, 100) + rmf.TRIAL_BYTES * 50,
                       [(rmf, "derive_trial_seeds"), (rmf, "unit_values")]),

@@ -1,6 +1,7 @@
 """Random multiplicative sampler: determinism, multiplicativity, exact moments."""
 import itertools
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -354,6 +355,44 @@ def test_mc_estimate_chunk_error_propagates(monkeypatch):
 
     with pytest.raises(ValueError, match="chunk failed"):
         rmf.mc_estimate(1, 100, 4, lambda: per_batch, 0, 0, threads=2)
+
+
+def test_mc_estimate_workers_share_the_chunks_under_stress(monkeypatch):
+    # eight workers on fewer cores take one-row chunks from one iterator while
+    # the interpreter switches threads often: every trial runs exactly once
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 8)
+    seen = []
+
+    def per_batch(chunk):
+        seen.extend(chunk.tolist())
+        return (chunk % np.uint64(1000)).astype(np.float64)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = rmf.mc_estimate(5, 4000, 8, lambda: per_batch, 0, 0, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    seeds = rmf.derive_trial_seeds(5, 4000)
+    assert sorted(seen) == sorted(seeds.tolist())
+    want = (seeds % np.uint64(1000)).astype(np.float64)
+    assert got == (float(want.mean()), float(want.std(ddof=1) / math.sqrt(4000)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_estimate_starts_no_chunk_after_a_failure(monkeypatch, threads):
+    # 50 chunks of 2 rows; a worker stops at its first failed chunk, and a
+    # worker that comes later finds none left
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
+    calls = []
+
+    def per_batch(chunk):
+        calls.append(chunk.size)
+        raise ValueError("chunk failed")
+
+    with pytest.raises(ValueError, match="chunk failed"):
+        rmf.mc_estimate(1, 100, 2 * threads, lambda: per_batch, 0, 0, threads=threads)
+    assert 1 <= len(calls) <= threads
 
 
 def test_batch_matches_scalar_path():

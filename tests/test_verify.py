@@ -56,6 +56,14 @@ def test_orthogonality_requires_short_polynomials(mod101):
         verify.check_orthogonality_correspondence(mod101, np.ones(101), CAL)
 
 
+@pytest.mark.parametrize("x", [100, 100.5, 101])
+def test_reflection_refuses_x_without_mirror_before_any_transform(monkeypatch, mod101, x):
+    # q - 1 - floor(x) is 0 or -1: the caller's x is named, not the mirror
+    monkeypatch.setattr(verify, "abs_char_sums", lambda *a: pytest.fail("transform ran"))
+    with pytest.raises(OutOfRange, match=rf"^x = {x} must be below q - 1 = 100: its mirror is "):
+        verify.check_reflection(mod101, x, CAL)
+
+
 def test_bernoulli_domain(mod101):
     with pytest.raises(OutOfRange, match="all inputs must be >= -1"):
         verify.check_bernoulli([-1.5])
@@ -370,6 +378,13 @@ def test_suites_all_pass(mod101):
         assert reports, name
         for r in reports:
             assert r.passed, (name, r)
+
+
+def test_full_suite_builds_one_modulus(monkeypatch):
+    built = []
+    monkeypatch.setattr(verify, "build_modulus", lambda q: built.append(q) or build_modulus(q))
+    assert all(r.passed for r in verify.run_suite("full", 499, 1))
+    assert built == [499]
 
 
 def test_full_suite_is_union():
