@@ -161,9 +161,9 @@ def mc_product_estimate(spec: EulerProductSpec, trials: int, seed: int,
                         threads: int | None = None) -> tuple[float, float]:
     """Monte Carlo (mean, stderr) of the Euler product over [z, y].
 
-    rmf.mc_estimate runs it: it picks the batch when batch is None (up to
-    4 MiB of rows in flight) and spreads the rows over up to threads worker
-    threads.  Trials use independent child seeds derived from seed; results
+    rmf.mc_estimate runs it: it picks the batch when batch is None (as many
+    rows as hold 4 MiB, at least 16) and spreads the rows over up to threads
+    worker threads.  Trials use independent child seeds derived from seed; results
     depend on neither batch nor threads.  A row holds 40 B per prime: its
     unit values and one complex and one real buffer.  A worker holds 144 KiB
     more: numpy's 128 KiB buffer for the broadcast weights, and up to 10.4 KB

@@ -68,8 +68,14 @@ def unit_values(seeds, ps: np.ndarray) -> np.ndarray:
     depends on nothing but its seed and its prime.  The hash is freed before
     the output is made, and cos and sin of the angle are written into its
     real and imaginary parts, the same bits as exp(1j * angle): at most 24
-    bytes per value are alive at once.
+    bytes per value are alive at once.  A uint64 array of seeds is taken as
+    it is; any other seed must be a whole number in [0, 2^64).
     """
+    if getattr(seeds, "dtype", None) != np.uint64:
+        seeds = np.array(seeds, dtype=object)
+        for s in seeds.flat:
+            if whole(s, 0, "seed") > _M64:
+                raise OutOfRange(f"seed = {s} must be below 2^64")
     seeds = np.array(seeds, dtype=np.uint64)  # a copy: hashed in place
     ps = np.asarray(ps, dtype=np.int64).view(np.uint64)
     h = _mix_array(_mix_array(seeds.reshape(seeds.shape + (1,) * ps.ndim)) ^ ps)
@@ -99,45 +105,36 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def mc_plan(trials: int, batch: int, threads: int | None = None) -> tuple[int, int]:
-    """(rows per chunk, workers) for mc_estimate.
-
-    At most min(batch, trials) trial rows are in flight: each of the workers
-    holds one chunk of min(batch, trials) // workers rows.  workers is the
-    least of threads (None: no limit), the usable CPUs and min(batch, trials).
-    A standard error needs at least 2 trials.
-    """
-    alive = min(whole(trials, 2, "trials"), whole(batch, 1, "batch"))
-    cpus = usable_cpus()
-    workers = min(alive, cpus if threads is None else min(whole(threads, 1, "threads"), cpus))
-    return alive // workers, workers
-
-
 def mc_estimate(seed: int, trials: int, batch: int | None, make_per_batch,
                 row_bytes: int, shared_bytes: int, threads: int | None = None,
                 worker_bytes: int = 0) -> tuple[float, float]:
     """(mean, stderr) over trials of per_batch(trial seeds), one value per trial.
 
-    batch is the number of trial rows in flight at once.  None means
-    min(trials, 2048, 4 MiB // row_bytes) rows, at least 16 and never more
-    than the charge below admits.  Up to threads workers (default: every
-    usable CPU; see mc_plan) each take the next chunk of rows until none is
-    left, which pays because numpy releases the interpreter lock.  Trial t
-    always gets the same child seed of seed and each chunk fills only its
-    own slice of the samples, so the result depends on neither batch nor
-    threads, provided per_batch computes each row on its own.  Before
-    anything is built, the run is charged against errors.DEFAULT_MEMORY_CAP:
-    row_bytes for each row in flight, worker_bytes for each worker (what its
-    call holds beside its rows), shared_bytes once, and TRIAL_BYTES per
-    trial.  Only then does make_per_batch() build what the rows share and
-    return per_batch.
+    batch is the number of trial rows in flight at once.  None means as many
+    rows as hold 4 MiB of row_bytes, at least 16 and never more than the
+    trials or than the charge below admits.  Up to threads workers (default:
+    every usable CPU), never more than the rows in flight, each take the
+    next chunk of rows // workers rows until none is left, which pays
+    because numpy releases the interpreter lock.  Trial t always gets the
+    same child seed of seed and each chunk fills only its own slice of the
+    samples, so the result depends on neither batch nor threads, provided
+    per_batch computes each row on its own.  Before anything is built, the
+    run is charged against errors.DEFAULT_MEMORY_CAP: row_bytes for each row
+    in flight, worker_bytes for each worker (what its call holds beside its
+    rows), shared_bytes once, and TRIAL_BYTES per trial.  Only then does
+    make_per_batch() build what the rows share and return per_batch.
     """
     seed, trials = whole(seed, -math.inf, "seed"), whole(trials, 2, "trials")
+    batch = None if batch is None else whole(batch, 1, "batch")
+    workers = min(trials, usable_cpus(),
+                  trials if threads is None else whole(threads, 1, "threads"))
     if batch is None:
-        row, held = max(1, row_bytes), mc_plan(trials, trials, threads)[1] * worker_bytes
-        admitted = (errors.DEFAULT_MEMORY_CAP - shared_bytes - TRIAL_BYTES * trials - held) // row
-        batch = max(1, min(max(16, min(trials, 2048, (4 << 20) // row)), admitted))
-    rows, workers = mc_plan(trials, batch, threads)
+        row = max(1, row_bytes)
+        admitted = (errors.DEFAULT_MEMORY_CAP - shared_bytes - TRIAL_BYTES * trials
+                    - workers * worker_bytes) // row
+        batch = max(1, min(max(16, (4 << 20) // row), trials, admitted))
+    workers = min(workers, batch)
+    rows = min(batch, trials) // workers
     check_bytes(rows * workers * row_bytes + workers * worker_bytes + shared_bytes
                 + TRIAL_BYTES * trials, f"a run of {trials} trials in batches of {rows * workers}")
     per_batch = make_per_batch()

@@ -53,7 +53,8 @@ class ThetaTable:
 
 
 def truncation_point(q: int) -> float:
-    """sqrt(q) * (log q)^2."""
+    """sqrt(q) * (log q)^2, for a whole q >= 2."""
+    q = whole(q, 2, "q")
     return math.sqrt(q) * math.log(q) ** 2
 
 

@@ -31,11 +31,17 @@ MOD = modarith.build_modulus(101)
 NS = np.arange(1, 30)
 SAMPLE = rmf.sample(3, 200)
 SEEDS = rmf.derive_trial_seeds(0, 4)
+PS = primes.primes_up_to(30)
 CAL = Calibration()
 WINDOW = proxy.desk_params(x=2.0, y=2.0, k=2.0, j_values=[1], q=101)
 SPEC = euler.EulerProductSpec(alpha=0.8, beta=0.6, sigma1=0.02, sigma2=0.0,
                               t1=0.0, t2=2.5, z=250.0, y=400.0)
 POLY = FPoly.var(2) + FPoly.var(3, 0.5j)
+
+
+def ones_per_batch():
+    """A trivial make_per_batch for rmf.mc_estimate: one 1.0 per trial."""
+    return lambda chunk: np.ones(chunk.size)
 
 
 def mostly(ordinary, special):
@@ -72,9 +78,11 @@ CALLS = {
     "rmf.values_upto": (lambda x: rmf.values_upto(SAMPLE, x), st.tuples(real(0.0, 200.0)), ()),
     "rmf.partial_sum": (lambda x: rmf.partial_sum(SAMPLE, x), st.tuples(real(0.0, 200.0)), ()),
     "rmf.derive_trial_seeds": (rmf.derive_trial_seeds, st.tuples(SEED, integer(0, 50)), (0, 1)),
-    "rmf.mc_plan": (rmf.mc_plan,
-                    st.tuples(integer(2, 100), integer(1, 100), optional(integer(1, 8))),
-                    (0, 1, 2)),
+    "rmf.unit_values": (lambda seed: rmf.unit_values(seed, PS), st.tuples(SEED), (0,)),
+    "rmf.mc_estimate": (lambda trials, batch, threads: rmf.mc_estimate(
+                            1, trials, batch, ones_per_batch, 8, 0, threads),
+                        st.tuples(integer(2, 100), integer(1, 100), optional(integer(1, 8))),
+                        (0, 1, 2)),
     "rmf.batch_nbytes": (rmf.batch_nbytes, st.tuples(integer(0, 64), real(0.0, 1e6)), (0,)),
     "rmf.partial_sums_batch": (lambda x: rmf.partial_sums_batch(SEEDS, x),
                                st.tuples(real(0.0, 1000.0)), ()),
@@ -105,6 +113,7 @@ CALLS = {
         (0, 1, 2, 3)),
     "theta.theta_all": (lambda trunc: theta.theta_all(MOD, trunc), st.tuples(real(0.0, 500.0)),
                         ()),
+    "theta.truncation_point": (theta.truncation_point, st.tuples(integer(2, 10**6)), (0,)),
     "theta.theta_naive": (lambda a, trunc: theta.theta_naive(MOD, a, trunc),
                           st.tuples(integer(0, 99), real(0.0, 500.0)), (0,)),
     "theta.theta_moment": (lambda k, parity: theta.theta_moment(MOD, k, parity),
@@ -218,8 +227,11 @@ WHOLE_CASES = {
     "rmf.sample": (lambda seed: rmf.sample(seed, 50).fp, 1),
     "rmf.value_at": (lambda n: rmf.value_at(SAMPLE, n), 6),
     "rmf.derive_trial_seeds": (lambda seed: rmf.derive_trial_seeds(seed, 2), 1),
-    "rmf.mc_plan trials": (lambda trials: rmf.mc_plan(trials, 4), 10),
-    "rmf.mc_plan batch": (lambda batch: rmf.mc_plan(10, batch), 2),
+    "rmf.unit_values": (lambda seed: rmf.unit_values(seed, PS), 1),
+    "rmf.mc_estimate trials": (
+        lambda trials: rmf.mc_estimate(1, trials, 4, ones_per_batch, 8, 0), 10),
+    "rmf.mc_estimate batch": (lambda batch: rmf.mc_estimate(1, 10, batch, ones_per_batch, 8, 0),
+                              2),
     "rmf.batch_nbytes": (lambda rows: rmf.batch_nbytes(rows, 100), 2),
     "rmf.pair_counts": (lambda xf: rmf.pair_counts(xf, np.uint16), 3),
     "rmf.exact_moment_2k": (lambda k: rmf.exact_moment_2k(5, k), 1),
@@ -233,6 +245,7 @@ WHOLE_CASES = {
         lambda threads: moments.rmf_moment_mc(10.0, 2.0, trials=8, seed=1, threads=threads), 1),
     "euler.mc_product_estimate": (
         lambda batch: euler.mc_product_estimate(SPEC, 8, 1, batch=batch), 3),
+    "theta.truncation_point": (theta.truncation_point, 101),
     "proxy.desk_params": (lambda j: proxy.desk_params(x=2.0, y=2.0, k=2.0, j_values=[j]), 1),
     "proxy.CharSource": (lambda a: proxy.CharSource(MOD, a).values_at(NS), 1),
     "proxy.truncated_exp": (lambda depth: proxy.truncated_exp(1.0, depth, 1.0), 2),

@@ -145,7 +145,7 @@ def test_driver_charges_every_trial(monkeypatch):
 
 
 def test_euler_default_batch_follows_lowered_cap(monkeypatch):
-    # 2048 rows no longer fit, so the default batch shrinks to the 6 the cap
+    # 4 MiB of rows no longer fit, so the default batch shrinks to the 6 the cap
     # admits beside the 3,000 trials' own arrays instead of refusing, with
     # the bits of any explicit batch
     monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)

@@ -194,7 +194,7 @@ def test_congruence_energy_refuses_huge_table():
 @pytest.mark.parametrize("x, trials, batch", [
     (1e5, 150, 59), (1e3, 3000, 474), (100.0, 20_000, 1985),  # rows within 4 MiB
     (150.0, 20_000, 1588),
-    (50.0, 20_000, 2048),  # at most 2048 rows
+    (50.0, 20_000, 2962),  # 4 MiB // 1,416 B
     (1e7, 40, 16),  # the 16-row floor, charged about 10 MB
 ])
 def test_rmf_mc_default_batch_fits_cap(monkeypatch, x, trials, batch):

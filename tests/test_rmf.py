@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,11 +302,14 @@ def test_mc_estimate_rows_in_flight(monkeypatch, trials, batch, threads):
     monkeypatch.setattr(rmf, "usable_cpus", lambda: 3)
     lock = threading.Lock()
     alive = [0, 0]  # now, peak
+    sizes, idents = [], set()
 
     def per_batch(chunk):
         with lock:
             alive[0] += chunk.size
             alive[1] = max(alive[1], alive[0])
+            sizes.append(chunk.size)
+            idents.add(threading.get_ident())
         time.sleep(0.001)  # let the chunks overlap
         with lock:
             alive[0] -= chunk.size
@@ -314,14 +318,15 @@ def test_mc_estimate_rows_in_flight(monkeypatch, trials, batch, threads):
     got = rmf.mc_estimate(5, trials, batch, lambda: per_batch, 0, 0, threads)
     want = (rmf.derive_trial_seeds(5, trials) % np.uint64(1000)).astype(np.float64)
     assert got == (float(want.mean()), float(want.std(ddof=1) / math.sqrt(trials)))
-    rows, workers = rmf.mc_plan(trials, batch, threads)
-    assert workers == min(3 if threads is None else min(threads, 3), batch, trials)
-    assert alive[1] <= workers * math.ceil(batch / workers)
+    # the rule: workers are the least of the CPUs, threads and rows in flight
+    workers = min(3 if threads is None else min(threads, 3), batch, trials)
+    rows = min(batch, trials) // workers
+    assert max(sizes) == rows and len(idents) <= workers
     assert alive[1] <= rows * workers <= batch
 
 
 @pytest.mark.parametrize("trials, row_bytes, cap_rows, rows", [
-    (5000, 8, None, 2048),  # at most 2048 rows
+    (10**6, 8, None, 524_288),  # 4 MiB of 8 B rows, below the trials
     (5000, 64 << 10, None, 64),  # rows within 4 MiB
     (100, 8, None, 100),  # never more rows than trials
     (5000, 1 << 20, None, 16),  # at least 16 rows
@@ -342,6 +347,61 @@ def test_mc_estimate_default_batch(monkeypatch, trials, row_bytes, cap_rows, row
 
     rmf.mc_estimate(1, trials, None, lambda: per_batch, row_bytes, shared)
     assert seen[0] == rows and sum(seen) == trials
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(trials=st.integers(2, 10**4), row_bytes=st.integers(0, 2 << 20),
+       cpus=st.integers(1, 4), threads=st.one_of(st.none(), st.integers(1, 4)),
+       shared=st.integers(0, 1 << 20), worker_bytes=st.integers(0, 1 << 17),
+       spare_rows=st.integers(-50, 3000))
+def test_mc_estimate_default_plan_property(trials, row_bytes, cpus, threads, shared,
+                                           worker_bytes, spare_rows):
+    # under a cap with room for about spare_rows rows, the default batch is
+    # either refused before anything is built, or covers every trial once
+    # within the 4 MiB rule and a run charge the cap admits
+    cap = shared + rmf.TRIAL_BYTES * trials + cpus * worker_bytes + spare_rows * row_bytes
+    lock = threading.Lock()
+    built, sizes, seen, idents, charges = [], [], [], set(), []
+    check_bytes = rmf.check_bytes
+
+    def per_batch(chunk):
+        with lock:
+            sizes.append(chunk.size)
+            seen.extend(chunk.tolist())
+            idents.add(threading.get_ident())
+        return np.zeros(chunk.size)
+
+    def charge(nbytes, what):
+        charges.append(nbytes)
+        check_bytes(nbytes, what)
+
+    with mock.patch.object(rmf, "usable_cpus", lambda: cpus), \
+            mock.patch.object(rmf, "check_bytes", charge), \
+            mock.patch.object(errors, "DEFAULT_MEMORY_CAP", cap):
+        try:
+            rmf.mc_estimate(1, trials, None, lambda: built.append(1) or per_batch,
+                            row_bytes, shared, threads, worker_bytes)
+        except TooLarge:
+            assert not built and not sizes
+            return
+    assert sorted(seen) == sorted(rmf.derive_trial_seeds(1, trials).tolist())
+    rows = max(sizes)
+    assert rows * len(idents) <= min(max((4 << 20) // max(1, row_bytes), 16), trials)
+    assert charges[0] <= cap
+    assert charges[0] >= rows * len(idents) * row_bytes + len(idents) * worker_bytes \
+        + shared + rmf.TRIAL_BYTES * trials
+
+
+@pytest.mark.parametrize("x", [20.0, 50.0])
+def test_rmf_mc_default_batch_keeps_its_bits(monkeypatch, x):
+    # the default batch (5,295 and 2,962 rows) gives the bits of 2,048 and 7 rows
+    monkeypatch.setattr(rmf, "usable_cpus", lambda: 2)
+    want = moments.rmf_moment_mc(x, 2.0, trials=20_000, seed=3, batch=2048, threads=1)
+    for batch in (None, 2048, 7):
+        for threads in (1, 2):
+            got = moments.rmf_moment_mc(x, 2.0, trials=20_000, seed=3, batch=batch,
+                                        threads=threads)
+            assert got.value.hex() == want.value.hex() and got.stderr == want.stderr
 
 
 def test_mc_estimate_chunk_error_propagates(monkeypatch):
