@@ -110,6 +110,9 @@ class ShapeFit:
 def shape_fit(points: list[tuple[float, float]], k: float) -> ShapeFit:
     """Fit moment ~ C * scale^k * (log scale)^e and return e with an error bar.
 
+    A least-squares line through (log log scale, log moment - k log scale),
+    in closed form: the slope is the centred cross sum over the centred sum of
+    squares, which also scales the stderr, so no LAPACK routine runs.
     Needs at least 4 points with distinct finite scales > e; an infinite moment gives a NaN fit.
     """
     if len(points) < 4:
@@ -124,14 +127,14 @@ def shape_fit(points: list[tuple[float, float]], k: float) -> ShapeFit:
         raise OutOfRange("moments must be positive")
     t = np.log(np.log(xs))
     yv = np.log(ms) - k * np.log(xs)
-    a = np.vstack([t, np.ones_like(t)]).T
-    coef, *_ = np.linalg.lstsq(a, yv, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
+    tc = t - t.mean()
+    denom = float((tc**2).sum())
+    slope = float((tc * (yv - yv.mean())).sum()) / denom if denom > 0 else math.nan
+    intercept = float(yv.mean()) - slope * float(t.mean())
     resid = yv - (slope * t + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
     dof = len(points) - 2
     var = float(resid @ resid) / dof if dof > 0 else 0.0
-    denom = float(((t - t.mean()) ** 2).sum())
     stderr = math.sqrt(var / denom) if denom > 0 else math.inf
     return ShapeFit(exponent=slope, intercept=intercept, residual=rms,
                     exponent_stderr=stderr)

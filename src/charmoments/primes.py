@@ -45,15 +45,23 @@ def _grown(n: int) -> np.ndarray:
     with _GROW_LOCK:
         limit, ps = _table[0]
         if n > limit:
+            # one array sized by pi(n) < 1.25506 n / log n (Rosser and Schoenfeld),
+            # filled segment by segment and then shrunk in place, so a growth
+            # never holds the new primes twice
+            out = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)
+            out[: ps.size] = ps
+            end = ps.size
             # each new segment starts above sqrt(n) >= p, so p itself stays
-            chunks = [ps]
             for lo in range(limit + 1, n + 1, _SEGMENT):
                 flags = np.ones(min(_SEGMENT, n + 1 - lo), dtype=bool)
                 for p in base.tolist():
                     flags[-lo % p :: p] = False
-                chunks.append(np.flatnonzero(flags).astype(np.int64) + lo)
-            ps = np.concatenate(chunks)
-            ps.flags.writeable = False
+                found = np.flatnonzero(flags)
+                out[end : end + found.size] = found + lo
+                end += found.size
+            out.resize(end, refcheck=False)
+            out.flags.writeable = False
+            ps = out
             _table[0] = (n, ps)
     return ps
 
@@ -71,8 +79,12 @@ def primes_up_to(n: int | float) -> np.ndarray:
 
 def primes_in(lo: float, hi: float) -> np.ndarray:
     """Primes in the half-open interval (lo, hi], as a read-only view of the table."""
+    lo = at_least(lo, -math.inf, "lo")
     ps = primes_up_to(hi)
-    return ps[np.searchsorted(ps, lo, side="right") :]
+    # an int bound searches the int64 table in place, where a float (or an int
+    # past int64) would copy it; every prime lies in [2, SIEVE_CAP], so the clamp
+    # keeps the index
+    return ps[np.searchsorted(ps, math.floor(min(max(lo, 1.0), SIEVE_CAP)), side="right") :]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

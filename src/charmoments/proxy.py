@@ -364,23 +364,29 @@ def truncation_error_series(d, k, depth):
         at_least(kv, -math.inf, "k")
     depths = [whole(j, 0, "depth") for j in depth.ravel().tolist()]
     cap = max(depths, default=0) + _SERIES_TERMS
-    # two gathers of c and their product, one float per instance and pair i <= j
-    check_bytes(12 * d.size * (cap + 1) * (cap + 2), f"the truncation series of {d.size} values")
-    c = np.ones(d.shape + (cap + 1,))  # c_0 = 1
-    x = (k - 1.0) * d
+    pairs = (cap + 1) * (cap + 2) // 2
+    # 8 B per value and term of the c table and 64 B per value for its scalar,
+    # depth and result; 49 B per pair for the two int64 pair indices, the
+    # doublings and their mask, and one row's two gathers and their product
+    check_bytes(8 * d.size * (cap + 9) + 49 * pairs + 4096,
+                f"the truncation series of {d.size} values")
+    c = np.ones((d.size, cap + 1))  # c_0 = 1
+    x = ((k - 1.0) * d).ravel()
     for j in range(1, cap + 1):
-        c[..., j] = c[..., j - 1] * x / j
+        c[:, j] = c[:, j - 1] * x / j
     j, i = np.tril_indices(cap + 1)  # pairs i <= j, in runs of equal j
     # c_i c_j == c_j c_i bit for bit and doubling is exact, so each pair off the
     # diagonal enters once, doubled; fsum is correctly rounded, so neither that
     # nor the order of the terms moves the sum
-    terms = (c[..., i] * c[..., j] * np.where(i < j, 2.0, 1.0)).reshape(-1, i.size)
-    # the pairs with depth < j <= depth + _SERIES_TERMS: run j starts at j (j + 1) / 2;
-    # a memoryview hands fsum Python floats without building a list
-    spans = [((j + 1) * (j + 2) // 2, (j + _SERIES_TERMS + 1) * (j + _SERIES_TERMS + 2) // 2)
-             for j in depths]
+    doubled = np.where(i < j, 2.0, 1.0)
+    sums = []
     try:
-        sums = [math.fsum(memoryview(t[a:b])) for t, (a, b) in zip(terms, spans)]
+        for row, jd in zip(c, depths):
+            # the pairs with depth < j <= depth + _SERIES_TERMS: run j starts at
+            # j (j + 1) / 2; a memoryview hands fsum Python floats without a list
+            top = jd + _SERIES_TERMS
+            a, b = (jd + 1) * (jd + 2) // 2, (top + 1) * (top + 2) // 2
+            sums.append(math.fsum(memoryview(row[i[a:b]] * row[j[a:b]] * doubled[a:b])))
     except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
         raise OutOfRange("the truncation series overflows the float range") from None
     return np.reshape(sums, d.shape)[()]

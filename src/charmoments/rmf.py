@@ -214,7 +214,7 @@ def values_upto(s: RmfSample, x: float) -> np.ndarray:
 def partial_sum(s: RmfSample, x: float) -> complex:
     """sum_{n <= x} f(n), its real and imaginary parts each correctly rounded."""
     v = values_upto(s, x)[1:]
-    return complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
+    return complex(math.fsum(memoryview(v.real)), math.fsum(memoryview(v.imag)))
 
 
 def pair_counts(xf: int, dtype) -> np.ndarray:

@@ -225,7 +225,7 @@ def check_parseval(coeffs: dict[int, complex], sigma: float, cal: Calibration,
 
     # the partial sum through ns[i] holds on [ns[i], ns[i+1]), the last one to infinity
     x = np.append(ns.astype(np.float64) ** (-2.0 * sigma), 0.0)
-    lhs = math.fsum((np.abs(np.cumsum(an)) ** 2 * (x[:-1] - x[1:])).tolist()) / (2.0 * sigma)
+    lhs = math.fsum(memoryview(np.abs(np.cumsum(an)) ** 2 * (x[:-1] - x[1:]))) / (2.0 * sigma)
 
     # |F|^2 = sum_{n,m} b_n conj(b_m) (n/m)^{-it}, and e^{-sigma lambda} = (min/max)^sigma
     b, nl = (an * ns.astype(np.float64) ** (-sigma)).tolist(), ns.tolist()

@@ -107,10 +107,11 @@ ROUTES = {
     "poly_table": (lambda: proxy.poly_table(WINDOW, [proxy.OnesSource()] * 5),
                    32 * 5 * 3 * 8, [(proxy.np, "stack")]),
     "shift_values": (WINDOW.shift_values, 8 * 3, [(proxy.np, "arange")]),
-    # 24 B per value and pair i <= j <= 2 + 60
+    # 8 B per value and term j <= 2 + 60 and 64 B more per value, 49 B per
+    # pair i <= j <= 62, and 4 KiB
     "truncation_error_series": (
         lambda: proxy.truncation_error_series([1.0, 1.0, 1.0], 2.0, 2),
-        24 * 3 * (63 * 64 // 2), [(proxy.np, "ones")]),
+        8 * 3 * (63 + 8) + 49 * (63 * 64 // 2) + 4096, [(proxy.np, "ones")]),
     # 80 B per theta term n <= trunc
     "theta_naive": (lambda: theta.theta_naive(MOD, 3, 50.0), 80 * 50, [(theta.np, "arange")]),
     "check_rough_count": (lambda: verify.check_rough_count(100, 1000, 5, Calibration()),

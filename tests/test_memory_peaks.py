@@ -3,11 +3,14 @@
 test_memory_cap.py pins what each route charges; this module checks that
 the charge covers what the route really holds at its peak.  Each call runs
 in a fresh interpreter, with numpy and scipy.fft imported and, unless the
-modulus is the route, the modulus or the prime table built first, so that
+modulus or the prime table is the route, the modulus or the prime table
+built first, so that
 neither a library a route loads inside nor an earlier call's freed memory is
 counted.  The peak
 is the growth of VmHWM in /proc/self/status over the call, from VmRSS just
-before it.  tracemalloc would miss pocketfft's scratch and plans.
+before it.  tracemalloc would miss pocketfft's scratch and plans.  Growing
+the prime table, which charges nothing, must peak near what it keeps:
+VmHWM - VmRSS after the call.
 """
 import json
 import os
@@ -44,17 +47,19 @@ spec = euler.EulerProductSpec(alpha=0.12148592618708783, beta=1.1572513109603542
 n, route = int(sys.argv[1]), sys.argv[2]
 if route in ("theta_all", "theta_moment"):
     mod = modarith.build_modulus(n)
-elif route != "build_modulus":
+elif route not in ("build_modulus", "primes_up_to"):
     primes.primes_up_to(max(n, spec.y))
 call = {"build_modulus": lambda: modarith.build_modulus(n),
         "theta_all": lambda: theta.theta_all(mod),
         "theta_moment": lambda: theta.theta_moment(mod, 1.0, "odd"),
         "rmf_moment_mc": lambda: moments.rmf_moment_mc(n, 2, int(sys.argv[3]), 5),
-        "mc_product_estimate": lambda: euler.mc_product_estimate(spec, n, 5)}[route]
+        "mc_product_estimate": lambda: euler.mc_product_estimate(spec, n, 5),
+        "primes_up_to": lambda: primes.primes_up_to(n)}[route]
 charges.clear()
 before = status("VmRSS")
 call()
-print(json.dumps({"growth": status("VmHWM") - before, "charge": max(charges)}))
+print(json.dumps({"growth": status("VmHWM") - before, "charge": max(charges, default=0),
+                  "above": status("VmHWM") - status("VmRSS")}))
 """
 
 
@@ -90,3 +95,10 @@ def test_rmf_mc_peak_within_its_run_charge(x, trials):
 def test_euler_mc_peak_within_its_run_charge():
     got = _peak(15_000, "mc_product_estimate")
     assert 0 < got["growth"] <= got["charge"] + ALLOWANCE, got
+
+
+# the table grows into one array sized by a bound on pi(n), shrunk in place,
+# so the peak stays near what it keeps and a later call's peak shows
+def test_growing_the_prime_table_holds_it_once():
+    got = _peak(10**7, "primes_up_to")
+    assert got["above"] <= 3 << 20, got
