@@ -6,8 +6,9 @@ e^{+2*pi*i*a*j/(q-1)} sign convention) of the indicator b_j = [g^j mod q <= x].
 One FFT therefore replaces q-1 separate summations; as b is real, a real FFT
 gives a = 0 .. (q-1)//2 and S_{chi_{-a}} = conj(S_{chi_a}) gives the rest.
 Callers that need only |S_chi(x)| read abs_char_sums, which keeps the magnitudes
-of one floor(x) on the modulus, so several moments at the same (q, x) share one
-DFT; power_sum sums |v_a|^{2k} of a half spectrum over a class of characters.
+of the last two floor(x) on the modulus, so several moments at the same (q, x),
+and a grid that returns to an x after one other, share one DFT; power_sum sums
+|v_a|^{2k} of a half spectrum over a class of characters.
 The same fold with arbitrary weights, sum_n w_n chi(n), evaluates any weighted
 character polynomial for all characters simultaneously.
 
@@ -93,7 +94,13 @@ def _dft(coeffs: np.ndarray) -> np.ndarray:
     n, fft = coeffs.shape[-1], np.fft
     if n >= _SCIPY_FFT_MIN and _is_rough(n):
         import scipy.fft as fft
-    return fft.ifft(coeffs) * n if np.iscomplexobj(coeffs) else np.conj(fft.rfft(coeffs))
+    # in place: the same bits, and no second half spectrum alive beside the first
+    if np.iscomplexobj(coeffs):
+        out = fft.ifft(coeffs)
+        out *= n
+        return out
+    out = fft.rfft(coeffs)
+    return np.conjugate(out, out=out)
 
 
 def all_char_sums_fft(mod: PrimeModulus, x: float) -> PrefixSumTable:
@@ -105,20 +112,23 @@ def all_char_sums_fft(mod: PrimeModulus, x: float) -> PrefixSumTable:
 
 
 def abs_char_sums(mod: PrimeModulus, x: float) -> np.ndarray:
-    """|S_{chi_a}(x)| for a = 0 .. (q-1)//2, read-only, memoised for one floor(x).
+    """|S_{chi_a}(x)| for a = 0 .. (q-1)//2, read-only, memoised for the last two floor(x).
 
-    The slot mod.abs_sums holds the last floor(x) asked; a miss empties it
-    before the DFT runs, so no stored table is alive during a transform.
+    mod.abs_sums holds (floor(x), table) for the last two floor(x) asked,
+    newest first; a hit leaves it as it is.  A miss keeps only the newest
+    pair before the DFT runs, so at most one stored table is alive during a
+    transform, then puts the new pair in front of it.
     """
     xf = _check_x(mod, x)
-    memo = mod.abs_sums  # one read: a thread that swaps the slot cannot split (floor(x), table)
-    if memo is not None and memo[0] == xf:
-        return memo[1]
-    # drop the local reference too, or the old table outlives the slot during the DFT
-    memo = mod.abs_sums = None
+    memo = mod.abs_sums  # one read: a thread that swaps the slots cannot split (floor(x), table)
+    hit = next((mags for f, mags in memo if f == xf), None)
+    if hit is not None:
+        return hit
+    # drop the local reference too, or the older table outlives its slot during the DFT
+    memo = mod.abs_sums = memo[:1]
     mags = np.abs(all_char_sums_fft(mod, x).half)
     mags.flags.writeable = False
-    mod.abs_sums = (xf, mags)
+    mod.abs_sums = ((xf, mags),) + memo
     return mags
 
 

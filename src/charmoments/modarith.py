@@ -18,9 +18,10 @@ import numpy as np
 from . import primes
 from .errors import OutOfRange, at_most, check_bytes, whole
 
-# A modulus holds 12 bytes per residue: the int64 discrete-log table (8 B) and
-# the memoised prefix-sum magnitudes, (q-1)//2 + 1 float64 values (4 B).
-_BYTES_PER_RESIDUE = 12
+# A modulus holds 16 bytes per residue: the int64 discrete-log table (8 B) and
+# two memo slots of prefix-sum magnitudes, (q-1)//2 + 1 float64 values each
+# (4 B a slot).
+_BYTES_PER_RESIDUE = 16
 
 Q_CAP = 1 << 31
 
@@ -30,14 +31,15 @@ class PrimeModulus:
     """Prime q with generator g and the full discrete-log table.
 
     dlog[n] = j such that g^j = n (mod q) for 1 <= n < q; dlog[0] = -1.
-    abs_sums is the memo slot of charsum.abs_char_sums: (floor(x), read-only
-    |S_chi_a(x)| for a = 0 .. (q-1)//2) for the last floor(x) asked, or None.
+    abs_sums holds the two memo slots of charsum.abs_char_sums: a tuple of at
+    most two pairs (floor(x), read-only |S_chi_a(x)| for a = 0 .. (q-1)//2),
+    the last two floor(x) asked, newest first; () before the first.
     """
 
     q: int
     g: int
     dlog: np.ndarray
-    abs_sums: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False)
+    abs_sums: tuple[tuple[int, np.ndarray], ...] = field(default=(), init=False, repr=False)
 
     def root(self, j: np.ndarray) -> np.ndarray:
         """exp(2*pi*i*j/(q-1)) at each entry of the integer array j."""

@@ -146,6 +146,12 @@ def even_theta_second_moment_oracle(mod: PrimeModulus) -> float:
 _SMOOTH_COUNT_CAP = 500_000
 
 
+def _prime_count(sample: RmfSample, y: float) -> int:
+    """The count of the sample's primes p <= y, for a finite y."""
+    # an int bound searches the int64 table in place, where a float would copy it
+    return int(np.searchsorted(sample.primes, math.floor(y), side="right"))
+
+
 def _smooth_values(sample: RmfSample, y: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """The y-smooth m <= cap, sorted, with their f(m); TooLarge past _SMOOTH_COUNT_CAP terms.
 
@@ -156,7 +162,7 @@ def _smooth_values(sample: RmfSample, y: float, cap: int) -> tuple[np.ndarray, n
     ms = np.ones(1 if cap >= 1 else 0, dtype=np.int64)
     vals = np.ones(ms.size, dtype=np.complex128)
     what = f"the count of {y}-smooth integers up to {cap}"
-    count = np.searchsorted(sample.primes, y, side="right")
+    count = _prime_count(sample, y)
     for p, fv in zip(sample.primes[:count].tolist(), sample.fp[:count]):
         ms_parts, val_parts, size = [ms], [vals], ms.size
         power, fpow = p, fv
@@ -228,7 +234,7 @@ def mellin_transform_check(y_smooth: float, s: float, sample: RmfSample,
     ms, cs = _smooth_values(sample, y_smooth, smooth_cap)
     numeric = _mellin_unit(s) * complex(np.sum(cs * ms.astype(np.float64) ** -s))
     closed = math.gamma(s / 2.0) / (2.0 * math.pi ** (s / 2.0))
-    count = np.searchsorted(sample.primes, y_smooth, side="right")
+    count = _prime_count(sample, y_smooth)
     for p, f in zip(sample.primes[:count].tolist(), sample.fp[:count].tolist()):
         closed = closed / (1.0 - f * float(p) ** (-s))
     return numeric, complex(closed)

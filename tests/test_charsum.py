@@ -238,18 +238,22 @@ def test_abs_char_sums_read_only(mod101):
         mags[0] = 0.0
 
 
-def test_abs_char_sums_miss_frees_stored_table(monkeypatch):
+def test_abs_char_sums_miss_frees_older_table(monkeypatch):
     mod = build_modulus(101)
-    stored = weakref.ref(abs_char_sums(mod, 30))
+    older = weakref.ref(abs_char_sums(mod, 30))
+    newer = weakref.ref(abs_char_sums(mod, 31))
     fft = charsum.all_char_sums_fft
+    seen = []
 
     def checking(mod, x):
-        assert stored() is None  # no stored table is alive while a transform runs
+        # with both slots full, only the newer table is alive while a transform runs
+        seen.append((older() is None, newer() is not None))
         return fft(mod, x)
 
     monkeypatch.setattr(charsum, "all_char_sums_fft", checking)
-    abs_char_sums(mod, 31)
-    assert mod.abs_sums[0] == 31
+    abs_char_sums(mod, 32)
+    assert seen == [(True, True)]
+    assert [f for f, _ in mod.abs_sums] == [32, 31]
 
 
 def _count_transforms(monkeypatch):
@@ -264,17 +268,24 @@ def _count_transforms(monkeypatch):
     return calls
 
 
-def test_abs_char_sums_one_slot_per_floor_x(monkeypatch):
+def test_abs_char_sums_two_slots(monkeypatch):
     mod = build_modulus(101)
     calls = _count_transforms(monkeypatch)
     first = abs_char_sums(mod, 30)
     assert abs_char_sums(mod, 30.7) is first  # same floor(x), same slot
-    assert len(calls) == 1 and mod.abs_sums[0] == 30
+    assert len(calls) == 1 and [f for f, _ in mod.abs_sums] == [30]
     other = abs_char_sums(mod, 31)
-    assert len(calls) == 2 and mod.abs_sums[0] == 31 and mod.abs_sums[1] is other
-    assert abs_char_sums(mod, 30) is not first  # evicted: one floor(x) at a time
-    assert len(calls) == 3
-    # x = q and x = q - 1 fold the same residues, so they share the slot
+    # a return after one other floor(x) reuses its table
+    assert abs_char_sums(mod, 30) is first and abs_char_sums(mod, 31) is other
+    # a tuple compares its items by identity first, so == pins the very tables
+    assert len(calls) == 2 and mod.abs_sums == ((31, other), (30, first))
+    # a hit leaves the order as it is: a third floor(x) evicts the earlier-inserted one
+    assert abs_char_sums(mod, 30) is first
+    third = abs_char_sums(mod, 32)
+    assert len(calls) == 3 and mod.abs_sums == ((32, third), (31, other))
+    assert abs_char_sums(mod, 30) is not first
+    assert len(calls) == 4 and [f for f, _ in mod.abs_sums] == [30, 32]
+    # x = q and x = q - 1 fold the same residues, so they share a slot
     abs_char_sums(mod, 100)
     abs_char_sums(mod, 101)
-    assert len(calls) == 4
+    assert len(calls) == 5 and [f for f, _ in mod.abs_sums] == [100, 30]

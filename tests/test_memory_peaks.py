@@ -45,13 +45,17 @@ spec = euler.EulerProductSpec(alpha=0.12148592618708783, beta=1.1572513109603542
                               t1=0.0, t2=3.6719449757439744, z=467.8461193438917,
                               y=1403.5383580316752)
 n, route = int(sys.argv[1]), sys.argv[2]
-if route in ("theta_all", "theta_moment"):
+if route in ("theta_all", "theta_moment", "abs_char_sums"):
     mod = modarith.build_modulus(n)
 elif route not in ("build_modulus", "primes_up_to"):
     primes.primes_up_to(max(n, spec.y))
+if route == "abs_char_sums":  # both memo slots full, so the measured call evicts one
+    charsum.abs_char_sums(mod, n // 3)
+    charsum.abs_char_sums(mod, n // 2)
 call = {"build_modulus": lambda: modarith.build_modulus(n),
         "theta_all": lambda: theta.theta_all(mod),
         "theta_moment": lambda: theta.theta_moment(mod, 1.0, "odd"),
+        "abs_char_sums": lambda: charsum.abs_char_sums(mod, 2 * n // 3),
         "rmf_moment_mc": lambda: moments.rmf_moment_mc(n, 2, int(sys.argv[3]), 5),
         "mc_product_estimate": lambda: euler.mc_product_estimate(spec, n, 5),
         "primes_up_to": lambda: primes.primes_up_to(n)}[route]
@@ -76,6 +80,13 @@ def _peak(n, route, *args):
 @pytest.mark.parametrize("route", ["theta_all", "theta_moment"])
 def test_theta_peak_within_its_largest_charge(q, route):
     got = _peak(q, route)
+    assert 0 < got["growth"] <= got["charge"] + ALLOWANCE, got
+
+
+# a third floor(x) on a modulus whose two memo slots are full
+@pytest.mark.parametrize("q", [262_657, 65_543])
+def test_abs_char_sums_peak_within_its_charge(q):
+    got = _peak(q, "abs_char_sums")
     assert 0 < got["growth"] <= got["charge"] + ALLOWANCE, got
 
 

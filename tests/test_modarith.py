@@ -92,10 +92,10 @@ def test_larger_modulus_consistency():
 
 
 def test_cap_counts_memo_slot(monkeypatch):
-    # 8 q <= cap < 12 q: the dlog table alone would fit, the memo does not
-    q = 200_000_033
+    # 12 q <= cap < 16 q: the dlog table and one slot would fit, two slots do not
+    q = 134_217_757
     assert modarith.primes.factorize(q) == [(q, 1)]
-    assert 8 * q <= errors.DEFAULT_MEMORY_CAP < 12 * q
+    assert 12 * q <= errors.DEFAULT_MEMORY_CAP < 16 * q
 
     def no_tables(*args, **kwargs):
         raise AssertionError("a table was allocated before the cap check")
@@ -123,14 +123,14 @@ def _composites_below(n):
 
 
 def test_not_prime_refused_before_the_root_search(monkeypatch):
-    # every composite below 10^4, 0 and 1, the Carmichael number 307 * 613 * 919
-    # and the prime square 13,367^2, the last two just under the cap's q limit
+    # every composite below 10^4, 0 and 1, the Carmichael number 109 * 541 * 2,269
+    # and the prime square 11,579^2, the last two just under the cap's q limit
     def no_root(q):
         raise AssertionError(f"_primitive_root ran for q = {q}")
 
     monkeypatch.setattr(modarith, "_primitive_root", no_root)
-    big = [307 * 613 * 919, 13_367**2]
-    assert all(12 * q <= errors.DEFAULT_MEMORY_CAP for q in big)
+    big = [109 * 541 * 2_269, 11_579**2]
+    assert all(16 * q <= errors.DEFAULT_MEMORY_CAP for q in big)
     for q in [0, 1] + _composites_below(10**4) + big:
         with pytest.raises(OutOfRange, match=f"^q = {q} is not prime$"):
             build_modulus(q)

@@ -4,6 +4,8 @@ euler's prime sums map their term over blocks of euler._BLOCK primes and hand
 math.fsum memoryviews, never lists.  fsum is correctly rounded and the terms
 are elementwise, so any block length gives the bits of one fsum over the
 whole array: the oracles below are that whole-array sum, written out.
+A search of the int64 prime table takes an int bound: a float one makes
+numpy copy the whole table to float64 first.
 """
 import ast
 import math
@@ -13,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from charmoments import euler, primes, proxy, rmf
+from charmoments import euler, primes, proxy, rmf, theta
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "charmoments"
 MIB = 1 << 20
@@ -111,6 +113,32 @@ def test_streamed_sum_peak_stays_under_one_mib(route):
             "expected_product_exponent": lambda: euler.expected_product_exponent(spec),
             "truncation_error_series": lambda: proxy.truncation_error_series(d, 2.0, 2)}[route]
     assert _traced_peak(call) <= MIB
+
+
+def test_mellin_check_peak_stays_under_one_mib():
+    sample = rmf.sample(1, 10**7)  # the 664,579 primes and their f(p) are not the check's
+    assert _traced_peak(lambda: theta.mellin_transform_check(2.0, 1.5, sample)) <= MIB
+
+
+def test_prime_table_searches_take_int_bounds(monkeypatch):
+    search = np.searchsorted
+
+    def int_bounds_only(table, bound, *args, **kwargs):
+        if np.asarray(table).dtype.kind in "iu" and np.asarray(bound).dtype.kind == "f":
+            raise AssertionError("a float bound copies the int table to float64")
+        return search(table, bound, *args, **kwargs)
+
+    sample = rmf.sample(3, 1000)
+    spec = euler.EulerProductSpec(alpha=1.0, beta=1.0, sigma1=0.05, sigma2=0.1,
+                                  t1=0.0, t2=1.0, z=250.5, y=1000.5)
+    monkeypatch.setattr(np, "searchsorted", int_bounds_only)
+    for y in (2.0, 7.5):
+        theta.mellin_transform_check(y, 1.5, sample)
+    assert spec.product_primes[0] == 251
+    assert primes.primes_in(2.5, 30.5).tolist() == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    rmf.value_at(sample, 360)
+    rmf.partial_sums_batch(rmf.derive_trial_seeds(3, 4), 1000.5)
+    proxy.SampleSource(sample).values_at(np.array([2, 3, 997]))
 
 
 def _fsum_of_a_list(node):
